@@ -7,11 +7,9 @@ from .geometry import (
     Constraint,
     ConstraintKind,
     ConstraintSet,
-    DofMap,
-    Facet,
+    FacetTable,
     Mesh,
     MeshError,
-    Node,
     build_block_specimen,
     build_fixture,
     load_mesh,

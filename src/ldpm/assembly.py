@@ -11,10 +11,9 @@ volumetric strain of a tetrahedron is the one geometric nonlinearity kept
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
-from .geometry import DofMap, Mesh
+from .geometry import ConstraintKind, Mesh
 from .material import MaterialParams, FacetStateArray, facet_update, \
     elastic_tractions
 
@@ -24,57 +23,31 @@ class AssemblyError(Exception):
 
 
 def _skew(c):
-    return np.array([[0.0, -c[2], c[1]],
-                     [c[2], 0.0, -c[0]],
-                     [-c[1], c[0], 0.0]])
+    """(n, 3, 3) cross-product matrices of stacked 3-vectors."""
+    z = np.zeros(len(c))
+    return np.stack([np.stack([z, -c[:, 2], c[:, 1]], axis=1),
+                     np.stack([c[:, 2], z, -c[:, 0]], axis=1),
+                     np.stack([-c[:, 1], c[:, 0], z], axis=1)], axis=1)
 
 
-def _facet_blocks(facet):
-    """The four 3x3 blocks of B_k: (u_I, theta_I, u_J, theta_J)."""
-    Pt = facet.frame.T / facet.edge_length
-    return (-Pt, Pt @ _skew(facet.c_i), Pt, -Pt @ _skew(facet.c_j))
-
-
-def facet_operator(facet, n_dofs: int) -> sp.csr_matrix:
-    """Sparse 3 x n_dofs linearization of the facet strain."""
-    bi, bti, bj, btj = _facet_blocks(facet)
-    rows, cols, vals = [], [], []
-    for block, node, off in ((bi, facet.node_i, 0), (bti, facet.node_i, 3),
-                             (bj, facet.node_j, 0), (btj, facet.node_j, 3)):
-        for r in range(3):
-            for c in range(3):
-                rows.append(r)
-                cols.append(6 * node + off + c)
-                vals.append(block[r, c])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(3, n_dofs))
-
-
-def facet_strain(q, facet, dofmap: DofMap) -> np.ndarray:
-    """Strain vector (e_N, e_M, e_L) of one facet for the DoF vector q."""
-    q = np.asarray(q, float)
-    u_i = q[6 * facet.node_i: 6 * facet.node_i + 3]
-    th_i = q[6 * facet.node_i + 3: 6 * facet.node_i + 6]
-    u_j = q[6 * facet.node_j: 6 * facet.node_j + 3]
-    th_j = q[6 * facet.node_j + 3: 6 * facet.node_j + 6]
-    jump = u_j + np.cross(th_j, facet.c_j) - u_i - np.cross(th_i, facet.c_i)
-    return facet.frame.T @ jump / facet.edge_length
+def _facet_blocks(facets, idx=slice(None)) -> np.ndarray:
+    """(n, 3, 12) strain operators B_k of the facets `idx`, acting on
+    (u_I, theta_I, u_J, theta_J)."""
+    Pt = facets.axes[idx] / facets.edge_length[idx][:, None, None]
+    return np.concatenate([-Pt, Pt @ _skew(facets.c_i[idx]), Pt,
+                           -Pt @ _skew(facets.c_j[idx])], axis=2)
 
 
 def build_strain_operator(mesh: Mesh) -> sp.csr_matrix:
     """Stacked strain operator B (3 nf x n_dofs) with B q = all facet
     strains, flattened facet-major."""
-    n = mesh.n_dofs
-    rows, cols, vals = [], [], []
-    for k, f in enumerate(mesh.facets):
-        for block, node, off in zip(_facet_blocks(f),
-                                    (f.node_i, f.node_i, f.node_j, f.node_j),
-                                    (0, 3, 0, 3)):
-            for r in range(3):
-                for c in range(3):
-                    rows.append(3 * k + r)
-                    cols.append(6 * node + off + c)
-                    vals.append(block[r, c])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(3 * mesh.n_facets, n))
+    f, nf = mesh.facets, mesh.n_facets
+    blocks = _facet_blocks(f)
+    dofs = 6 * np.column_stack([f.node_i, f.node_j])[:, :, None] + np.arange(6)
+    rows = np.broadcast_to(np.arange(3 * nf).reshape(nf, 3, 1), blocks.shape)
+    cols = np.broadcast_to(dofs.reshape(nf, 1, 12), blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(3 * nf, mesh.n_dofs))
 
 
 class DiagMass:
@@ -124,7 +97,7 @@ def assemble_stiffness(mesh: Mesh, params: MaterialParams,
 
 def facet_weights(mesh: Mesh) -> np.ndarray:
     """Work weight A_k l_k per facet."""
-    return np.array([f.projected_area * f.edge_length for f in mesh.facets])
+    return mesh.facets.projected_area * mesh.facets.edge_length
 
 
 def volumetric_strain(q, mesh: Mesh) -> np.ndarray:
@@ -152,9 +125,8 @@ class SystemOperators:
         self.params = params
         self.B = build_strain_operator(mesh)
         self.weights = facet_weights(mesh)
-        self.lengths = np.array([f.edge_length for f in mesh.facets])
-        self.parent_tet = np.array([f.parent_tet for f in mesh.facets],
-                                   dtype=int)
+        self.lengths = mesh.facets.edge_length
+        self.parent_tet = mesh.facets.parent_tet
         self._has_parent = self.parent_tet >= 0
         self.K = assemble_stiffness(mesh, params, self.B)
 
@@ -195,7 +167,7 @@ def crack_openings(mesh: Mesh, strains, tractions,
     normal part opens a crack."""
     e = np.asarray(strains, float)
     t = np.asarray(tractions, float)
-    l = np.array([f.edge_length for f in mesh.facets])
+    l = mesh.facets.edge_length
     w_n = l * np.maximum(0.0, e[:, 0] - t[:, 0] / params.E0)
     w_m = l * (e[:, 1] - t[:, 1] / (params.alpha * params.E0))
     w_l = l * (e[:, 2] - t[:, 2] / (params.alpha * params.E0))
@@ -203,103 +175,104 @@ def crack_openings(mesh: Mesh, strains, tractions,
     return np.column_stack([w_n, w_m, w_l, w])
 
 
+# elements per stacked eigenvalue batch of critical_timestep (24 x 24
+# matrices: 1024 of them are 4.7 MB)
+_DT_CHUNK = 1024
+
+
 def critical_timestep(mesh: Mesh, params: MaterialParams,
                       mass: DiagMass | None = None,
                       constraints=None) -> float:
     """Largest stable explicit step 2/omega_max, with omega_max the largest
-    element eigenfrequency.  Elements are tetrahedra (their 12 facets, 24
-    DoFs) when present, otherwise single facets (12 DoFs).  Element masses
-    are local shares so that they sum to the global lumped mass.
+    element eigenfrequency (the element bound of Irons & Treharne, 1971).
+    Elements are tetrahedra (the facets whose parent is the tet, on the
+    nodes those facets touch) when present, otherwise single facets (12
+    DoFs).  Element masses are local shares so that they sum to the global
+    lumped mass.
     """
     if mass is None:
         mass = assemble_lumped_mass(mesh)
-    fixed = set()
-    if constraints is not None:
-        from .geometry import ConstraintKind
-        for c in constraints:
-            if c.kind in (ConstraintKind.FIXED, ConstraintKind.VELOCITY):
-                fixed.add(6 * c.node + c.comp)
+    fixed = np.zeros(mesh.n_dofs, dtype=bool)
+    for c in constraints or ():
+        if c.kind in (ConstraintKind.FIXED, ConstraintKind.VELOCITY):
+            fixed[6 * c.node + c.comp] = True
+    f = mesh.facets
+    in_tet = f.parent_tet >= 0 if len(mesh.tets) \
+        else np.zeros(len(f), dtype=bool)
 
-    rho = mesh.density * 1.0e-12
-    dp = mesh.particle_diameters
-    D = np.array([1.0, params.alpha, params.alpha]) * params.E0
     omega_max = 0.0
-
-    groups: dict[int, list] = {}
-    orphans = []
-    for f in mesh.facets:
-        if len(mesh.tets) and f.parent_tet >= 0:
-            groups.setdefault(f.parent_tet, []).append(f)
-        else:
-            orphans.append(f)
-
-    for t, facets in groups.items():
-        nodes = sorted({n for f in facets for n in (f.node_i, f.node_j)})
-        local = {n: i for i, n in enumerate(nodes)}
-        nd = 6 * len(nodes)
-        K = np.zeros((nd, nd))
-        for f in facets:
-            blocks = _facet_blocks(f)
-            owners = (f.node_i, f.node_i, f.node_j, f.node_j)
-            offs = (0, 3, 0, 3)
-            w = f.projected_area * f.edge_length
-            for (ba, na, oa) in zip(blocks, owners, offs):
-                ia = 6 * local[na] + oa
-                for (bb, nb, ob) in zip(blocks, owners, offs):
-                    ib = 6 * local[nb] + ob
-                    K[ia:ia + 3, ib:ib + 3] += w * ba.T @ (D[:, None] * bb)
-        m_node = rho * mesh.tet_volumes[t] / 4.0
-        M = np.zeros(nd)
-        for n in nodes:
-            i = 6 * local[n]
-            M[i:i + 3] = m_node
-            M[i + 3:i + 6] = m_node * dp[n] ** 2 / 10.0
-        omega_max = max(omega_max, _element_omega(K, M, nodes, fixed))
-
-    if orphans:
-        incident = np.zeros(mesh.n_nodes)
-        for f in orphans:
-            incident[f.node_i] += 1
-            incident[f.node_j] += 1
-        for f in orphans:
-            nodes = [f.node_i, f.node_j]
-            blocks = _facet_blocks(f)
-            offs = (0, 3, 0, 3)
-            owners = (0, 0, 1, 1)
-            K = np.zeros((12, 12))
-            w = f.projected_area * f.edge_length
-            for (ba, na, oa) in zip(blocks, owners, offs):
-                ia = 6 * na + oa
-                for (bb, nb, ob) in zip(blocks, owners, offs):
-                    ib = 6 * nb + ob
-                    K[ia:ia + 3, ib:ib + 3] += w * ba.T @ (D[:, None] * bb)
-            M = np.zeros(12)
-            for i, n in enumerate(nodes):
-                m_node = mass.values[6 * n] / incident[n]
-                M[6 * i:6 * i + 3] = m_node
-                M[6 * i + 3:6 * i + 6] = m_node * dp[n] ** 2 / 10.0
-            omega_max = max(omega_max, _element_omega(K, M, nodes, fixed))
+    grouped = np.nonzero(in_tet)[0]
+    if len(grouped):
+        # one element per parent tet on its sorted nodes; a node that none
+        # of the tet's facets touches gets no mass and so drops out
+        grouped = grouped[np.argsort(f.parent_tet[grouped], kind="stable")]
+        tet_ids, elem = np.unique(f.parent_tet[grouped], return_inverse=True)
+        nodes = np.sort(mesh.tets[tet_ids], axis=1)
+        local = np.column_stack([
+            np.argmax(nodes[elem] == ends[:, None], axis=1)
+            for ends in (f.node_i[grouped], f.node_j[grouped])])
+        touched = np.zeros(nodes.shape, dtype=bool)
+        touched[elem[:, None], local] = True
+        rho = mesh.density * 1.0e-12
+        m_node = np.where(touched, rho * mesh.tet_volumes[tet_ids, None] / 4.0,
+                          0.0)
+        omega_max = _max_element_omega(f, grouped, elem, local, nodes, m_node,
+                                       mesh.particle_diameters, fixed, params)
+    orphans = np.nonzero(~in_tet)[0]
+    if len(orphans):
+        nodes = np.column_stack([f.node_i[orphans], f.node_j[orphans]])
+        incident = np.bincount(nodes.ravel(), minlength=mesh.n_nodes)
+        m_node = mass.values[6 * nodes] / incident[nodes]
+        omega_max = max(omega_max, _max_element_omega(
+            f, orphans, np.arange(len(orphans)),
+            np.tile([0, 1], (len(orphans), 1)), nodes, m_node,
+            mesh.particle_diameters, fixed, params))
 
     if omega_max <= 0:
         raise AssemblyError("no dynamic DoFs; cannot estimate a time step")
     return 2.0 / omega_max
 
 
-def _element_omega(K, M, nodes, fixed) -> float:
-    """Largest sqrt-eigenvalue of the free, massive part of M^-1 K."""
-    keep = []
-    for i, n in enumerate(nodes):
-        for c in range(6):
-            d = 6 * i + c
-            if 6 * n + c in fixed or M[d] <= 0:
-                continue
-            keep.append(d)
-    if not keep:
-        return 0.0
-    keep = np.array(keep)
-    Ks = K[np.ix_(keep, keep)]
-    inv_sqrt = 1.0 / np.sqrt(M[keep])
-    A = inv_sqrt[:, None] * Ks * inv_sqrt[None, :]
-    ev = scipy.linalg.eigvalsh(A)
-    lam = max(0.0, float(ev[-1]))
-    return float(np.sqrt(lam))
+def _max_element_omega(facets, fids, elem, local, nodes, m_node, dp, fixed,
+                       params) -> float:
+    """Largest sqrt-eigenvalue of M^-1 K over elements built from facets.
+
+    fids/elem/local: the facets, their element and the local index of their
+    two nodes, grouped by element in facet order; nodes/m_node: (ne, p)
+    global node and translational mass per local node.  Each element keeps
+    its free, massive DoFs in local order.
+    """
+    ne, p = nodes.shape
+    D = np.array([1.0, params.alpha, params.alpha]) * params.E0
+    ldofs = (6 * local[:, :, None] + np.arange(6)).reshape(-1, 12)
+    slot = np.arange(len(fids)) - np.searchsorted(elem, elem)
+    M = np.repeat(m_node, 6, axis=1)
+    M[:, 3::6] = M[:, 4::6] = M[:, 5::6] = m_node * dp[nodes] ** 2 / 10.0
+    keep = ~fixed[(6 * nodes[:, :, None] + np.arange(6)).reshape(ne, -1)] \
+        & ~(M <= 0)
+    omega_sq = 0.0
+    bounds = np.searchsorted(elem, np.arange(0, ne + _DT_CHUNK, _DT_CHUNK))
+    for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if lo == hi:
+            continue
+        e0 = c * _DT_CHUNK
+        blocks = _facet_blocks(facets, fids[lo:hi])
+        w = (facets.projected_area * facets.edge_length)[fids[lo:hi]]
+        Ke = (w[:, None, None] * blocks.transpose(0, 2, 1)) \
+            @ (D[:, None] * blocks)
+        K = np.zeros((min(ne, e0 + _DT_CHUNK) - e0, 6 * p, 6 * p))
+        el, dofs, sl = elem[lo:hi] - e0, ldofs[lo:hi], slot[lo:hi]
+        for s in range(sl.max() + 1):
+            at = sl == s
+            K[el[at, None, None], dofs[at, :, None], dofs[at, None, :]] += \
+                Ke[at]
+        Mc, kc = M[e0:e0 + len(K)], keep[e0:e0 + len(K)]
+        counts = kc.sum(axis=1)
+        for k in np.unique(counts[counts > 0]):
+            rows = np.nonzero(counts == k)[0]
+            idx = np.argsort(~kc[rows], axis=1, kind="stable")[:, :k]
+            Ks = K[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
+            inv_sqrt = 1.0 / np.sqrt(np.take_along_axis(Mc[rows], idx, 1))
+            A = inv_sqrt[:, :, None] * Ks * inv_sqrt[:, None, :]
+            omega_sq = max(omega_sq, float(np.linalg.eigvalsh(A)[:, -1].max()))
+    return float(np.sqrt(omega_sq))

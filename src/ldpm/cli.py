@@ -18,11 +18,13 @@ import time
 
 import numpy as np
 
+from .assembly import AssemblyError
 from .compare import CompareError, compare_fields, load_field_dump
 from .config import ConfigError, parse_config
 from .geometry import MeshError, build_fixture, load_mesh, validate_mesh, \
     write_mesh
 from .integrators import DivergenceError, NonConvergenceError
+from .material import SnapBackError
 from .presets import PRESET_NAMES, preset_config
 from .runner import RunError, run
 
@@ -76,8 +78,8 @@ def _execute(cfg, mesh=None) -> int:
     t0 = time.perf_counter()
     try:
         rec = run(cfg, mesh=mesh)
-    except (DivergenceError, NonConvergenceError, np.linalg.LinAlgError,
-            FloatingPointError) as exc:
+    except (DivergenceError, NonConvergenceError, AssemblyError,
+            np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     elapsed = time.perf_counter() - t0
@@ -96,7 +98,7 @@ def cmd_run(args) -> int:
         if args.out:
             cfg.directory = args.out
         return _execute(cfg)
-    except (ConfigError, MeshError, RunError) as exc:
+    except (ConfigError, MeshError, RunError, SnapBackError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -113,7 +115,7 @@ def cmd_bench(args) -> int:
             cfg.fixture = None
             cfg.mesh_path = args.mesh
         return _execute(cfg, mesh=mesh)
-    except (ConfigError, MeshError, RunError) as exc:
+    except (ConfigError, MeshError, RunError, SnapBackError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -22,7 +22,9 @@ Sections and keys::
     hht_alpha = -0.05               # hht
     dt = 2e-5                       # or dt_crit_factor = 0.9
     total_time = 0.1
-    safety = 0.9                    # warn threshold for explicit dt
+    safety = 0.9                    # explicit runs with a set dt: warn
+                                    # above safety x dt_crit, exit 2 above
+                                    # dt_crit; 0 < safety <= 1
     criteria = residual,increment,energy
     tolerance = 1e-4
     rtol = 1e-4
@@ -129,6 +131,8 @@ class RunConfig:
             raise ConfigError("solver: set dt or dt_crit_factor")
         if self.dt_crit_factor is not None and self.dt_crit_factor <= 0:
             raise ConfigError("solver.dt_crit_factor must be positive")
+        if not 0 < self.safety <= 1:
+            raise ConfigError("solver.safety must be in (0, 1]")
         if self.stride < 1:
             raise ConfigError("output.stride must be >= 1")
         if self.eta < 0:

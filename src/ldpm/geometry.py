@@ -1,10 +1,16 @@
 """Mesh data structures for discrete particle systems.
 
-Holds nodes (particles), facets (the potential crack interfaces between
-adjacent cells), tetrahedra (for volumetric strain), and the DoF/constraint
+Holds the particles (node coordinates and diameters), the facets (the
+potential crack interfaces between adjacent cells) as one struct-of-arrays
+table, the tetrahedra (for volumetric strain), and the constraint
 bookkeeping.  Meshes are either loaded from facet-data files produced by an
 external preprocessor or synthesized as small verification fixtures and
 desk-scale block specimens.
+
+Every per-facet quantity is computed for all facets at once.  Dot products
+and norms of stacked 3-vectors go through `_dot`, a stacked matmul that
+rounds exactly like the 1-D `x @ y`, so the arrays do not depend on how
+many facets are built together.
 
 Unit system: mm, N, MPa, tonne, s.  Density is stored as entered (kg/m^3)
 and converted to tonne/mm^3 where mass is computed.
@@ -19,9 +25,6 @@ from enum import Enum
 
 import numpy as np
 
-# kg/m^3 -> tonne/mm^3
-DENSITY_TO_TONNE_MM3 = 1.0e-12
-
 # Facet invariant tolerances.
 TOL_ORTHONORMAL = 1e-10
 TOL_NORMAL_ALIGN = 1e-10
@@ -35,54 +38,67 @@ class MeshError(Exception):
     """Raised when a mesh file cannot be parsed or violates invariants."""
 
 
-@dataclass(frozen=True)
-class Node:
-    id: int
-    position: np.ndarray          # (3,) mm
-    particle_diameter: float      # mm, may be zero for boundary/virtual nodes
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.position)):
-            raise MeshError(f"node {self.id}: non-finite position")
-        if self.particle_diameter < 0:
-            raise MeshError(f"node {self.id}: negative particle diameter")
+def _dot(x, y) -> np.ndarray:
+    """Row-wise dot product of stacked 3-vectors, rounded as 1-D x @ y."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
-class Facet:
-    id: int
-    node_i: int
-    node_j: int
-    edge_length: float            # mm, |x_J - x_I|
-    centroid: np.ndarray          # (3,) mm
-    raw_area: float               # mm^2, true facet area
-    projected_area: float         # mm^2, raw_area * (n . n0)
-    normal: np.ndarray            # n, along the edge I->J
-    tangent_m: np.ndarray
-    tangent_l: np.ndarray
-    true_normal: np.ndarray       # n0, normal of the actual facet plane
-    c_i: np.ndarray               # centroid - x_I
-    c_j: np.ndarray               # centroid - x_J
-    parent_tet: int = -1          # tet supplying the volumetric strain
+def _norm(x) -> np.ndarray:
+    return np.sqrt(_dot(x, x))
+
+
+@dataclass(eq=False)
+class FacetTable:
+    """All facets of a mesh as contiguous columns; the row is the facet id."""
+    node_i: np.ndarray            # (nf,) int
+    node_j: np.ndarray            # (nf,) int
+    parent_tet: np.ndarray        # (nf,) tet giving e_V, -1 if none
+    edge_length: np.ndarray       # (nf,) mm, |x_J - x_I|
+    raw_area: np.ndarray          # (nf,) mm^2, true facet area
+    projected_area: np.ndarray    # (nf,) mm^2, raw_area * (n . n0)
+    centroid: np.ndarray          # (nf, 3) mm
+    normal: np.ndarray            # (nf, 3) n, along the edge I->J
+    tangent_m: np.ndarray         # (nf, 3)
+    tangent_l: np.ndarray         # (nf, 3)
+    true_normal: np.ndarray       # (nf, 3) n0, normal of the facet plane
+    c_i: np.ndarray               # (nf, 3) centroid - x_I
+    c_j: np.ndarray               # (nf, 3) centroid - x_J
+
+    def __len__(self):
+        return len(self.node_i)
 
     @property
-    def frame(self) -> np.ndarray:
-        """3x3 matrix with columns [n, m, l]."""
-        return np.column_stack([self.normal, self.tangent_m, self.tangent_l])
+    def axes(self) -> np.ndarray:
+        """(nf, 3, 3) local frames with rows n, m, l (P^T per facet)."""
+        return np.stack([self.normal, self.tangent_m, self.tangent_l], axis=1)
 
 
-@dataclass
 class Mesh:
-    nodes: list[Node]
-    facets: list[Facet]
-    tets: np.ndarray              # (nt, 4) int node indices
-    tet_volumes: np.ndarray       # (nt,) reference volumes mm^3
-    cell_volumes: np.ndarray      # (nn,) per-node volume share mm^3
-    density: float = 2380.0       # kg/m^3
+    """Particles with 6 DoF each, facets, and tetrahedra.  Node coordinates
+    and particle diameters are read-only arrays."""
+
+    def __init__(self, positions, particle_diameters, facets: FacetTable,
+                 tets, tet_volumes, cell_volumes, density: float = 2380.0):
+        pos = np.array(positions, dtype=float).reshape(-1, 3)
+        d_p = np.array(np.broadcast_to(particle_diameters, len(pos)),
+                       dtype=float)
+        for bad, what in ((~np.isfinite(pos).all(axis=1),
+                           "non-finite position"),
+                          (d_p < 0, "negative particle diameter")):
+            if bad.any():
+                raise MeshError(f"node {np.argmax(bad)}: {what}")
+        pos.flags.writeable = d_p.flags.writeable = False
+        self._positions = pos
+        self.particle_diameters = d_p     # (nn,) mm, zero for virtual nodes
+        self.facets = facets
+        self.tets = tets                  # (nt, 4) int node indices
+        self.tet_volumes = tet_volumes    # (nt,) reference volumes mm^3
+        self.cell_volumes = cell_volumes  # (nn,) per-node volume share mm^3
+        self.density = density            # kg/m^3
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self._positions)
 
     @property
     def n_facets(self) -> int:
@@ -90,27 +106,29 @@ class Mesh:
 
     @property
     def n_dofs(self) -> int:
-        return 6 * len(self.nodes)
+        return 6 * self.n_nodes
 
     @property
     def positions(self) -> np.ndarray:
-        return np.array([n.position for n in self.nodes])
-
-    @property
-    def particle_diameters(self) -> np.ndarray:
-        return np.array([n.particle_diameter for n in self.nodes])
+        """(nn, 3) node coordinates in mm, read-only."""
+        return self._positions
 
     def mesh_hash(self) -> str:
         """Digest of all geometric content, used to reject cross-mesh
-        comparison of per-facet fields."""
+        comparison of per-facet fields.  The byte stream is, node by node,
+        position and diameter, then facet by facet, the node pair, raw area
+        and centroid, then the tets."""
         h = hashlib.sha256()
-        for n in self.nodes:
-            h.update(np.asarray(n.position, float).tobytes())
-            h.update(np.float64(n.particle_diameter).tobytes())
-        for f in self.facets:
-            h.update(np.int64([f.node_i, f.node_j]).tobytes())
-            h.update(np.float64([f.raw_area]).tobytes())
-            h.update(np.asarray(f.centroid, float).tobytes())
+        h.update(np.column_stack([self.positions,
+                                  self.particle_diameters]).tobytes())
+        f = self.facets
+        rows = np.empty(len(f), dtype=[("nodes", np.int64, (2,)),
+                                       ("area", np.float64),
+                                       ("centroid", np.float64, (3,))])
+        rows["nodes"] = np.column_stack([f.node_i, f.node_j])
+        rows["area"] = f.raw_area
+        rows["centroid"] = f.centroid
+        h.update(rows.tobytes())
         h.update(np.asarray(self.tets, np.int64).tobytes())
         return h.hexdigest()[:16]
 
@@ -120,32 +138,10 @@ class Mesh:
 
 
 # ---------------------------------------------------------------------------
-# DoF map and constraints
+# Constraints
 # ---------------------------------------------------------------------------
 
 DOF_NAMES = ("ux", "uy", "uz", "rx", "ry", "rz")
-
-
-class DofMap:
-    """Six DoFs per node: three translations then three rotations,
-    numbered contiguously node by node."""
-
-    def __init__(self, n_nodes: int):
-        self.n_nodes = n_nodes
-        self.n_dofs = 6 * n_nodes
-
-    @staticmethod
-    def index(node: int, comp: int) -> int:
-        return 6 * node + comp
-
-    def partition(self, constraints: "ConstraintSet"):
-        """Return (free, prescribed) index arrays."""
-        prescribed = np.array(
-            sorted(self.index(c.node, c.comp) for c in constraints), dtype=int
-        )
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[prescribed] = False
-        return np.nonzero(mask)[0], prescribed
 
 
 class ConstraintKind(Enum):
@@ -200,89 +196,90 @@ class ConstraintSet:
 
 
 # ---------------------------------------------------------------------------
-# Facet construction helpers
+# Facet construction
 # ---------------------------------------------------------------------------
 
-def default_tangent(normal: np.ndarray) -> np.ndarray:
-    """First tangent vector: normalized projection of the global z axis onto
-    the plane orthogonal to `normal`, falling back to the y axis when the
-    normal is within 1e-6 of +-z."""
-    z = np.array([0.0, 0.0, 1.0])
-    if abs(abs(normal @ z) - 1.0) < 1e-6:
-        z = np.array([0.0, 1.0, 0.0])
-    m = z - (z @ normal) * normal
-    return m / np.linalg.norm(m)
-
-
-def make_facet(fid, node_i, node_j, x_i, x_j, raw_area, centroid,
-               true_normal, tangent_m=None, tangent_l=None, parent_tet=-1):
+def make_facets(node_i, node_j, positions, raw_area, centroid, true_normal,
+                tangent_m=None, tangent_l=None, parent_tet=None) -> FacetTable:
     """Derive the dependent facet quantities (edge vector, frame, projected
-    area, centroid offsets) from the primary data."""
-    edge = np.asarray(x_j, float) - np.asarray(x_i, float)
-    length = float(np.linalg.norm(edge))
-    if length <= 0:
-        raise MeshError(f"facet {fid}: coincident nodes {node_i}, {node_j}")
-    n = edge / length
+    area, centroid offsets) from the primary data, one row per facet.
+    A missing first tangent m is the normalized projection of the global z
+    axis (the y axis when n is within 1e-6 of +-z) onto the facet plane; a
+    missing second tangent is n x m."""
+    node_i = np.asarray(node_i, dtype=int)
+    node_j = np.asarray(node_j, dtype=int)
+    x_i, x_j = positions[node_i], positions[node_j]
+    edge = x_j - x_i
+    length = _norm(edge)
+    if np.any(length <= 0):
+        k = int(np.argmax(length <= 0))
+        raise MeshError(f"facet {k}: coincident nodes "
+                        f"{node_i[k]}, {node_j[k]}")
+    n = edge / length[:, None]
     n0 = np.asarray(true_normal, float)
-    n0 = n0 / np.linalg.norm(n0)
-    if n @ n0 < 0:
-        n0 = -n0
+    n0 = n0 / _norm(n0)[:, None]
+    n0 = np.where((_dot(n, n0) < 0)[:, None], -n0, n0)
     if tangent_m is None:
-        m = default_tangent(n)
+        z = np.zeros_like(n)
+        z[np.arange(len(n)), np.where(np.abs(np.abs(n[:, 2]) - 1.0) < 1e-6,
+                                      1, 2)] = 1.0
+        m = z - _dot(z, n)[:, None] * n
+        m = m / _norm(m)[:, None]
     else:
         m = np.asarray(tangent_m, float)
-    if tangent_l is None:
-        l = np.cross(n, m)
-    else:
-        l = np.asarray(tangent_l, float)
+    l = np.cross(n, m) if tangent_l is None else np.asarray(tangent_l, float)
     centroid = np.asarray(centroid, float)
-    return Facet(
-        id=fid, node_i=node_i, node_j=node_j,
-        edge_length=length, centroid=centroid,
-        raw_area=float(raw_area),
-        projected_area=float(raw_area) * float(n @ n0),
+    raw_area = np.asarray(raw_area, float)
+    if parent_tet is None:
+        parent_tet = np.full(len(node_i), -1)
+    return FacetTable(
+        node_i=node_i, node_j=node_j,
+        parent_tet=np.asarray(parent_tet, dtype=int),
+        edge_length=length, raw_area=raw_area,
+        projected_area=raw_area * _dot(n, n0), centroid=centroid,
         normal=n, tangent_m=m, tangent_l=l, true_normal=n0,
-        c_i=centroid - np.asarray(x_i, float),
-        c_j=centroid - np.asarray(x_j, float),
-        parent_tet=parent_tet,
+        c_i=centroid - x_i, c_j=centroid - x_j,
     )
 
 
-def tet_volume(p0, p1, p2, p3) -> float:
-    return float(np.linalg.det(np.array([p1 - p0, p2 - p0, p3 - p0]))) / 6.0
+def tet_volume(p0, p1, p2, p3):
+    """Signed volume of the tetrahedra with vertices p0..p3, each (3,) or
+    stacked (nt, 3)."""
+    v = np.linalg.det(np.stack([p1 - p0, p2 - p0, p3 - p0], axis=-2)) / 6.0
+    return float(v) if v.ndim == 0 else v
 
 
-def _tet_facets(first_id, tet_nodes, positions, parent_tet):
-    """Twelve facets of one tetrahedron: for each of the six edges and each
-    of the two faces adjacent to that edge, the triangle spanned by the edge
-    midpoint, the face centroid, and the tet centroid."""
-    facets = []
-    xs = positions[list(tet_nodes)]
-    g = xs.mean(axis=0)
-    fid = first_id
-    for a, b in itertools.combinations(range(4), 2):
-        others = [c for c in range(4) if c not in (a, b)]
-        mid = 0.5 * (xs[a] + xs[b])
-        for c in others:
-            face = (xs[a] + xs[b] + xs[c]) / 3.0
-            tri = np.array([mid, face, g])
-            cross = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-            area = 0.5 * np.linalg.norm(cross)
-            n0 = cross / np.linalg.norm(cross)
-            facets.append(make_facet(
-                fid, tet_nodes[a], tet_nodes[b], xs[a], xs[b],
-                raw_area=area, centroid=tri.mean(axis=0), true_normal=n0,
-                parent_tet=parent_tet,
-            ))
-            fid += 1
-    return facets
+# Each tet carries 12 facets: for each of its six edges (a, b) and each of
+# the two faces adjacent to that edge (the third vertex c), the triangle
+# spanned by the edge midpoint, the face centroid, and the tet centroid.
+_TET_FACETS = np.array([(a, b, c)
+                        for a, b in itertools.combinations(range(4), 2)
+                        for c in range(4) if c not in (a, b)])
+
+
+def _tet_facets(tets, positions) -> FacetTable:
+    """The 12 facets of every tetrahedron, tet-major."""
+    xs = positions[tets]                                # (nt, 4, 3)
+    a, b, c = (xs[:, _TET_FACETS[:, k]] for k in range(3))
+    mid = 0.5 * (a + b)
+    face = (a + b + c) / 3.0
+    g = np.broadcast_to(xs.mean(axis=1)[:, None], mid.shape)
+    cross = np.cross(face - mid, g - mid).reshape(-1, 3)
+    size = _norm(cross)
+    centroid = np.stack([mid, face, g], axis=-2).mean(axis=-2)
+    return make_facets(
+        tets[:, _TET_FACETS[:, 0]].ravel(), tets[:, _TET_FACETS[:, 1]].ravel(),
+        positions, raw_area=0.5 * size, centroid=centroid.reshape(-1, 3),
+        true_normal=cross / size[:, None],
+        parent_tet=np.repeat(np.arange(len(tets)), len(_TET_FACETS)))
 
 
 def _finalize_cell_volumes(n_nodes, tets, tet_volumes):
-    v = np.zeros(n_nodes)
-    for t, vol in zip(tets, tet_volumes):
-        v[list(t)] += vol / 4.0
-    return v
+    """A quarter of each tet volume to each of its vertices, accumulated in
+    tet order."""
+    return np.bincount(np.asarray(tets, dtype=int).ravel(),
+                       weights=np.repeat(tet_volumes / 4.0, 4),
+                       minlength=n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -318,46 +315,66 @@ class ValidationReport:
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:
     """Check every facet and mesh invariant; violations are reported as
-    data, not raised."""
+    data, not raised, facet by facet and then tet by tet."""
     rep = ValidationReport()
+    f = mesh.facets
     nn = mesh.n_nodes
     pos = mesh.positions
-    for f in mesh.facets:
-        ent = f"facet {f.id}"
-        if not (0 <= f.node_i < nn and 0 <= f.node_j < nn):
-            rep.add("node-ref", ent, f"references nodes ({f.node_i}, {f.node_j})")
+    ref_ok = (0 <= f.node_i) & (f.node_i < nn) & (0 <= f.node_j) & \
+        (f.node_j < nn)
+    x_i = pos[np.where(ref_ok, f.node_i, 0)]
+    x_j = pos[np.where(ref_ok, f.node_j, 0)]
+
+    A = f.axes                                          # rows of P^T
+    dev = np.abs(A @ A.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2),
+                                                          initial=0.0)
+    edge = x_j - x_i
+    length = _norm(edge)
+    has_length = length > 0
+    unit = edge / np.where(has_length, length, 1.0)[:, None]
+    align = _norm(np.cross(unit, f.normal))
+    a_expected = f.raw_area * _dot(f.normal, f.true_normal)
+    gap = _norm((x_i + f.c_i) - (x_j + f.c_j))
+    checks = (
+        ("orthonormal", dev > TOL_ORTHONORMAL,
+         lambda k: f"|P^T P - I| = {dev[k]:.3e}"),
+        ("edge-length", np.abs(f.edge_length - length)
+         > TOL_EDGE_LENGTH * np.maximum(1.0, length),
+         lambda k: f"stored {float(f.edge_length[k])!r} vs "
+                   f"|x_J - x_I| = {length[k]!r}"),
+        ("normal-align", has_length & (align > TOL_NORMAL_ALIGN),
+         lambda k: f"normal off edge direction by {align[k]:.3e}"),
+        ("projected-area", np.abs(f.projected_area - a_expected)
+         > TOL_PROJECTED_AREA * np.maximum(1.0, f.raw_area),
+         lambda k: f"stored {float(f.projected_area[k])!r}, "
+                   f"expected {float(a_expected[k])!r}"),
+        ("centroid", gap > TOL_CENTROID * np.maximum(1.0, f.edge_length),
+         lambda k: f"x_I + c_I and x_J + c_J differ by {gap[k]:.3e}"),
+    )
+    failed = ~ref_ok
+    for _, bad, _ in checks:
+        failed |= ref_ok & bad
+    for k in np.nonzero(failed)[0]:
+        ent = f"facet {k}"
+        if not ref_ok[k]:
+            rep.add("node-ref", ent, f"references nodes "
+                                     f"({f.node_i[k]}, {f.node_j[k]})")
             continue
-        P = f.frame
-        dev = np.abs(P.T @ P - np.eye(3)).max()
-        if dev > TOL_ORTHONORMAL:
-            rep.add("orthonormal", ent, f"|P^T P - I| = {dev:.3e}")
-        edge = pos[f.node_j] - pos[f.node_i]
-        length = np.linalg.norm(edge)
-        if abs(f.edge_length - length) > TOL_EDGE_LENGTH * max(1.0, length):
-            rep.add("edge-length", ent,
-                    f"stored {f.edge_length!r} vs |x_J - x_I| = {length!r}")
-        if length > 0:
-            align = np.linalg.norm(np.cross(edge / length, f.normal))
-            if align > TOL_NORMAL_ALIGN:
-                rep.add("normal-align", ent,
-                        f"normal off edge direction by {align:.3e}")
-        a_expected = f.raw_area * float(f.normal @ f.true_normal)
-        if abs(f.projected_area - a_expected) > TOL_PROJECTED_AREA * max(1.0, f.raw_area):
-            rep.add("projected-area", ent,
-                    f"stored {f.projected_area!r}, expected {a_expected!r}")
-        gap = np.linalg.norm((pos[f.node_i] + f.c_i) - (pos[f.node_j] + f.c_j))
-        if gap > TOL_CENTROID * max(1.0, f.edge_length):
-            rep.add("centroid", ent,
-                    f"x_I + c_I and x_J + c_J differ by {gap:.3e}")
-    for t, (tet, vol) in enumerate(zip(mesh.tets, mesh.tet_volumes)):
-        v = tet_volume(*pos[list(tet)])
-        if v <= 0:
-            rep.add("tet-volume", f"tet {t}", f"volume {v:.3e} <= 0")
-        elif abs(v - vol) > 1e-8 * v:
-            rep.add("tet-volume", f"tet {t}",
-                    f"stored volume {vol!r} vs computed {v!r}")
-    if len(mesh.tet_volumes):
-        total = float(np.sum(mesh.tet_volumes))
+        for kind, bad, message in checks:
+            if bad[k]:
+                rep.add(kind, ent, message(k))
+
+    vols = mesh.tet_volumes
+    v = tet_volume(*pos[mesh.tets].transpose(1, 0, 2))
+    bad_tets = (v <= 0) | (np.abs(v - vols) > 1e-8 * v)
+    for t in np.nonzero(bad_tets)[0]:
+        if v[t] <= 0:
+            rep.add("tet-volume", f"tet {t}", f"volume {v[t]:.3e} <= 0")
+        else:
+            rep.add("tet-volume", f"tet {t}", f"stored volume {vols[t]!r} "
+                                              f"vs computed {float(v[t])!r}")
+    if len(vols):
+        total = float(np.sum(vols))
         cell_sum = float(np.sum(mesh.cell_volumes))
         if abs(cell_sum - total) > TOL_VOLUME_SUM * total:
             rep.add("volume-sum", "mesh",
@@ -373,8 +390,7 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
     """Read a facet-data file (see `write_mesh` for the layout) and return a
     validated Mesh.  Raises MeshError with a line number on parse problems
     and with the failing check on invariant violations."""
-    nodes, tets, tet_vols, facets = [], [], [], []
-    raw_facets = []
+    node_ids, nodes, tets, facets, facet_lines = [], [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
 
@@ -403,46 +419,51 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
             if section == "NODES":
                 if len(tok) != 5:
                     perr(lineno, "node line needs: id x y z d_p")
-                nodes.append(Node(int(tok[0]),
-                                  np.array([float(v) for v in tok[1:4]]),
-                                  float(tok[4])))
+                node_ids.append(int(tok[0]))
+                nodes.append([float(v) for v in tok[1:5]])
             elif section == "TETS":
                 if len(tok) != 5:
                     perr(lineno, "tet line needs: id n1 n2 n3 n4")
-                tets.append(tuple(int(v) for v in tok[1:5]))
+                tets.append([int(v) for v in tok[1:5]])
             else:
                 if len(tok) != 16:
                     perr(lineno, "facet line needs 16 fields")
-                raw_facets.append((lineno, [float(v) for v in tok]))
+                facets.append([float(v) for v in tok])
+                facet_lines.append(lineno)
         except ValueError as exc:
             perr(lineno, f"bad number: {exc}")
     if remaining:
         raise MeshError(f"{path}: section {section} short by {remaining} entries")
 
-    if [n.id for n in nodes] != list(range(len(nodes))):
+    if node_ids != list(range(len(node_ids))):
         raise MeshError(f"{path}: node ids must be contiguous from 0")
-    pos = np.array([n.position for n in nodes]) if nodes else np.zeros((0, 3))
+    node_vals = np.array(nodes, dtype=float).reshape(-1, 4)
+    pos, d_p = node_vals[:, :3], node_vals[:, 3]
+    nn = len(pos)
     tets_arr = np.array(tets, dtype=int).reshape(-1, 4)
-    tet_vols = np.array([tet_volume(*pos[list(t)]) for t in tets])
+    bad_tets = np.nonzero(((tets_arr < 0) | (tets_arr >= nn)).any(axis=1))[0]
+    if len(bad_tets):
+        raise MeshError(f"{path}: tet {bad_tets[0]} references a missing node")
+    tet_vols = tet_volume(*pos[tets_arr].transpose(1, 0, 2))
 
-    for lineno, vals in raw_facets:
-        fid = int(vals[0])
-        ni, nj = int(vals[1]), int(vals[2])
-        if not (0 <= ni < len(nodes) and 0 <= nj < len(nodes)):
-            raise MeshError(f"{path}:{lineno}: facet {fid} references "
-                            f"missing node ({ni}, {nj})")
-        f = make_facet(
-            fid, ni, nj, pos[ni], pos[nj],
-            raw_area=vals[3], centroid=np.array(vals[4:7]),
-            true_normal=np.array(vals[7:10]),
-            tangent_m=np.array(vals[10:13]), tangent_l=np.array(vals[13:16]),
-            parent_tet=_parent_tet(ni, nj, np.array(vals[4:7]), tets_arr, pos),
-        )
-        facets.append(f)
+    vals = np.array(facets, dtype=float).reshape(-1, 16)
+    if vals[:, 0].astype(int).tolist() != list(range(len(vals))):
+        raise MeshError(f"{path}: facet ids must be contiguous from 0")
+    ni, nj = vals[:, 1].astype(int), vals[:, 2].astype(int)
+    missing = ~((0 <= ni) & (ni < nn) & (0 <= nj) & (nj < nn))
+    if missing.any():
+        k = int(np.argmax(missing))
+        raise MeshError(f"{path}:{facet_lines[k]}: facet {k} references "
+                        f"missing node ({ni[k]}, {nj[k]})")
+    table = make_facets(
+        ni, nj, pos, raw_area=vals[:, 3], centroid=vals[:, 4:7],
+        true_normal=vals[:, 7:10], tangent_m=vals[:, 10:13],
+        tangent_l=vals[:, 13:16],
+        parent_tet=_parent_tets(ni, nj, vals[:, 4:7], tets_arr, pos))
 
-    mesh = Mesh(nodes=nodes, facets=facets, tets=tets_arr,
-                tet_volumes=tet_vols,
-                cell_volumes=_finalize_cell_volumes(len(nodes), tets, tet_vols),
+    mesh = Mesh(positions=pos, particle_diameters=d_p, facets=table,
+                tets=tets_arr, tet_volumes=tet_vols,
+                cell_volumes=_finalize_cell_volumes(nn, tets_arr, tet_vols),
                 density=density)
     report = validate_mesh(mesh)
     if not report.ok:
@@ -450,38 +471,50 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
     return mesh
 
 
-def _parent_tet(ni, nj, centroid, tets, pos) -> int:
-    """Pick the tet containing both facet nodes whose centroid is closest to
-    the facet centroid.  The constitutive volumetric strain of the facet is
-    read from this tet."""
-    if not len(tets):
-        return -1
-    mask = np.any(tets == ni, axis=1) & np.any(tets == nj, axis=1)
-    candidates = np.nonzero(mask)[0]
-    if not len(candidates):
-        return -1
-    centers = pos[tets[candidates]].mean(axis=1)
-    return int(candidates[np.argmin(np.linalg.norm(centers - centroid, axis=1))])
+def _parent_tets(ni, nj, centroid, tets, pos) -> np.ndarray:
+    """For each facet, the tet containing both facet nodes whose centroid is
+    closest to the facet centroid (the lowest tet id on ties), or -1.  The
+    constitutive volumetric strain of the facet is read from this tet."""
+    ends = np.array(list(itertools.combinations(range(4), 2))).T
+    nn = len(pos)
+    # every tet under each of its six edges, sorted by edge, then tet id
+    a, b = tets[:, ends[0]], tets[:, ends[1]]
+    keys = (np.minimum(a, b) * nn + np.maximum(a, b)).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys, owner = keys[order], order // ends.shape[1]
+    wanted = np.minimum(ni, nj) * nn + np.maximum(ni, nj)
+    first = np.searchsorted(keys, wanted)
+    count = np.searchsorted(keys, wanted, side="right") - first
+    centers = pos[tets].mean(axis=1)
+    parent = np.full(len(ni), -1)
+    best = np.full(len(ni), np.inf)
+    for s in range(count.max(initial=0)):
+        cand = owner[np.minimum(first + s, len(owner) - 1)]
+        dist = np.linalg.norm(centers[cand] - centroid, axis=1)
+        closer = (s < count) & (dist < best)
+        parent[closer], best[closer] = cand[closer], dist[closer]
+    return parent
 
 
 def write_mesh(mesh: Mesh, path) -> None:
     """Write the facet-data file.  Floats use repr so a load round-trips
     bit-identically."""
+    f = mesh.facets
+    out = [f"NODES {mesh.n_nodes}\n"]
+    out += [f"{i} {x!r} {y!r} {z!r} {d!r}\n" for i, ((x, y, z), d) in
+            enumerate(zip(mesh.positions.tolist(),
+                          mesh.particle_diameters.tolist()))]
+    out.append(f"TETS {len(mesh.tets)}\n")
+    out += [f"{t} {a} {b} {c} {d}\n"
+            for t, (a, b, c, d) in enumerate(np.asarray(mesh.tets).tolist())]
+    out.append(f"FACETS {mesh.n_facets}\n")
+    vals = np.column_stack([f.raw_area, f.centroid, f.true_normal,
+                            f.tangent_m, f.tangent_l]).tolist()
+    out += [f"{k} {i} {j} " + " ".join(map(repr, row)) + "\n"
+            for k, (i, j, row) in enumerate(zip(f.node_i.tolist(),
+                                                f.node_j.tolist(), vals))]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"NODES {mesh.n_nodes}\n")
-        for n in mesh.nodes:
-            x, y, z = (float(v) for v in n.position)
-            fh.write(f"{n.id} {x!r} {y!r} {z!r} "
-                     f"{float(n.particle_diameter)!r}\n")
-        fh.write(f"TETS {len(mesh.tets)}\n")
-        for t, tet in enumerate(mesh.tets):
-            fh.write(f"{t} {tet[0]} {tet[1]} {tet[2]} {tet[3]}\n")
-        fh.write(f"FACETS {mesh.n_facets}\n")
-        for f in mesh.facets:
-            vals = [f.raw_area, *f.centroid, *f.true_normal,
-                    *f.tangent_m, *f.tangent_l]
-            fh.write(f"{f.id} {f.node_i} {f.node_j} "
-                     + " ".join(repr(float(v)) for v in vals) + "\n")
+        fh.writelines(out)
 
 
 # ---------------------------------------------------------------------------
@@ -504,21 +537,18 @@ def build_fixture(kind: str, n: int = 1, length: float = 100.0,
     if kind == "two-particle-chain":
         if n < 1:
             raise ValueError("chain needs at least one facet")
-        nodes = [Node(i, np.array([i * length, 0.0, 0.0]), d_p)
-                 for i in range(n + 1)]
-        facets = []
-        for i in range(n):
-            mid = 0.5 * (nodes[i].position + nodes[i + 1].position)
-            facets.append(make_facet(
-                i, i, i + 1, nodes[i].position, nodes[i + 1].position,
-                raw_area=area, centroid=mid,
-                true_normal=np.array([1.0, 0.0, 0.0])))
+        pos = np.zeros((n + 1, 3))
+        pos[:, 0] = np.arange(n + 1) * length
+        left, right = np.arange(n), np.arange(1, n + 1)
+        facets = make_facets(
+            left, right, pos, raw_area=np.full(n, float(area)),
+            centroid=0.5 * (pos[left] + pos[right]),
+            true_normal=np.tile([1.0, 0.0, 0.0], (n, 1)))
         # no tets: the node volume share is half an edge cell each side
         v = np.zeros(n + 1)
-        for i in range(n):
-            v[i] += area * length / 2
-            v[i + 1] += area * length / 2
-        return Mesh(nodes=nodes, facets=facets,
+        v[:-1] += area * length / 2
+        v[1:] += area * length / 2
+        return Mesh(positions=pos, particle_diameters=d_p, facets=facets,
                     tets=np.zeros((0, 4), dtype=int),
                     tet_volumes=np.zeros(0), cell_volumes=v, density=density)
     if kind == "single-tet":
@@ -529,14 +559,23 @@ def build_fixture(kind: str, n: int = 1, length: float = 100.0,
             [a / 2, a * np.sqrt(3) / 2, 0.0],
             [a / 2, a * np.sqrt(3) / 6, a * np.sqrt(2.0 / 3.0)],
         ])
-        nodes = [Node(i, pts[i], d_p) for i in range(4)]
-        facets = _tet_facets(0, (0, 1, 2, 3), pts, parent_tet=0)
         tets = np.array([[0, 1, 2, 3]])
         vols = np.array([tet_volume(*pts)])
-        return Mesh(nodes=nodes, facets=facets, tets=tets, tet_volumes=vols,
+        return Mesh(positions=pts, particle_diameters=d_p,
+                    facets=_tet_facets(tets, pts), tets=tets,
+                    tet_volumes=vols,
                     cell_volumes=_finalize_cell_volumes(4, tets, vols),
                     density=density)
     raise ValueError(f"unknown fixture kind {kind!r}")
+
+
+# Kuhn split of a hex cell into six tets: each tet walks from the cell's
+# lowest corner to its highest, stepping one axis at a time in the order of
+# one permutation of (x, y, z); neighbouring cells conform.
+_KUHN_OFFSETS = np.array([
+    np.cumsum([np.zeros(3, int)] + [np.eye(3, dtype=int)[ax] for ax in perm],
+              axis=0)
+    for perm in itertools.permutations(range(3))])     # (6, 4, 3)
 
 
 def build_block_specimen(size, divisions, d_p=None, jitter=0.15, seed=0,
@@ -549,81 +588,48 @@ def build_block_specimen(size, divisions, d_p=None, jitter=0.15, seed=0,
     remaps node coordinates after jitter (waisted shapes).
     """
     size = np.asarray(size, float)
-    nx, ny, nz = divisions
-    spacing = size / np.array([nx, ny, nz])
+    dims = np.array(divisions, dtype=int)
+    spacing = size / dims
     rng = np.random.default_rng(seed)
 
-    grid_idx = {}
-    coords = []
-    for i in range(nx + 1):
-        for j in range(ny + 1):
-            for k in range(nz + 1):
-                grid_idx[(i, j, k)] = len(coords)
-                coords.append(np.array([i, j, k]) * spacing)
-    coords = np.array(coords)
+    # grid nodes numbered i-major, then j, then k
+    ijk = np.indices(dims + 1).reshape(3, -1).T
+    coords = ijk * spacing
+    # one draw per grid node in numbering order; only nodes strictly
+    # interior to the full grid move
+    delta = rng.uniform(-0.5, 0.5, size=coords.shape) * jitter * spacing
+    interior = np.all((ijk > 0) & (ijk < dims), axis=1)
+    coords[interior] += delta[interior]
 
-    # jitter only nodes strictly interior to the full grid
-    for (i, j, k), idx in grid_idx.items():
-        delta = rng.uniform(-0.5, 0.5, size=3) * jitter * spacing
-        if 0 < i < nx and 0 < j < ny and 0 < k < nz:
-            coords[idx] += delta
-
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                center = (np.array([i, j, k]) + 0.5) * spacing
-                if keep is not None and not keep(center):
-                    continue
-                cells.append((i, j, k))
+    cells = np.indices(dims).reshape(3, -1).T
+    if keep is not None:
+        cells = cells[[bool(keep(c)) for c in (cells + 0.5) * spacing]]
 
     if map_fn is not None:
         coords = np.array([map_fn(c) for c in coords])
 
-    # Kuhn split: six tets per hex, conforming across neighbors
-    axis_perms = list(itertools.permutations(range(3)))
-    tets = []
-    for (i, j, k) in cells:
-        base = np.array([i, j, k])
-        v0 = grid_idx[tuple(base)]
-        v7 = grid_idx[tuple(base + 1)]
-        for perm in axis_perms:
-            off = np.array([0, 0, 0])
-            path = [v0]
-            for ax in perm:
-                off = off.copy()
-                off[ax] = 1
-                path.append(grid_idx[tuple(base + off)])
-            tets.append(tuple(path))
+    corners = cells[:, None, None, :] + _KUHN_OFFSETS      # (nc, 6, 4, 3)
+    grid = (corners[..., 0] * (dims[1] + 1) + corners[..., 1]) \
+        * (dims[2] + 1) + corners[..., 2]
     # compact node numbering over used nodes only
-    used = sorted({v for t in tets for v in t})
-    renum = {old: new for new, old in enumerate(used)}
+    used, tets = np.unique(grid.reshape(-1, 4), return_inverse=True)
+    tets = tets.reshape(-1, 4)
     pos = coords[used]
-    tets = [tuple(renum[v] for v in t) for t in tets]
 
     # flip inverted tets (possible after jitter/map), then demand positivity
-    fixed_tets, vols = [], []
-    for t in tets:
-        v = tet_volume(*pos[list(t)])
-        if v < 0:
-            t = (t[0], t[2], t[1], t[3])
-            v = -v
-        if v <= 0:
-            raise MeshError("degenerate tetrahedron in block specimen; "
-                            "reduce jitter or mapping severity")
-        fixed_tets.append(t)
-        vols.append(v)
-    vols = np.array(vols)
-    tets_arr = np.array(fixed_tets, dtype=int)
+    vols = tet_volume(*pos[tets].transpose(1, 0, 2))
+    flip = vols < 0
+    tets[flip] = tets[flip][:, [0, 2, 1, 3]]
+    vols[flip] = -vols[flip]
+    if np.any(vols <= 0):
+        raise MeshError("degenerate tetrahedron in block specimen; "
+                        "reduce jitter or mapping severity")
 
     if d_p is None:
         d_p = 0.4 * float(spacing.min())
-    nodes = [Node(i, pos[i], d_p) for i in range(len(pos))]
-    facets = []
-    for t, tet in enumerate(fixed_tets):
-        facets.extend(_tet_facets(len(facets), tet, pos, parent_tet=t))
-    return Mesh(nodes=nodes, facets=facets, tets=tets_arr, tet_volumes=vols,
-                cell_volumes=_finalize_cell_volumes(len(pos), fixed_tets, vols),
+    return Mesh(positions=pos, particle_diameters=d_p,
+                facets=_tet_facets(tets, pos), tets=tets, tet_volumes=vols,
+                cell_volumes=_finalize_cell_volumes(len(pos), tets, vols),
                 density=density)
 
 

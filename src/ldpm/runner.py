@@ -35,6 +35,7 @@ from .geometry import Constraint, ConstraintKind, ConstraintSet, Mesh, \
 from .integrators import ConvergenceSpec, ExplicitIntegrator, \
     GeneralizedAlphaIntegrator, LoadProgram, StaticSolver, genalpha_from_rho, \
     hht_params, newmark_params, perturb
+from .material import SnapBackError
 
 
 class RunError(Exception):
@@ -113,6 +114,15 @@ def build_solver(cfg: RunConfig, mesh: Mesh, ops: SystemOperators,
     if dt is None:
         dt_crit = critical_timestep(mesh, ops.params, constraints=constraints)
         dt = cfg.dt_crit_factor * dt_crit
+    elif cfg.solver == "explicit":
+        dt_crit = critical_timestep(mesh, ops.params, constraints=constraints)
+        if dt > dt_crit:
+            raise RunError(f"solver.dt={dt!r} s exceeds the critical explicit "
+                           f"time step {dt_crit!r} s")
+        if dt > cfg.safety * dt_crit:
+            print(f"warning: solver.dt={dt!r} s is above safety "
+                  f"{cfg.safety!r} x critical time step {dt_crit!r} s",
+                  file=sys.stderr)
     conv = ConvergenceSpec(criteria=cfg.criteria, tolerance=cfg.tolerance,
                            r_tol=cfg.rtol, a_tol=cfg.atol,
                            max_iter=cfg.max_iter, on_fail=cfg.on_fail)
@@ -155,6 +165,10 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
     if mesh is None:
         mesh = cfg.build_mesh()
     params = cfg.material_params()
+    if not cfg.elastic_only and np.any(mesh.facets.edge_length >= params.lt):
+        raise SnapBackError(
+            f"edge length {float(mesh.facets.edge_length.max())!r} mm >= "
+            f"characteristic length lt={params.lt}: softening would snap back")
     ops = SystemOperators(mesh, params)
     constraints = resolve_constraints(mesh, cfg.constraints)
     solver, dt = build_solver(cfg, mesh, ops, constraints)

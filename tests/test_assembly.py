@@ -12,8 +12,6 @@ from ldpm.assembly import (
     build_strain_operator,
     crack_openings,
     critical_timestep,
-    facet_operator,
-    facet_strain,
     facet_weights,
     internal_forces,
     volumetric_strain,
@@ -21,11 +19,14 @@ from ldpm.assembly import (
 from ldpm.geometry import (
     Constraint,
     ConstraintKind,
-    DofMap,
     build_block_specimen,
     build_fixture,
 )
 from ldpm.material import FacetStateArray, MaterialParams
+from ldpm.runner import resolve_constraints
+
+import oracles
+from oracles import facet_strain, frame
 
 
 @pytest.fixture
@@ -50,73 +51,76 @@ def block():
 
 def rigid_motion_vector(mesh, u0, omega):
     q = np.zeros(mesh.n_dofs)
-    for n in mesh.nodes:
-        q[6 * n.id: 6 * n.id + 3] = u0 + np.cross(omega, n.position)
-        q[6 * n.id + 3: 6 * n.id + 6] = omega
+    for n, x in enumerate(mesh.positions):
+        q[6 * n: 6 * n + 3] = u0 + np.cross(omega, x)
+        q[6 * n + 3: 6 * n + 6] = omega
     return q
 
 
 def uniform_strain_vector(mesh, eps):
     q = np.zeros(mesh.n_dofs)
-    for n in mesh.nodes:
-        q[6 * n.id: 6 * n.id + 3] = eps @ n.position
+    for n, x in enumerate(mesh.positions):
+        q[6 * n: 6 * n + 3] = eps @ x
     return q
 
 
 class TestFacetStrain:
     def test_axial_stretch(self, single_facet):
-        dm = DofMap(single_facet.n_nodes)
         q = np.zeros(single_facet.n_dofs)
         q[6] = 0.05     # u_x of node 1
-        e = facet_strain(q, single_facet.facets[0], dm)
+        e = facet_strain(q, single_facet.facets, 0)
         assert_allclose(e, [0.05 / 100.0, 0.0, 0.0], atol=1e-16)
 
     def test_rigid_translation(self, single_tet):
-        dm = DofMap(single_tet.n_nodes)
         q = rigid_motion_vector(single_tet, np.array([0.3, -0.2, 0.7]),
                                 np.zeros(3))
-        for f in single_tet.facets:
-            assert np.abs(facet_strain(q, f, dm)).max() < 1e-12
+        for k in range(single_tet.n_facets):
+            assert np.abs(facet_strain(q, single_tet.facets, k)).max() < 1e-12
 
     def test_rigid_rotation(self, single_tet):
-        dm = DofMap(single_tet.n_nodes)
         q = rigid_motion_vector(single_tet, np.zeros(3),
                                 np.array([1e-3, -2e-3, 5e-4]))
-        for f in single_tet.facets:
-            assert np.abs(facet_strain(q, f, dm)).max() < 1e-12
+        for k in range(single_tet.n_facets):
+            assert np.abs(facet_strain(q, single_tet.facets, k)).max() < 1e-12
 
     def test_uniform_strain_projection(self, block):
         rng = np.random.default_rng(8)
         a = rng.normal(scale=1e-4, size=(3, 3))
         eps = 0.5 * (a + a.T)
         q = uniform_strain_vector(block, eps)
-        dm = DofMap(block.n_nodes)
-        for f in block.facets[::7]:
-            want = f.frame.T @ (eps @ f.normal)
-            assert_allclose(facet_strain(q, f, dm), want, atol=1e-12)
+        f = block.facets
+        for k in range(0, block.n_facets, 7):
+            want = frame(f, k).T @ (eps @ f.normal[k])
+            assert_allclose(facet_strain(q, f, k), want, atol=1e-12)
+
+
+def facet_rows(mesh, k):
+    """The three rows of the stacked strain operator that belong to facet
+    k."""
+    return build_strain_operator(mesh)[3 * k: 3 * k + 3]
 
 
 class TestFacetOperator:
     def test_single_facet_row(self, single_facet):
-        B = facet_operator(single_facet.facets[0], single_facet.n_dofs)
+        B = facet_rows(single_facet, 0)
         row_n = B.toarray()[0]
         assert row_n[0] == pytest.approx(-1.0 / 100.0)
         assert row_n[6] == pytest.approx(1.0 / 100.0)
 
     def test_randomized_equivalence(self, single_tet):
-        dm = DofMap(single_tet.n_nodes)
         rng = np.random.default_rng(12)
-        for f in single_tet.facets[:4]:
-            B = facet_operator(f, single_tet.n_dofs)
+        for k in range(4):
+            B = facet_rows(single_tet, k)
             for _ in range(20):
                 q = rng.normal(size=single_tet.n_dofs)
-                assert np.abs(B @ q - facet_strain(q, f, dm)).max() < 1e-12
+                assert np.abs(B @ q - facet_strain(q, single_tet.facets, k)
+                              ).max() < 1e-12
 
     def test_locality(self, single_tet):
-        f = single_tet.facets[0]
-        B = facet_operator(f, single_tet.n_dofs).toarray()
+        f = single_tet.facets
+        B = facet_rows(single_tet, 0).toarray()
         for n in range(single_tet.n_nodes):
-            if n not in (f.node_i, f.node_j):
+            if n not in (f.node_i[0], f.node_j[0]):
                 assert np.all(B[:, 6 * n: 6 * n + 6] == 0.0)
 
     def test_stacked_operator_matches(self, block):
@@ -124,9 +128,8 @@ class TestFacetOperator:
         rng = np.random.default_rng(13)
         q = rng.normal(size=block.n_dofs)
         e = (B @ q).reshape(-1, 3)
-        dm = DofMap(block.n_nodes)
-        for k in (0, 5, 17, len(block.facets) - 1):
-            assert_allclose(e[k], facet_strain(q, block.facets[k], dm),
+        for k in (0, 5, 17, block.n_facets - 1):
+            assert_allclose(e[k], facet_strain(q, block.facets, k),
                             atol=1e-14)
 
 
@@ -345,6 +348,24 @@ class TestCriticalTimestep:
 
     def test_positive(self, block, params):
         assert critical_timestep(block, params) > 0.0
+
+    def test_constrained_block_matches_element_loop(self, params):
+        mesh = build_block_specimen((40.0, 40.0, 80.0), (2, 2, 4), seed=9)
+        cons = resolve_constraints(mesh, ["fix zmin all",
+                                          "velocity zmax uz -5 ramp=0.001",
+                                          "fix center-zmax ux,uy"])
+        mass = assemble_lumped_mass(mesh)
+        dt = critical_timestep(mesh, params, constraints=cons)
+        assert dt == oracles.critical_timestep(mesh, params, mass, cons)
+        assert dt != critical_timestep(mesh, params)
+
+    def test_orphan_chain_matches_element_loop(self, params):
+        chain = build_fixture("two-particle-chain", n=4, d_p=15.0)
+        cons = [Constraint(0, c, ConstraintKind.FIXED) for c in range(6)]
+        mass = assemble_lumped_mass(chain)
+        for c in (None, cons):
+            dt = critical_timestep(chain, params, constraints=c)
+            assert dt == oracles.critical_timestep(chain, params, mass, c)
 
 
 def test_facet_weights(single_facet):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ldpm.assembly import critical_timestep
 from ldpm.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from ldpm.config import (
     ConfigError,
@@ -246,7 +247,7 @@ elastic_only = true
 
 [solver]
 kind = explicit
-dt = 0.01
+dt_crit_factor = 2.5
 total_time = 1.0
 
 [load]
@@ -258,6 +259,93 @@ constraints =
         path = write_text(tmp_path / "c.ini", text)
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", path]) == EXIT_SOLVER
+
+    def test_snap_back_exit_2_before_any_step(self, tmp_path, capsys):
+        text = MINIMAL.replace("kind = static", "kind = explicit") \
+            + "\n[material]\nlt = 50\n"
+        path = write_text(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_VALIDATION
+        assert "lt=50" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_inverted_tet_mid_run_exit_3(self, tmp_path, capsys):
+        text = """
+[mesh]
+fixture = single-tet
+
+[solver]
+kind = static
+dt = 1.0
+total_time = 2.0
+
+[load]
+constraints =
+    fix node:0 all
+    fix node:1 all
+    fix node:2 all
+    velocity node:3 uz -1000
+"""
+        path = write_text(tmp_path / "c.ini", text)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) \
+            == EXIT_SOLVER
+        assert "inverted" in capsys.readouterr().err
+
+
+SPRING_LOAD = ("fix node:0 all", "fix node:1 uy,uz,rx,ry,rz",
+               "force node:1 ux 0:1,1:1")
+SPRING = """
+[mesh]
+fixture = single-facet
+
+[solver]
+kind = explicit
+dt = {dt!r}
+total_time = {total!r}
+
+[load]
+constraints =
+""" + "".join(f"    {d}\n" for d in SPRING_LOAD)
+
+
+class TestExplicitSafety:
+    @staticmethod
+    def dt_crit():
+        mesh = build_fixture("single-facet")
+        return critical_timestep(mesh, RunConfig().material_params(),
+                                 constraints=resolve_constraints(
+                                     mesh, SPRING_LOAD))
+
+    def run_with(self, tmp_path, factor):
+        dt = factor * self.dt_crit()
+        path = write_text(tmp_path / "c.ini",
+                          SPRING.format(dt=dt, total=10 * dt))
+        return main(["run", path, "--out", str(tmp_path / "o")])
+
+    def test_above_critical_exit_2(self, tmp_path, capsys):
+        assert self.run_with(tmp_path, 1.01) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "exceeds the critical explicit time step" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_above_safety_warns(self, tmp_path, capsys):
+        assert self.run_with(tmp_path, 0.95) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "above safety 0.9 x critical time step" in err
+
+    def test_below_safety_silent(self, tmp_path, capsys):
+        assert self.run_with(tmp_path, 0.85) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_user_dt_far_above_critical_refused(self, tmp_path, capsys):
+        assert self.run_with(tmp_path, 1e4) == EXIT_VALIDATION
+
+    def test_safety_out_of_range_rejected(self):
+        cfg = RunConfig(fixture="single-facet", dt=1e-6, total_time=1e-5,
+                        safety=1.5)
+        with pytest.raises(ConfigError, match="safety"):
+            cfg.validate()
 
 
 class TestCliFixtureValidate:

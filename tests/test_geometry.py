@@ -6,18 +6,20 @@ from ldpm.geometry import (
     Constraint,
     ConstraintKind,
     ConstraintSet,
-    DofMap,
+    Mesh,
     MeshError,
-    Node,
     build_block_specimen,
     build_fixture,
     load_mesh,
-    make_facet,
+    make_facets,
     select_nodes,
     tet_volume,
     validate_mesh,
     write_mesh,
 )
+from ldpm.integrators import LoadProgram
+
+from oracles import frame
 
 
 @pytest.fixture
@@ -34,17 +36,17 @@ class TestFixtures:
     def test_single_facet_layout(self, single_facet):
         assert single_facet.n_nodes == 2
         assert single_facet.n_facets == 1
-        f = single_facet.facets[0]
-        assert_allclose(f.normal, [1.0, 0.0, 0.0])
-        assert f.edge_length == 100.0
-        assert f.projected_area == 100.0
+        f = single_facet.facets
+        assert_allclose(f.normal[0], [1.0, 0.0, 0.0])
+        assert f.edge_length[0] == 100.0
+        assert f.projected_area[0] == 100.0
 
     def test_chain_layout(self):
         mesh = build_fixture("two-particle-chain", n=3)
         assert mesh.n_nodes == 4
         assert mesh.n_facets == 3
-        for f in mesh.facets:
-            assert_allclose(f.normal, [1.0, 0.0, 0.0])
+        for k in range(mesh.n_facets):
+            assert_allclose(mesh.facets.normal[k], [1.0, 0.0, 0.0])
 
     def test_chain_needs_positive_n(self):
         with pytest.raises(ValueError):
@@ -57,9 +59,10 @@ class TestFixtures:
 
     def test_single_tet_centroid_consistency(self, single_tet):
         pos = single_tet.positions
-        for f in single_tet.facets:
-            assert_allclose(pos[f.node_i] + f.c_i, pos[f.node_j] + f.c_j,
-                            atol=1e-12)
+        f = single_tet.facets
+        for k in range(single_tet.n_facets):
+            assert_allclose(pos[f.node_i[k]] + f.c_i[k],
+                            pos[f.node_j[k]] + f.c_j[k], atol=1e-12)
 
     def test_fixtures_validate_clean(self, single_facet, single_tet):
         assert validate_mesh(single_facet).ok
@@ -70,50 +73,44 @@ class TestFixtures:
             build_fixture("dodecahedron")
 
     def test_facet_frames_orthonormal(self, single_tet):
-        for f in single_tet.facets:
-            P = f.frame
+        for k in range(single_tet.n_facets):
+            P = frame(single_tet.facets, k)
             assert np.abs(P.T @ P - np.eye(3)).max() < 1e-12
 
     def test_tet_facet_areas_tile_the_faces(self, single_tet):
         # the 12 facet triangles partition the tet interior surface built
         # from edge midpoints, face centroids, and the centroid; their raw
         # areas must be positive and the projected areas not exceed them
-        for f in single_tet.facets:
-            assert f.raw_area > 0
-            assert 0 < f.projected_area <= f.raw_area + 1e-12
+        f = single_tet.facets
+        for k in range(single_tet.n_facets):
+            assert f.raw_area[k] > 0
+            assert 0 < f.projected_area[k] <= f.raw_area[k] + 1e-12
 
 
 class TestValidation:
     def test_bad_edge_length_reported(self, single_facet):
-        f = single_facet.facets[0]
-        bad = f.__class__(**{**f.__dict__, "edge_length": 90.0})
-        single_facet.facets[0] = bad
+        single_facet.facets.edge_length[0] = 90.0
         rep = validate_mesh(single_facet)
         assert not rep.ok
         assert any(v.kind == "edge-length" for v in rep.violations)
 
     def test_rotated_frame_reported(self, single_facet):
-        f = single_facet.facets[0]
+        f = single_facet.facets
         c, s = np.cos(np.radians(1.0)), np.sin(np.radians(1.0))
-        n_rot = np.array([c, s, 0.0])
-        bad = f.__class__(**{**f.__dict__, "normal": n_rot,
-                             "tangent_m": np.array([-s, c, 0.0])})
-        single_facet.facets[0] = bad
+        f.normal[0] = [c, s, 0.0]
+        f.tangent_m[0] = [-s, c, 0.0]
         rep = validate_mesh(single_facet)
         assert any(v.kind == "normal-align" for v in rep.violations)
 
     def test_projected_area_mismatch_reported(self, single_facet):
-        f = single_facet.facets[0]
-        bad = f.__class__(**{**f.__dict__, "projected_area": 95.0,
-                             "true_normal": np.array([0.9, np.sqrt(0.19), 0.0])})
-        single_facet.facets[0] = bad
+        f = single_facet.facets
+        f.projected_area[0] = 95.0
+        f.true_normal[0] = [0.9, np.sqrt(0.19), 0.0]
         rep = validate_mesh(single_facet)
         assert any(v.kind == "projected-area" for v in rep.violations)
 
     def test_node_out_of_range_reported(self, single_facet):
-        f = single_facet.facets[0]
-        bad = f.__class__(**{**f.__dict__, "node_j": 5})
-        single_facet.facets[0] = bad
+        single_facet.facets.node_j[0] = 5
         rep = validate_mesh(single_facet)
         assert any(v.kind == "node-ref" for v in rep.violations)
 
@@ -133,10 +130,11 @@ class TestFileIO:
         write_mesh(mesh, p)
         mesh2 = load_mesh(p)
         assert_allclose(mesh2.positions, mesh.positions, rtol=0)
-        for f1, f2 in zip(mesh.facets, mesh2.facets):
-            assert_allclose(f2.centroid, f1.centroid, rtol=0)
-            assert f2.raw_area == f1.raw_area
-            assert f2.parent_tet == f1.parent_tet
+        f1, f2 = mesh.facets, mesh2.facets
+        for k in range(mesh.n_facets):
+            assert_allclose(f2.centroid[k], f1.centroid[k], rtol=0)
+            assert f2.raw_area[k] == f1.raw_area[k]
+            assert f2.parent_tet[k] == f1.parent_tet[k]
         assert mesh2.mesh_hash() == mesh.mesh_hash()
 
     def test_parse_error_has_line_number(self, tmp_path):
@@ -160,6 +158,20 @@ class TestFileIO:
         lines[-1] = " ".join(tok)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(MeshError, match="orthonormal"):
+            load_mesh(p)
+
+    def test_tet_with_missing_node_rejected(self, tmp_path):
+        p = tmp_path / "tet.mesh"
+        p.write_text("NODES 4\n0 0 0 0 1\n1 1 0 0 1\n2 0 1 0 1\n3 0 0 1 1\n"
+                     "TETS 1\n0 0 1 2 9\nFACETS 0\n")
+        with pytest.raises(MeshError, match="tet 0 references a missing"):
+            load_mesh(p)
+
+    def test_noncontiguous_facet_ids_rejected(self, tmp_path):
+        p = tmp_path / "chain.mesh"
+        write_mesh(build_fixture("two-particle-chain", n=2), p)
+        p.write_text(p.read_text().replace("\n1 1 2 ", "\n7 1 2 "))
+        with pytest.raises(MeshError, match="facet ids"):
             load_mesh(p)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path, single_facet):
@@ -220,10 +232,10 @@ class TestConstraints:
         assert len(cs.forces) == 1
 
     def test_partition_disjoint_and_complete(self):
-        dm = DofMap(3)
         cs = ConstraintSet([Constraint(1, 0, ConstraintKind.FIXED),
                             Constraint(2, 5, ConstraintKind.FIXED)])
-        free, pres = dm.partition(cs)
+        program = LoadProgram(cs, 18)
+        free, pres = program.free, program.prescribed
         assert set(free) | set(pres) == set(range(18))
         assert not set(free) & set(pres)
         assert list(pres) == [6, 17]
@@ -244,13 +256,13 @@ class TestSelectors:
 
     def test_lateral_excludes_interior(self, block):
         lateral = set(select_nodes(block, "lateral"))
-        interior = [n.id for n in block.nodes
-                    if 0 < n.position[0] < 40 and 0 < n.position[1] < 40]
+        interior = [n for n, x in enumerate(block.positions)
+                    if 0 < x[0] < 40 and 0 < x[1] < 40]
         assert lateral.isdisjoint(interior)
 
     def test_center_face_node(self, block):
         (nid,) = select_nodes(block, "center-zmax")
-        p = block.nodes[nid].position
+        p = block.positions[nid]
         assert p[2] == pytest.approx(80.0)
         assert abs(p[0] - 20) < 15 and abs(p[1] - 20) < 15
 
@@ -269,9 +281,32 @@ class TestSelectors:
             select_nodes(block, "everywhere")
 
 
+def test_node_arrays_cached_and_read_only(single_tet):
+    assert single_tet.positions is single_tet.positions
+    with pytest.raises(ValueError):
+        single_tet.positions[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        single_tet.particle_diameters[0] = 1.0
+
+
+def test_violations_listed_facet_by_facet(single_tet):
+    f = single_tet.facets
+    f.edge_length[5] += 1.0
+    f.c_i[2] += 1.0
+    f.normal[2] = f.normal[2][::-1]
+    kinds = [(v.entity, v.kind) for v in validate_mesh(single_tet).violations]
+    assert kinds == [("facet 2", "orthonormal"), ("facet 2", "normal-align"),
+                     ("facet 2", "projected-area"), ("facet 2", "centroid"),
+                     ("facet 5", "edge-length")]
+
+
 def test_node_rejects_nonfinite_position():
-    with pytest.raises(MeshError):
-        Node(0, np.array([0.0, np.nan, 0.0]), 1.0)
+    mesh = build_fixture("single-facet")
+    pos = mesh.positions.copy()
+    pos[0, 1] = np.nan
+    with pytest.raises(MeshError, match="node 0: non-finite"):
+        Mesh(pos, 1.0, mesh.facets, mesh.tets, mesh.tet_volumes,
+             mesh.cell_volumes)
 
 
 def test_tet_volume_signed():
@@ -281,6 +316,6 @@ def test_tet_volume_signed():
 
 
 def test_make_facet_rejects_coincident_nodes():
-    x = np.zeros(3)
+    x = np.zeros((2, 3))
     with pytest.raises(MeshError):
-        make_facet(0, 0, 1, x, x, 1.0, x, np.array([1.0, 0, 0]))
+        make_facets([0], [1], x, [1.0], x[:1], np.array([[1.0, 0, 0]]))
