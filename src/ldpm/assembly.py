@@ -124,6 +124,8 @@ class SystemOperators:
         self.mesh = mesh
         self.params = params
         self.B = build_strain_operator(mesh)
+        # CSC view sharing B's arrays (a CSR copy of B^T would cost memory)
+        self.BT = self.B.T
         self.weights = facet_weights(mesh)
         self.lengths = mesh.facets.edge_length
         self.parent_tet = mesh.facets.parent_tet
@@ -141,7 +143,7 @@ class SystemOperators:
         return e_v
 
     def gather_forces(self, tractions) -> np.ndarray:
-        return self.B.T @ (self.weights[:, None] * tractions).ravel()
+        return self.BT @ (self.weights[:, None] * tractions).ravel()
 
 
 def internal_forces(q, ops: SystemOperators, states: FacetStateArray,

@@ -426,9 +426,10 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
                     perr(lineno, "tet line needs: id n1 n2 n3 n4")
                 tets.append([int(v) for v in tok[1:5]])
             else:
-                if len(tok) != 16:
-                    perr(lineno, "facet line needs 16 fields")
-                facets.append([float(v) for v in tok])
+                if len(tok) not in (16, 17):
+                    perr(lineno, "facet line needs 16 or 17 fields")
+                facets.append([float(v) for v in tok[:16]]
+                              + [int(v) for v in tok[16:]])
                 facet_lines.append(lineno)
         except ValueError as exc:
             perr(lineno, f"bad number: {exc}")
@@ -446,7 +447,10 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
         raise MeshError(f"{path}: tet {bad_tets[0]} references a missing node")
     tet_vols = tet_volume(*pos[tets_arr].transpose(1, 0, 2))
 
-    vals = np.array(facets, dtype=float).reshape(-1, 16)
+    if len({len(row) for row in facets}) > 1:
+        raise MeshError(f"{path}: the parent tet column must be on every "
+                        "facet line or on none")
+    vals = np.array(facets, dtype=float).reshape(len(facets), -1)
     if vals[:, 0].astype(int).tolist() != list(range(len(vals))):
         raise MeshError(f"{path}: facet ids must be contiguous from 0")
     ni, nj = vals[:, 1].astype(int), vals[:, 2].astype(int)
@@ -455,11 +459,23 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
         k = int(np.argmax(missing))
         raise MeshError(f"{path}:{facet_lines[k]}: facet {k} references "
                         f"missing node ({ni[k]}, {nj[k]})")
+    if vals.shape[1] == 17:
+        parent = vals[:, 16].astype(int)
+        ok = parent == -1
+        inside = (0 <= parent) & (parent < len(tets_arr))
+        tet = tets_arr[parent[inside]]
+        ok[inside] = (tet == ni[inside, None]).any(axis=1) \
+            & (tet == nj[inside, None]).any(axis=1)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise MeshError(f"{path}:{facet_lines[k]}: facet {k} parent tet "
+                            f"{parent[k]} does not hold both facet nodes")
+    else:
+        parent = _parent_tets(ni, nj, vals[:, 4:7], tets_arr, pos)
     table = make_facets(
         ni, nj, pos, raw_area=vals[:, 3], centroid=vals[:, 4:7],
         true_normal=vals[:, 7:10], tangent_m=vals[:, 10:13],
-        tangent_l=vals[:, 13:16],
-        parent_tet=_parent_tets(ni, nj, vals[:, 4:7], tets_arr, pos))
+        tangent_l=vals[:, 13:16], parent_tet=parent)
 
     mesh = Mesh(positions=pos, particle_diameters=d_p, facets=table,
                 tets=tets_arr, tet_volumes=tet_vols,
@@ -497,7 +513,10 @@ def _parent_tets(ni, nj, centroid, tets, pos) -> np.ndarray:
 
 
 def write_mesh(mesh: Mesh, path) -> None:
-    """Write the facet-data file.  Floats use repr so a load round-trips
+    """Write the facet-data file: sections `NODES n` (id x y z d_p),
+    `TETS n` (id n1 n2 n3 n4) and `FACETS n` (id node_i node_j raw_area,
+    centroid, true normal, tangents m and l, each x y z, then the parent
+    tet, -1 for none).  Floats use repr so a load round-trips
     bit-identically."""
     f = mesh.facets
     out = [f"NODES {mesh.n_nodes}\n"]
@@ -510,9 +529,10 @@ def write_mesh(mesh: Mesh, path) -> None:
     out.append(f"FACETS {mesh.n_facets}\n")
     vals = np.column_stack([f.raw_area, f.centroid, f.true_normal,
                             f.tangent_m, f.tangent_l]).tolist()
-    out += [f"{k} {i} {j} " + " ".join(map(repr, row)) + "\n"
-            for k, (i, j, row) in enumerate(zip(f.node_i.tolist(),
-                                                f.node_j.tolist(), vals))]
+    out += [f"{k} {i} {j} " + " ".join(map(repr, row)) + f" {t}\n"
+            for k, (i, j, row, t) in enumerate(zip(
+                f.node_i.tolist(), f.node_j.tolist(), vals,
+                f.parent_tet.tolist()))]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(out)
 

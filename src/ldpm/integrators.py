@@ -5,7 +5,7 @@ from the solved system and driven directly by the load program; reactions
 are recovered on the eliminated rows.  The implicit solver is the
 generalized-alpha family (HHT and Newmark as special cases) with modified
 Newton iterations on the initial elastic stiffness, factorized once per
-simulation.  The static solver drops the inertia terms.
+simulation.  The static solver is the same driver without inertia.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SystemOperators, DiagMass, internal_forces
-from .geometry import Constraint, ConstraintKind, ConstraintSet, Mesh
+from .geometry import ConstraintKind, ConstraintSet
 from .material import FacetStateArray
 
 
 class DivergenceError(Exception):
-    """Non-finite state detected during explicit integration."""
+    """Non-finite state (explicit) or residual (implicit) detected."""
 
     def __init__(self, step, message="non-finite state"):
         super().__init__(f"step {step}: {message}")
@@ -161,40 +161,42 @@ class LoadProgram:
         self.prescribed = np.array(idx, dtype=int)[order]
         self._vel = np.array(vel)[order]
         self._ramp = np.array(ramp)[order]
+        self._ramped = self._ramp > 0
+        self._ramp_div = np.where(self._ramped, self._ramp, 1.0)
         free = np.ones(n_dofs, dtype=bool)
         free[self.prescribed] = False
         self.free = np.nonzero(free)[0]
         # loaded set: DoFs with nonzero target velocity, else all prescribed
         driven = self.prescribed[self._vel != 0.0]
         self.driven = driven if len(driven) else self.prescribed
+        # the translational driven DoFs and their axes, summed by
+        # reaction_sum in this order
+        self.reaction_dofs = self.driven[self.driven % 6 < 3]
+        self.reaction_axes = self.reaction_dofs % 6
         self._forces = []
         for c in constraints.forces:
             hist = np.array(c.history, float).reshape(-1, 2)
             self._forces.append((6 * c.node + c.comp, hist))
 
     def displacement(self, t: float) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ramped = np.where(
-                self._ramp > 0,
-                np.where(t <= self._ramp,
-                         self._vel * t * t / (2.0 * np.where(self._ramp > 0,
-                                                             self._ramp, 1.0)),
-                         self._vel * (t - self._ramp / 2.0)),
-                self._vel * t)
-        return ramped
+        return np.where(self._ramped & (t <= self._ramp),
+                        self._vel * t * t / (2.0 * self._ramp_div),
+                        np.where(self._ramped,
+                                 self._vel * (t - self._ramp / 2.0),
+                                 self._vel * t))
 
     def velocity(self, t: float) -> np.ndarray:
-        return np.where((self._ramp > 0) & (t <= self._ramp),
-                        self._vel * t / np.where(self._ramp > 0, self._ramp, 1.0),
-                        self._vel)
+        return np.where(self._ramped & (t <= self._ramp),
+                        self._vel * t / self._ramp_div, self._vel)
 
     def acceleration(self, t: float) -> np.ndarray:
-        return np.where((self._ramp > 0) & (t <= self._ramp),
-                        self._vel / np.where(self._ramp > 0, self._ramp, 1.0),
-                        0.0)
+        return np.where(self._ramped & (t <= self._ramp),
+                        self._vel / self._ramp_div, 0.0)
 
     def external_force(self, t: float) -> np.ndarray:
         f = np.zeros(self.n_dofs)
+        if not self._forces:
+            return f
         for dof, hist in self._forces:
             f[dof] += np.interp(t, hist[:, 0], hist[:, 1])
         return f
@@ -217,12 +219,14 @@ def perturb(q, free_idx, eta: float, rng: np.random.Generator) -> np.ndarray:
 
 class _SolverBase:
     """State shared by all solvers: DoF vectors, facet history, load
-    program, and the last internal-force evaluation (for energy work)."""
+    program, and the last internal-force evaluation (for energy work).
+    `mass` is None for the quasi-static solver."""
 
     def __init__(self, ops: SystemOperators, program: LoadProgram,
-                 elastic_only: bool = False):
+                 mass: DiagMass | None, elastic_only: bool = False):
         self.ops = ops
         self.program = program
+        self.mass = mass
         self.elastic_only = elastic_only
         n = ops.mesh.n_dofs
         self.q = np.zeros(n)
@@ -236,24 +240,32 @@ class _SolverBase:
         self.strains = np.zeros((ops.mesh.n_facets, 3))
         self.reaction_forces = np.zeros(n)
 
-    def evaluate(self, q, commit=False):
-        f, trial, t, e = internal_forces(q, self.ops, self.states,
-                                         self.elastic_only)
-        if commit:
-            self.states = trial
-            self.f_int = f
-            self.tractions = t
-            self.strains = e
-        return f, trial, t, e
+    def evaluate(self, q):
+        return internal_forces(q, self.ops, self.states, self.elastic_only)
+
+    def _commit(self, f_int, trial, tractions, strains, f_ext) -> None:
+        """Commit one evaluation at the current (t, q, a) and recover the
+        reactions on the prescribed DoFs."""
+        self.states, self.f_int = trial, f_int
+        self.tractions, self.strains = tractions, strains
+        pres = self.program.prescribed
+        f = f_int[pres] if self.mass is None \
+            else self.mass.values[pres] * self.a[pres] + f_int[pres]
+        self.reaction_forces = np.zeros_like(self.q)
+        self.reaction_forces[pres] = f - f_ext[pres]
+
+    def perturb(self, eta: float, rng: np.random.Generator) -> None:
+        """Add a uniform(-eta/2, eta/2) draw to every free DoF, then
+        evaluate and commit forces, facet states and reactions there."""
+        self.q = perturb(self.q, self.program.free, eta, rng)
+        self._refresh()
 
     def reaction_sum(self) -> np.ndarray:
         """Resultant of reactions over the driven translational DoFs,
         reported per global axis."""
         out = np.zeros(3)
-        for d in self.program.driven:
-            comp = d % 6
-            if comp < 3:
-                out[comp] += self.reaction_forces[d]
+        np.add.at(out, self.program.reaction_axes,
+                  self.reaction_forces[self.program.reaction_dofs])
         return out
 
 
@@ -265,9 +277,8 @@ class ExplicitIntegrator(_SolverBase):
 
     def __init__(self, ops, program, mass: DiagMass, dt: float,
                  elastic_only=False):
-        super().__init__(ops, program, elastic_only)
+        super().__init__(ops, program, mass, elastic_only)
         mass.require_positive(program.free)
-        self.mass = mass
         self.dt = dt
         self._minv = np.zeros(ops.mesh.n_dofs)
         self._minv[program.free] = 1.0 / mass.values[program.free]
@@ -284,12 +295,7 @@ class ExplicitIntegrator(_SolverBase):
         accel = (f_ext - f_int) * self._minv
         accel[p.prescribed] = p.acceleration(self.t)
         self.a = accel
-        self.states, self.f_int = trial, f_int
-        self.tractions, self.strains = t_k, e_k
-        self.reaction_forces = np.zeros_like(self.q)
-        pres = p.prescribed
-        self.reaction_forces[pres] = (self.mass.values[pres] * accel[pres]
-                                      + f_int[pres] - f_ext[pres])
+        self._commit(f_int, trial, t_k, e_k, f_ext)
 
     def step(self) -> StepReport:
         p, dt = self.program, self.dt
@@ -313,16 +319,20 @@ class ExplicitIntegrator(_SolverBase):
 class GeneralizedAlphaIntegrator(_SolverBase):
     """Implicit generalized-alpha with modified Newton on the initial
     elastic stiffness; the effective matrix is factorized once and only
-    refactorized when the step size changes."""
+    refactorized when the step size changes.
 
-    def __init__(self, ops, program, mass: DiagMass, ga: GenAlphaParams,
-                 dt: float, conv: ConvergenceSpec, elastic_only=False):
-        super().__init__(ops, program, elastic_only)
-        self.mass = mass
+    With `mass` None the driver is quasi-static: the residual is
+    f_int - f_ext, the factorized matrix is the elastic stiffness, and
+    velocities and accelerations stay zero.
+    """
+
+    def __init__(self, ops, program, mass: DiagMass | None,
+                 ga: GenAlphaParams, dt: float, conv: ConvergenceSpec,
+                 elastic_only=False):
+        super().__init__(ops, program, mass, elastic_only)
         self.ga = ga
         self.conv = conv
         self.dt = None
-        self._lu = None
         self.set_dt(dt)
         self.energy_ref = 0.0  # external/internal/kinetic scale, set by runner
 
@@ -332,137 +342,108 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         self.dt = dt
         ga = self.ga
         free = self.program.free
-        c_m = (1.0 - ga.alpha_m) / (ga.beta * dt * dt)
-        K_eff = ((1.0 - ga.alpha_f) * self.ops.K
-                 + sp.diags(c_m * self.mass.values))
-        K_ff = K_eff[free][:, free].tocsc()
+        K_eff = self.ops.K
+        if self.mass is not None:
+            c_m = (1.0 - ga.alpha_m) / (ga.beta * dt * dt)
+            K_eff = (1.0 - ga.alpha_f) * K_eff \
+                + sp.diags(c_m * self.mass.values)
         try:
-            self._lu = spla.splu(K_ff)
+            self._lu = spla.splu(K_eff[free][:, free].tocsc())
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(f"singular effective matrix: {exc}")
 
-    def _newmark(self, q_new, q0, v0, a0):
-        dt, ga = self.dt, self.ga
+    def _newmark(self, q_new, t1):
+        """End-of-step velocity and acceleration of q_new; the prescribed
+        DoFs follow the load program at t1."""
+        dt, ga, p = self.dt, self.ga, self.program
         b, g = ga.beta, ga.gamma
+        q0, v0, a0 = self.q, self.v, self.a
         a_new = (q_new - q0) / (b * dt * dt) - v0 / (b * dt) \
             - (0.5 / b - 1.0) * a0
         v_new = v0 + dt * ((1.0 - g) * a0 + g * a_new)
-        return v_new, a_new
-
-    def step(self) -> StepReport:
-        p, ga, dt = self.program, self.ga, self.dt
-        q0, v0, a0 = self.q.copy(), self.v.copy(), self.a.copy()
-        t0, t1 = self.t, self.t + dt
-        t_mid = t0 + (1.0 - ga.alpha_f) * dt
-
-        q_new = q0.copy()
-        p_disp = p.displacement(t1)
-        q_new[p.prescribed] = p_disp
-        v_new, a_new = self._newmark(q_new, q0, v0, a0)
         v_new[p.prescribed] = p.velocity(t1)
         a_new[p.prescribed] = p.acceleration(t1)
+        return v_new, a_new
 
-        f_ext_mid = (1.0 - ga.alpha_f) * p.external_force(t1) \
-            + ga.alpha_f * p.external_force(t0)
+    def _refresh(self):
+        """Evaluate and commit forces/reactions at (t, q)."""
+        self._commit(*self.evaluate(self.q),
+                     self.program.external_force(self.t))
+
+    def step(self) -> StepReport:
+        p, ga, dt, mass = self.program, self.ga, self.dt, self.mass
+        af, am = ga.alpha_f, ga.alpha_m
         free = p.free
+        q0, a0 = self.q, self.a
+        t1 = self.t + dt
+
+        q_new = q0.copy()
+        q_new[p.prescribed] = p.displacement(t1)
+        v_new, a_new = self.v, a0
+        f_ext = p.external_force(t1)
+        f_ext_mid = f_ext
+        if mass is not None:
+            v_new, a_new = self._newmark(q_new, t1)
+            f_ext_mid = (1.0 - af) * f_ext + af * p.external_force(self.t)
+        zeros = np.zeros_like(q0)
 
         def residual(qn, an):
-            q_mid = (1.0 - ga.alpha_f) * qn + ga.alpha_f * q0
-            a_mid = (1.0 - ga.alpha_m) * an + ga.alpha_m * a0
-            f_int, _, _, _ = internal_forces(q_mid, self.ops, self.states,
-                                             self.elastic_only)
-            f_inertia = self.mass.values * a_mid
-            return f_inertia + f_int - f_ext_mid, f_int, f_inertia
+            """(residual, inertia force, evaluation) for the end-of-step qn,
+            an; the facets see the alpha_f mid-point, qn when alpha_f = 0."""
+            q_mid = qn if af == 0.0 else (1.0 - af) * qn + af * q0
+            out = internal_forces(q_mid, self.ops, self.states,
+                                  self.elastic_only)
+            if mass is None:
+                r, f_inertia = out[0] - f_ext_mid, zeros
+            else:
+                f_inertia = mass.values * ((1.0 - am) * an + am * a0)
+                r = f_inertia + out[0] - f_ext_mid
+            if not np.all(np.isfinite(r)):
+                raise DivergenceError(self.step_index, "non-finite residual")
+            return r, f_inertia, out
 
-        r_full, f_int_mid, f_inertia = residual(q_new, a_new)
+        r_full, f_inertia, last = residual(q_new, a_new)
         iterations, converged, values = 0, False, {}
         while iterations < self.conv.max_iter:
             dq = np.zeros_like(q_new)
             dq[free] = self._lu.solve(-r_full[free])
             q_new += dq
-            v_new, a_new = self._newmark(q_new, q0, v0, a0)
-            v_new[p.prescribed] = p.velocity(t1)
-            a_new[p.prescribed] = p.acceleration(t1)
+            e_ref = self.energy_ref
+            if mass is not None:
+                v_new, a_new = self._newmark(q_new, t1)
+                e_ref = max(e_ref, 0.5 * float(np.dot(mass.values * v_new,
+                                                      v_new)))
             iterations += 1
-            r_full, f_int_mid, f_inertia = residual(q_new, a_new)
-            e_ref = max(self.energy_ref,
-                        0.5 * float(np.dot(self.mass.values * v_new, v_new)))
+            # one set of facet arrays at a time keeps the peak memory down
+            del last
+            r_full, f_inertia, last = residual(q_new, a_new)
             converged, values = check_convergence(
                 r_full[free], dq[free], q_new[free], f_ext_mid[free],
-                f_int_mid[free], f_inertia[free], e_ref, self.conv)
+                last[0][free], f_inertia[free], e_ref, self.conv)
             if converged:
                 break
         if not converged and self.conv.on_fail == "abort":
             raise NonConvergenceError(self.step_index, iterations)
 
-        # commit at the end-of-step configuration
-        f_int_end, trial, t_k, e_k = self.evaluate(q_new)
-        self.states, self.f_int = trial, f_int_end
-        self.tractions, self.strains = t_k, e_k
-        self.reaction_forces = np.zeros_like(q_new)
-        pres = p.prescribed
-        self.reaction_forces[pres] = (self.mass.values[pres] * a_new[pres]
-                                      + f_int_end[pres]
-                                      - p.external_force(t1)[pres])
+        # commit at the end-of-step configuration; with alpha_f = 0 the last
+        # residual already evaluated the facets there against the committed
+        # history
+        if af != 0.0:
+            del last
+            last = self.evaluate(q_new)
         self.q, self.v, self.a, self.t = q_new, v_new, a_new, t1
+        self._commit(*last, f_ext)
         self.step_index += 1
         return StepReport(self.t, iterations, converged, values,
                           self.reaction_sum())
 
 
-class StaticSolver(_SolverBase):
+class StaticSolver(GeneralizedAlphaIntegrator):
     """Displacement-controlled Newton equilibrium on the factorized elastic
-    stiffness; the pseudo-time step only advances the load program."""
+    stiffness: the generalized-alpha driver without inertia.  The
+    pseudo-time step only advances the load program."""
 
     def __init__(self, ops, program, dt: float, conv: ConvergenceSpec,
                  elastic_only=False):
-        super().__init__(ops, program, elastic_only)
-        self.dt = dt
-        self.conv = conv
-        free = program.free
-        K_ff = ops.K[free][:, free].tocsc()
-        try:
-            self._lu = spla.splu(K_ff)
-        except RuntimeError as exc:
-            raise np.linalg.LinAlgError(f"singular stiffness: {exc}")
-        self.energy_ref = 0.0
-
-    def step(self) -> StepReport:
-        p = self.program
-        t1 = self.t + self.dt
-        q_new = self.q.copy()
-        q_new[p.prescribed] = p.displacement(t1)
-        f_ext = p.external_force(t1)
-        free = p.free
-        zeros = np.zeros(len(free))
-
-        f_int, _, _, _ = internal_forces(q_new, self.ops, self.states,
-                                         self.elastic_only)
-        r_full = f_int - f_ext
-        iterations, converged, values = 0, False, {}
-        while iterations < self.conv.max_iter:
-            dq = np.zeros_like(q_new)
-            dq[free] = self._lu.solve(-r_full[free])
-            q_new += dq
-            iterations += 1
-            f_int, _, _, _ = internal_forces(q_new, self.ops, self.states,
-                                             self.elastic_only)
-            r_full = f_int - f_ext
-            converged, values = check_convergence(
-                r_full[free], dq[free], q_new[free], f_ext[free],
-                f_int[free], zeros, self.energy_ref, self.conv)
-            if converged:
-                break
-        if not converged and self.conv.on_fail == "abort":
-            raise NonConvergenceError(self.step_index, iterations)
-
-        f_int_end, trial, t_k, e_k = self.evaluate(q_new)
-        self.states, self.f_int = trial, f_int_end
-        self.tractions, self.strains = t_k, e_k
-        self.reaction_forces = np.zeros_like(q_new)
-        pres = p.prescribed
-        self.reaction_forces[pres] = f_int_end[pres] - f_ext[pres]
-        self.q, self.t = q_new, t1
-        self.step_index += 1
-        return StepReport(self.t, iterations, converged, values,
-                          self.reaction_sum())
+        super().__init__(ops, program, None, newmark_params(), dt, conv,
+                         elastic_only)

@@ -20,21 +20,20 @@ and stdout only, never into the files.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import assembly, diagnostics
+from . import diagnostics
 from .assembly import SystemOperators, assemble_lumped_mass, \
     crack_openings, critical_timestep, volumetric_strain
-from .config import ConfigError, Directive, RunConfig, parse_directive, \
-    write_config
+from .config import ConfigError, RunConfig, parse_directive, write_config
 from .geometry import Constraint, ConstraintKind, ConstraintSet, Mesh, \
     select_nodes
 from .integrators import ConvergenceSpec, ExplicitIntegrator, \
     GeneralizedAlphaIntegrator, LoadProgram, StaticSolver, genalpha_from_rho, \
-    hht_params, newmark_params, perturb
+    hht_params, newmark_params
 from .material import SnapBackError
 
 
@@ -176,7 +175,6 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
     if n_steps < 1:
         raise RunError("total_time shorter than one step")
     monitor = _monitor_dofs(cfg, mesh)
-    has_mass = hasattr(solver, "mass")
 
     ledger = diagnostics.EnergyLedger()
     rng = np.random.default_rng(cfg.seed)
@@ -193,8 +191,8 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
         iters.append(report_iters)
         conv_flags.append(report_conv)
         reactions.append(solver.reaction_sum())
-        k = diagnostics.kinetic_energy(solver.v, solver.mass) if has_mass \
-            else 0.0
+        k = 0.0 if solver.mass is None \
+            else diagnostics.kinetic_energy(solver.v, solver.mass)
         ledger.w_kin = k
         w_kin.append(k)
         w_int.append(ledger.w_int)
@@ -215,9 +213,7 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
         if not report.converged:
             n_not_converged += 1
         if solver.t >= next_perturb - 0.5 * dt:
-            solver.q = perturb(solver.q, solver.program.free, cfg.eta, rng)
-            if isinstance(solver, ExplicitIntegrator):
-                solver._refresh()
+            solver.perturb(cfg.eta, rng)
             next_perturb += cfg.interval
         diagnostics.accumulate_work(ledger, f_ext_prev, ext_vec(solver.t),
                                     f_int_prev, solver.f_int,

@@ -260,6 +260,38 @@ constraints =
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", path]) == EXIT_SOLVER
 
+    def test_nonfinite_residual_exit_3(self, tmp_path, capsys):
+        # elastic_only skips the facet law's finiteness check; a force far
+        # beyond what the soft facet can carry overflows the first Newton
+        # update, and the driver stops on the non-finite residual instead
+        # of iterating and accepting it
+        text = """
+[mesh]
+fixture = single-facet
+
+[material]
+E0 = 1e-6
+elastic_only = true
+
+[solver]
+kind = static
+dt = 0.5
+total_time = 1.0
+
+[load]
+constraints =
+    fix node:0 all
+    fix node:1 uy,uz,rx,ry,rz
+    force node:1 ux 0:1e305,1:1e305
+"""
+        path = write_text(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", path, "--out", str(out)]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert err == "solver failure: step 0: non-finite residual\n"
+        assert not out.exists()
+
     def test_snap_back_exit_2_before_any_step(self, tmp_path, capsys):
         text = MINIMAL.replace("kind = static", "kind = explicit") \
             + "\n[material]\nlt = 50\n"

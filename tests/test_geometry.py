@@ -18,6 +18,7 @@ from ldpm.geometry import (
     write_mesh,
 )
 from ldpm.integrators import LoadProgram
+from ldpm.presets import preset_config
 
 from oracles import frame
 
@@ -136,6 +137,53 @@ class TestFileIO:
             assert f2.raw_area[k] == f1.raw_area[k]
             assert f2.parent_tet[k] == f1.parent_tet[k]
         assert mesh2.mesh_hash() == mesh.mesh_hash()
+
+    def test_round_trip_keeps_parent_tets(self, tmp_path):
+        # the nearest-centroid rule of files without the parent column
+        # assigns other tets than the builder on many dog-bone facets
+        mesh = preset_config("dog-bone").build_mesh()
+        p = tmp_path / "dogbone.mesh"
+        write_mesh(mesh, p)
+        mesh2 = load_mesh(p)
+        assert np.array_equal(mesh2.facets.parent_tet, mesh.facets.parent_tet)
+        assert mesh2.mesh_hash() == mesh.mesh_hash()
+
+    def test_file_without_parent_column_loads(self, tmp_path):
+        mesh = build_block_specimen((20, 20, 20), (1, 1, 1), seed=4)
+        p = tmp_path / "block.mesh"
+        write_mesh(mesh, p)
+        lines = p.read_text().splitlines()
+        start = lines.index(f"FACETS {mesh.n_facets}") + 1
+        lines[start:] = [ln.rsplit(" ", 1)[0] for ln in lines[start:]]
+        p.write_text("\n".join(lines) + "\n")
+        mesh2 = load_mesh(p)
+        assert np.array_equal(mesh2.facets.parent_tet, mesh.facets.parent_tet)
+
+    @pytest.mark.parametrize("which", ["past-end", "below-none", "foreign"])
+    def test_bad_parent_column_rejected(self, tmp_path, which):
+        mesh = build_block_specimen((20, 20, 20), (1, 1, 1), seed=4)
+        ends = (mesh.facets.node_i[0], mesh.facets.node_j[0])
+        parent = {"past-end": len(mesh.tets), "below-none": -2,
+                  "foreign": next(t for t, nodes in enumerate(mesh.tets)
+                                  if not set(ends) <= set(nodes))}[which]
+        p = tmp_path / "block.mesh"
+        write_mesh(mesh, p)
+        lines = p.read_text().splitlines()
+        k = lines.index(f"FACETS {mesh.n_facets}") + 1
+        lines[k] = f"{lines[k].rsplit(' ', 1)[0]} {parent}"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=f"facet 0 parent tet {parent} "):
+            load_mesh(p)
+
+    def test_parent_column_on_some_lines_rejected(self, tmp_path):
+        mesh = build_block_specimen((20, 20, 20), (1, 1, 1), seed=4)
+        p = tmp_path / "block.mesh"
+        write_mesh(mesh, p)
+        lines = p.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(" ", 1)[0]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match="parent tet column"):
+            load_mesh(p)
 
     def test_parse_error_has_line_number(self, tmp_path):
         p = tmp_path / "bad.mesh"

@@ -7,9 +7,10 @@ from ldpm.assembly import (
     SystemOperators,
     assemble_lumped_mass,
     critical_timestep,
+    internal_forces,
 )
 from ldpm.geometry import Constraint, ConstraintKind, ConstraintSet, \
-    build_fixture
+    build_block_specimen, build_fixture
 from ldpm.integrators import (
     ConvergenceSpec,
     DivergenceError,
@@ -234,6 +235,106 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(np.zeros(3), np.arange(3), -1.0,
                     np.random.default_rng(0))
+
+
+def block_solvers(params):
+    """Each solver kind on one small compressed block, after a few steps."""
+    mesh = build_block_specimen((40.0, 40.0, 40.0), (1, 1, 1), seed=2)
+    cons = [Constraint(n, 2, ConstraintKind.FIXED)
+            for n in np.nonzero(mesh.positions[:, 2] == 0.0)[0]]
+    cons += [Constraint(0, c, ConstraintKind.FIXED) for c in (0, 1, 3, 4, 5)]
+    cons += [Constraint(n, 2, ConstraintKind.VELOCITY, velocity=-5.0)
+             for n in np.nonzero(mesh.positions[:, 2] == 40.0)[0]]
+    ops = SystemOperators(mesh, params)
+    program = LoadProgram(ConstraintSet(cons), mesh.n_dofs)
+    mass = assemble_lumped_mass(mesh)
+    dt = 0.5 * critical_timestep(mesh, params, mass, ConstraintSet(cons))
+    conv = ConvergenceSpec()
+    solvers = {
+        "explicit": ExplicitIntegrator(ops, program, mass, dt),
+        "static": StaticSolver(ops, program, 20 * dt, conv),
+        "newmark": GeneralizedAlphaIntegrator(
+            ops, program, mass, newmark_params(), 20 * dt, conv),
+        "hht": GeneralizedAlphaIntegrator(
+            ops, program, mass, hht_params(-0.05), 20 * dt, conv),
+        "genalpha": GeneralizedAlphaIntegrator(
+            ops, program, mass, genalpha_from_rho(0.8), 20 * dt, conv),
+    }
+    for solver in solvers.values():
+        for _ in range(3):
+            solver.step()
+    return ops, solvers
+
+
+class TestSolverPerturb:
+    @pytest.mark.parametrize("kind", ["explicit", "static", "newmark", "hht",
+                                      "genalpha"])
+    def test_state_consistent_after_perturb(self, params, kind):
+        ops, solvers = block_solvers(params)
+        solver = solvers[kind]
+        q_old, states_old = solver.q.copy(), solver.states
+        solver.perturb(1e-3, np.random.default_rng(5))
+        free, pres = solver.program.free, solver.program.prescribed
+        assert np.all(solver.q[free] != q_old[free])
+        assert np.array_equal(solver.q[pres], q_old[pres])
+        f, trial, t, e = internal_forces(solver.q, ops, states_old)
+        assert np.array_equal(solver.f_int, f)
+        assert np.array_equal(solver.tractions, t)
+        assert np.array_equal(solver.strains, e)
+        for name in ("e_max", "e_p_m", "e_p_l", "e_n_res", "e_n_min",
+                     "traction"):
+            assert np.array_equal(getattr(solver.states, name),
+                                  getattr(trial, name))
+        f_ext = solver.program.external_force(solver.t)
+        want = f[pres] - f_ext[pres]
+        if solver.mass is not None:
+            want = solver.mass.values[pres] * solver.a[pres] + f[pres] \
+                - f_ext[pres]
+        assert np.array_equal(solver.reaction_forces[pres], want)
+
+    def test_explicit_perturb_is_the_refresh(self, params):
+        # the explicit solver's perturbation is the draw plus _refresh, as
+        # before perturb() existed, so perturbed explicit runs are unchanged
+        _, a = block_solvers(params)
+        _, b = block_solvers(params)
+        a, b = a["explicit"], b["explicit"]
+        a.perturb(1e-3, np.random.default_rng(5))
+        b.q = perturb(b.q, b.program.free, 1e-3, np.random.default_rng(5))
+        b._refresh()
+        for solver in (a, b):
+            solver.step()
+        for attr in ("q", "v", "a", "f_int", "reaction_forces", "tractions"):
+            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+
+
+class TestBookkeeping:
+    def test_reaction_sum_matches_loop(self):
+        cons = [Constraint(n, c, ConstraintKind.VELOCITY, velocity=1.0)
+                for n in range(7) for c in range(6)]
+        program = LoadProgram(ConstraintSet(cons), 60)
+        solver = StaticSolver.__new__(StaticSolver)
+        solver.program = program
+        solver.reaction_forces = np.random.default_rng(3).normal(size=60) \
+            * 10.0 ** np.arange(-30, 30)
+        want = np.zeros(3)
+        for d in program.driven:
+            if d % 6 < 3:
+                want[d % 6] += solver.reaction_forces[d]
+        assert solver.reaction_sum().tobytes() == want.tobytes()
+
+    def test_external_force_fresh_without_histories(self):
+        p = LoadProgram(ConstraintSet([Constraint(0, 0,
+                                                  ConstraintKind.FIXED)]), 6)
+        f = p.external_force(0.1)
+        f[0] = 1.0
+        assert np.array_equal(p.external_force(0.2), np.zeros(6))
+
+    def test_gather_transpose_shares_b(self, params):
+        ops = SystemOperators(build_fixture("single-tet"), params)
+        assert np.shares_memory(ops.BT.data, ops.B.data)
+        t = np.random.default_rng(0).normal(size=(ops.mesh.n_facets, 3))
+        want = ops.B.T @ (ops.weights[:, None] * t).ravel()
+        assert ops.gather_forces(t).tobytes() == want.tobytes()
 
 
 class TestExplicit:
