@@ -2,7 +2,9 @@
 the SHA-256 of each output file, plus the specimen's mesh hash, must equal
 the values stored in golden_digests.json.  The implicit cases run a preset
 with another solver (static, Newmark, HHT, generalized-alpha) for the same
-number of their own, larger steps.
+number of their own, larger steps.  The pore-collapse case compresses the
+confined prism under static steps long enough for facets to cross the
+compressive boundary, which no preset reaches in its first steps.
 
 The digests pin the whole pipeline (mesh build, operators, critical time
 step, solver, output formatting) byte for byte, so a refactor that is meant
@@ -39,18 +41,25 @@ STEPS = 20
 IMPLICIT = (("unconfined-free", "static"), ("unconfined-free", "newmark"),
             ("unconfined-free", "hht"), ("unconfined-free", "genalpha"),
             ("dog-bone", "static"))
+COLLAPSE = "uniaxial-strain/static-collapse"
 
 
 def versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def short_run(name: str, total_time: float, directory,
-              solver: str | None = None) -> dict:
-    """Run preset `name` (with `solver`, if given) for `total_time`
-    recording every step; return the digest of each output file and the
-    mesh hash."""
-    cfg = preset_config(name, solver=solver)
+def collapse_config():
+    """The confined prism under static steps of 3 ms: in 20 steps it is
+    compressed to a nominal strain of 0.37 %, and facets reach the
+    pore-collapse boundary (e_n_res != 0), slip and soften."""
+    cfg = preset_config("uniaxial-strain", solver="static")
+    cfg.dt, cfg.dt_crit_factor = 3e-3, None
+    return cfg
+
+
+def short_run(cfg, total_time: float, directory):
+    """Run `cfg` for `total_time` recording every step; return the digest
+    of each output file and the mesh hash, and the run record."""
     cfg.total_time = total_time
     cfg.stride = 1
     cfg.directory = str(directory)
@@ -58,7 +67,7 @@ def short_run(name: str, total_time: float, directory,
     out = {f: hashlib.sha256((rec.output_dir / f).read_bytes()).hexdigest()
            for f in FILES}
     out["mesh_hash"] = rec.mesh.mesh_hash()
-    return out
+    return out, rec
 
 
 def _golden() -> dict:
@@ -72,7 +81,7 @@ def _golden() -> dict:
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_outputs_match_golden(name, tmp_path):
     entry = _golden()["presets"][name]
-    got = short_run(name, entry["total_time"], tmp_path)
+    got, _ = short_run(preset_config(name), entry["total_time"], tmp_path)
     assert got == entry["digests"]
 
 
@@ -80,25 +89,34 @@ def test_preset_outputs_match_golden(name, tmp_path):
                          ids=[f"{n}/{s}" for n, s in IMPLICIT])
 def test_implicit_outputs_match_golden(name, solver, tmp_path):
     entry = _golden()["implicit"][f"{name}/{solver}"]
-    got = short_run(name, entry["total_time"], tmp_path, solver)
+    got, _ = short_run(preset_config(name, solver=solver),
+                       entry["total_time"], tmp_path)
     assert got == entry["digests"]
 
 
-def _record_case(name: str, solver: str | None) -> dict:
+def test_pore_collapse_outputs_match_golden(tmp_path):
+    entry = _golden()["collapse"][COLLAPSE]
+    got, rec = short_run(collapse_config(), entry["total_time"], tmp_path)
+    assert np.any(rec.solver.states.e_n_res != 0.0)
+    assert got == entry["digests"]
+
+
+def _record_case(cfg) -> dict:
     import tempfile
 
     from ldpm.assembly import critical_timestep
     from ldpm.runner import resolve_constraints
 
-    cfg = preset_config(name, solver=solver)
-    mesh = cfg.build_mesh()
-    dt = cfg.dt_crit_factor * critical_timestep(
-        mesh, cfg.material_params(),
-        constraints=resolve_constraints(mesh, cfg.constraints))
+    dt = cfg.dt
+    if dt is None:
+        mesh = cfg.build_mesh()
+        dt = cfg.dt_crit_factor * critical_timestep(
+            mesh, cfg.material_params(),
+            constraints=resolve_constraints(mesh, cfg.constraints))
     total_time = STEPS * dt
     with tempfile.TemporaryDirectory() as tmp:
         return {"total_time": total_time,
-                "digests": short_run(name, total_time, tmp, solver)}
+                "digests": short_run(cfg, total_time, tmp)[0]}
 
 
 def record() -> None:
@@ -112,11 +130,15 @@ def record() -> None:
     presets = data.setdefault("presets", {})
     for name in PRESET_NAMES:
         if name not in presets:
-            presets[name] = _record_case(name, None)
+            presets[name] = _record_case(preset_config(name))
     implicit = data.setdefault("implicit", {})
     for name, solver in IMPLICIT:
         if f"{name}/{solver}" not in implicit:
-            implicit[f"{name}/{solver}"] = _record_case(name, solver)
+            implicit[f"{name}/{solver}"] = _record_case(
+                preset_config(name, solver=solver))
+    collapse = data.setdefault("collapse", {})
+    if COLLAPSE not in collapse:
+        collapse[COLLAPSE] = _record_case(collapse_config())
     GOLDEN.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
