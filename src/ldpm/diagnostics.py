@@ -44,6 +44,28 @@ def accumulate_work(ledger: EnergyLedger, f_ext_start, f_ext_end,
     return ledger
 
 
+def book_perturbation(ledger: EnergyLedger, f_int_before, f_int_after,
+                      jump) -> EnergyLedger:
+    """Work of an external agent that imposes a displacement jump (a
+    perturbation): the trapezoidal internal work over the jump is done by
+    the agent, so it enters W_int and W_ext alike."""
+    w = 0.5 * float(np.dot(np.asarray(f_int_before, float)
+                           + np.asarray(f_int_after, float),
+                           np.asarray(jump, float)))
+    ledger.w_int += w
+    ledger.w_ext += w
+    return ledger
+
+
+def book_release(ledger: EnergyLedger, held, dq) -> EnergyLedger:
+    """Work of the agent that held the perturbed state against the
+    out-of-balance force `held` and lets go of it, linearly, over the next
+    step `dq`."""
+    ledger.w_ext += 0.5 * float(np.dot(np.asarray(held, float),
+                                       np.asarray(dq, float)))
+    return ledger
+
+
 def energy_balance_error(ledger: EnergyLedger) -> float:
     """Percent imbalance; 0 (flagged) while the external work is still below
     the floor."""

@@ -61,6 +61,15 @@ class MaterialParams:
             raise ValueError("sigma_t, lt, sigma_c0 must be positive")
         if self.kappa_c0 <= 1:
             raise ValueError("kappa_c0 must exceed 1")
+        # the boundaries' lower bounds behind `active_floors` rest on these
+        if self.rst <= 0 or self.kappa_c3 <= 0 or self.sigma_N0 <= 0:
+            raise ValueError("rst, kappa_c3, sigma_N0 must be positive")
+        if min(self.Hc0_over_E0, self.Hc1_over_E0, self.kappa_c2,
+               self.mu_inf, self.r_s) < 0:
+            raise ValueError("Hc0_over_E0, Hc1_over_E0, kappa_c2, mu_inf, "
+                             "r_s must be non-negative")
+        if self.mu_0 < self.mu_inf:
+            raise ValueError("mu_0 must be at least mu_inf")
 
     @property
     def sigma_s(self) -> float:
@@ -145,16 +154,21 @@ def sigma0(omega, params: MaterialParams):
     return float(val) if val.ndim == 0 else val
 
 
-def H0(omega, length, params: MaterialParams):
-    """Mixed-mode softening modulus, a power interpolation between the
-    pure-shear modulus H_s/alpha and the pure-tension modulus
-    H_t = 2 E_0 / (l_t/l - 1)."""
-    length = np.asarray(length, float)
+def check_snap_back(length, params: MaterialParams) -> None:
+    """Raise SnapBackError if any edge length reaches lt."""
     if np.any(length >= params.lt):
         bad = np.atleast_1d(np.nonzero(np.atleast_1d(length >= params.lt))[0])
         raise SnapBackError(
             f"edge length >= characteristic length lt={params.lt} "
             f"(facet indices {bad.tolist()[:10]})")
+
+
+def H0(omega, length, params: MaterialParams):
+    """Mixed-mode softening modulus, a power interpolation between the
+    pure-shear modulus H_s/alpha and the pure-tension modulus
+    H_t = 2 E_0 / (l_t/l - 1)."""
+    length = np.asarray(length, float)
+    check_snap_back(length, params)
     h_t = 2.0 * params.E0 / (params.lt / length - 1.0)
     h_s = params.r_s * params.E0
     omega = np.asarray(omega, float)
@@ -225,6 +239,31 @@ def sigma_bs(t_n, params: MaterialParams):
     return float(val) if val.ndim == 0 else val
 
 
+# relative margin of the active-set floors below the proven lower bounds;
+# far above the rounding of the boundaries' own evaluation
+FLOOR_MARGIN = 1e-9
+
+
+def active_floors(params: MaterialParams):
+    """Floors below which a facet cannot reach the tension or the shear
+    boundary: (e_floor, tau2_floor).
+
+    For omega in [0, pi/2] the envelope denominator of `sigma0` is at most
+    1 + max(1, sqrt(k)) with k = 4 alpha / rst^2, so sigma_bt(e_max) =
+    sigma0 >= 2 sigma_t / (1 + max(1, sqrt(k))) while e_max stays below
+    sigma0 / E0, and E0 e_eff <= E0 e_max is then the traction.  For
+    t_N <= 0, sigma_bs(t_N) >= sigma_s when mu_inf >= 0, mu_0 >= mu_inf and
+    sigma_N0 > 0, so a shear trial tau^2 = tm^2 + tl^2 below sigma_s^2
+    cannot slip.  The compressive boundary needs no floor of its own:
+    sigma_bc >= sigma_c0 when Hc0, Hc1, kappa_c2 >= 0.  MaterialParams
+    enforces these conditions.
+    """
+    k = 4.0 * params.alpha / params.rst ** 2
+    s0_min = 2.0 * params.sigma_t / (1.0 + max(1.0, np.sqrt(k)))
+    return (s0_min / params.E0 * (1.0 - FLOOR_MARGIN),
+            params.sigma_s ** 2 * (1.0 - FLOOR_MARGIN))
+
+
 def facet_update(state: FacetStateArray, strains, e_v, lengths,
                  params: MaterialParams):
     """Evaluate the constitutive model for all facets at the given total
@@ -232,6 +271,12 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
 
     The input state is the last committed one and is not modified; the
     caller commits the trial state when a step is accepted.
+
+    The elastic expressions are evaluated on every facet; each boundary
+    only on the facets that can reach it, found against a lower bound of
+    the boundary (see `active_floors`).  Below it the elastic value is the
+    one the boundary would let through, so the result is bit for bit that
+    of evaluating every boundary on every facet.
     """
     e = np.asarray(strains, float)
     if not np.all(np.isfinite(e)):
@@ -239,60 +284,64 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     e_n, e_m, e_l = e[:, 0], e[:, 1], e[:, 2]
     e_v = np.broadcast_to(np.asarray(e_v, float), e_n.shape)
     lengths = np.broadcast_to(np.asarray(lengths, float), e_n.shape)
+    check_snap_back(lengths, params)
     E0, a = params.E0, params.alpha
+    floor_t, floor_s2 = active_floors(params)
     frac = e_n > 0.0
+    comp = ~frac
 
-    # fracture branch, evaluated everywhere and selected at the end (cheaper
-    # than boolean gathers when most facets are active)
+    # fracture branch, evaluated everywhere and selected at the end; the
+    # envelope only where e_max reaches its floor
     shear2 = a * (e_m * e_m + e_l * e_l)
     e_eff = np.sqrt(e_n * e_n + shear2)
-    omega = np.where(e_eff == 0.0, np.pi / 2,
-                     np.arctan2(e_n, np.sqrt(shear2)))
     e_max = np.where(frac, np.maximum(state.e_max, e_eff), state.e_max)
-    # the tension bound is discarded on compression facets; evaluate it at
-    # pi/2 there so the envelope denominator stays away from zero
-    bound_t = sigma_bt(e_max, np.where(frac, omega, np.pi / 2), lengths,
-                       params)
-    t_eff = np.minimum(E0 * e_eff, bound_t)
+    t_eff = E0 * e_eff
+    hot = np.flatnonzero(frac & (e_max >= floor_t))
+    omega = np.where(e_eff[hot] == 0.0, np.pi / 2,
+                     np.arctan2(e_n[hot], np.sqrt(shear2[hot])))
+    t_eff[hot] = np.minimum(t_eff[hot], sigma_bt(e_max[hot], omega,
+                                                 lengths[hot], params))
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(e_eff > 0.0, t_eff / e_eff, 0.0)
-    tf_n = scale * e_n
-    tf_m = a * scale * e_m
-    tf_l = a * scale * e_l
 
     # compression branch: incrementally elastic from the residual strain,
-    # clamped by the compressive boundary; the unloading stiffness switches
-    # once the committed traction has exceeded the yield plateau (inert for
-    # Ed = E0)
+    # clamped by the compressive boundary where the trial traction reaches
+    # its plateau; the unloading stiffness switches once the committed
+    # traction has exceeded the plateau (inert for Ed = E0)
     e_nc = np.where(-state.traction[:, 0] <= params.sigma_c0, E0, params.Ed)
-    bound_c = sigma_bc(e_n - e_v, e_v, params)
     trial = e_nc * (e_n - state.e_n_res)
+    bound_c = np.full(len(e_n), params.sigma_c0)
+    hot = np.flatnonzero(comp & (trial <= -params.sigma_c0))
+    bound_c[hot] = sigma_bc(e_n[hot] - e_v[hot], e_v[hot], params)
+    # an array lower bound, as in the full evaluation: np.clip with a
+    # scalar one returns -0.0 for a trial of -0.0, with an array one +0.0
     tc_n = np.clip(trial, -bound_c, 0.0)
-    e_n_res = np.where(~frac & (trial != tc_n), e_n - tc_n / e_nc,
+    e_n_res = np.where(comp & (trial != tc_n), e_n - tc_n / e_nc,
                        state.e_n_res)
 
+    # friction: radial return onto the shear boundary where the trial
+    # traction reaches the cohesion
     tm = a * E0 * (e_m - state.e_p_m)
     tl = a * E0 * (e_l - state.e_p_l)
-    tau = np.hypot(tm, tl)
-    limit = sigma_bs(tc_n, params)
-    yielding = ~frac & (tau > limit)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale_s = np.where(yielding, limit / np.where(tau > 0, tau, 1.0), 1.0)
-    tc_m = tm * scale_s
-    tc_l = tl * scale_s
+    hot = np.flatnonzero(comp & (tm * tm + tl * tl >= floor_s2))
+    tau = np.hypot(tm[hot], tl[hot])
+    limit = sigma_bs(tc_n[hot], params)
+    slip = tau > limit
+    y = hot[slip]
+    scale_s = limit[slip] / tau[slip]      # tau > limit >= sigma_s > 0
+    tc_m, tc_l = tm[y] * scale_s, tl[y] * scale_s
+    e_p_m, e_p_l = state.e_p_m.copy(), state.e_p_l.copy()
+    e_p_m[y] += (tm[y] - tc_m) / (a * E0)
+    e_p_l[y] += (tl[y] - tc_l) / (a * E0)
+    tm[y], tl[y] = tc_m, tc_l
 
     t = np.empty_like(e)
-    t[:, 0] = np.where(frac, tf_n, tc_n)
-    t[:, 1] = np.where(frac, tf_m, tc_m)
-    t[:, 2] = np.where(frac, tf_l, tc_l)
+    t[:, 0] = np.where(frac, scale * e_n, tc_n)
+    t[:, 1] = np.where(frac, a * scale * e_m, tm)
+    t[:, 2] = np.where(frac, a * scale * e_l, tl)
     new = FacetStateArray(
-        e_max=e_max,
-        e_p_m=np.where(yielding, state.e_p_m + (tm - tc_m) / (a * E0),
-                       state.e_p_m),
-        e_p_l=np.where(yielding, state.e_p_l + (tl - tc_l) / (a * E0),
-                       state.e_p_l),
-        e_n_res=e_n_res,
-        e_n_min=np.where(~frac, np.minimum(state.e_n_min, e_n),
+        e_max=e_max, e_p_m=e_p_m, e_p_l=e_p_l, e_n_res=e_n_res,
+        e_n_min=np.where(comp, np.minimum(state.e_n_min, e_n),
                          state.e_n_min),
         traction=t.copy(),
     )

@@ -204,6 +204,7 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
             mon.append(0.0)
 
     record(0, True)
+    held = None
     n_not_converged = 0
     for step in range(n_steps):
         q_prev = solver.q.copy()
@@ -212,12 +213,23 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
         report = solver.step()
         if not report.converged:
             n_not_converged += 1
-        if solver.t >= next_perturb - 0.5 * dt:
-            solver.perturb(cfg.eta, rng)
-            next_perturb += cfg.interval
         diagnostics.accumulate_work(ledger, f_ext_prev, ext_vec(solver.t),
                                     f_int_prev, solver.f_int,
                                     solver.q - q_prev)
+        if held is not None:
+            diagnostics.book_release(ledger, held, solver.q - q_prev)
+            held = None
+        if solver.t >= next_perturb - 0.5 * dt:
+            q_prev, f_int_prev = solver.q, solver.f_int
+            solver.perturb(cfg.eta, rng)
+            diagnostics.book_perturbation(ledger, f_int_prev, solver.f_int,
+                                          solver.q - q_prev)
+            # out-of-balance force at the perturbed state (zero on the
+            # prescribed DoFs, whose reactions balance it)
+            held = solver.f_int - ext_vec(solver.t)
+            if solver.mass is not None:
+                held += solver.mass.values * solver.a
+            next_perturb += cfg.interval
         if hasattr(solver, "energy_ref"):
             solver.energy_ref = abs(ledger.w_ext) + ledger.w_kin
         if (step + 1) % cfg.stride == 0 or step == n_steps - 1:

@@ -1,12 +1,15 @@
-"""Per-facet reference implementations that the vectorized kernels are
-checked against.  They loop over single facets and elements in plain numpy,
-the way the kinematics and the element time-step bound are written on
-paper, and are deliberately not optimized."""
+"""Reference implementations that the optimized kernels are checked
+against.  The kinematics and the element time-step bound loop over single
+facets and elements in plain numpy, the way they are written on paper; the
+facet law evaluates every boundary on every facet.  None of them is
+optimized."""
 
 import numpy as np
 import scipy.linalg
 
 from ldpm.geometry import ConstraintKind
+from ldpm.material import FacetStateArray, MaterialParams, sigma_bc, \
+    sigma_bs, sigma_bt
 
 
 def frame(facets, k) -> np.ndarray:
@@ -101,3 +104,77 @@ def critical_timestep(mesh, params, mass, constraints=None) -> float:
         lam = max(0.0, float(scipy.linalg.eigvalsh(A)[-1]))
         omega_max = max(omega_max, float(np.sqrt(lam)))
     return 2.0 / omega_max
+
+
+def facet_update(state: FacetStateArray, strains, e_v, lengths,
+                 params: MaterialParams):
+    """Evaluate the constitutive model for all facets at the given total
+    strains and return (tractions, trial_state).
+
+    The input state is the last committed one and is not modified; the
+    caller commits the trial state when a step is accepted.
+    """
+    e = np.asarray(strains, float)
+    if not np.all(np.isfinite(e)):
+        raise FloatingPointError("non-finite facet strains")
+    e_n, e_m, e_l = e[:, 0], e[:, 1], e[:, 2]
+    e_v = np.broadcast_to(np.asarray(e_v, float), e_n.shape)
+    lengths = np.broadcast_to(np.asarray(lengths, float), e_n.shape)
+    E0, a = params.E0, params.alpha
+    frac = e_n > 0.0
+
+    # fracture branch, evaluated everywhere and selected at the end (cheaper
+    # than boolean gathers when most facets are active)
+    shear2 = a * (e_m * e_m + e_l * e_l)
+    e_eff = np.sqrt(e_n * e_n + shear2)
+    omega = np.where(e_eff == 0.0, np.pi / 2,
+                     np.arctan2(e_n, np.sqrt(shear2)))
+    e_max = np.where(frac, np.maximum(state.e_max, e_eff), state.e_max)
+    # the tension bound is discarded on compression facets; evaluate it at
+    # pi/2 there so the envelope denominator stays away from zero
+    bound_t = sigma_bt(e_max, np.where(frac, omega, np.pi / 2), lengths,
+                       params)
+    t_eff = np.minimum(E0 * e_eff, bound_t)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale = np.where(e_eff > 0.0, t_eff / e_eff, 0.0)
+    tf_n = scale * e_n
+    tf_m = a * scale * e_m
+    tf_l = a * scale * e_l
+
+    # compression branch: incrementally elastic from the residual strain,
+    # clamped by the compressive boundary; the unloading stiffness switches
+    # once the committed traction has exceeded the yield plateau (inert for
+    # Ed = E0)
+    e_nc = np.where(-state.traction[:, 0] <= params.sigma_c0, E0, params.Ed)
+    bound_c = sigma_bc(e_n - e_v, e_v, params)
+    trial = e_nc * (e_n - state.e_n_res)
+    tc_n = np.clip(trial, -bound_c, 0.0)
+    e_n_res = np.where(~frac & (trial != tc_n), e_n - tc_n / e_nc,
+                       state.e_n_res)
+
+    tm = a * E0 * (e_m - state.e_p_m)
+    tl = a * E0 * (e_l - state.e_p_l)
+    tau = np.hypot(tm, tl)
+    limit = sigma_bs(tc_n, params)
+    yielding = ~frac & (tau > limit)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scale_s = np.where(yielding, limit / np.where(tau > 0, tau, 1.0), 1.0)
+    tc_m = tm * scale_s
+    tc_l = tl * scale_s
+
+    t = np.empty_like(e)
+    t[:, 0] = np.where(frac, tf_n, tc_n)
+    t[:, 1] = np.where(frac, tf_m, tc_m)
+    t[:, 2] = np.where(frac, tf_l, tc_l)
+    new = FacetStateArray(
+        e_max=e_max,
+        e_p_m=np.where(yielding, state.e_p_m + (tm - tc_m) / (a * E0),
+                       state.e_p_m),
+        e_p_l=np.where(yielding, state.e_p_l + (tl - tc_l) / (a * E0),
+                       state.e_p_l),
+        e_n_res=e_n_res,
+        e_n_min=np.where(~frac, np.minimum(state.e_n_min, e_n),
+                         state.e_n_min),
+        traction=t.copy(),
+    )
+    return t, new

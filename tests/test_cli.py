@@ -301,6 +301,20 @@ constraints =
         assert "lt=50" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", [
+        "Hc0_over_E0 = -0.1", "Hc1_over_E0 = -0.1", "kappa_c2 = -1",
+        "kappa_c3 = 0", "mu_inf = -0.1", "mu_0 = 0.1\nmu_inf = 0.2",
+        "sigma_N0 = 0", "r_s = -0.5", "rst = 0"])
+    def test_bad_material_parameter_exit_2(self, tmp_path, capsys, line):
+        path = write_text(tmp_path / "c.ini",
+                          MINIMAL + f"\n[material]\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: material: ") \
+            and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_inverted_tet_mid_run_exit_3(self, tmp_path, capsys):
         text = """
 [mesh]

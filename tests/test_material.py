@@ -47,7 +47,13 @@ class TestParams:
 
     @pytest.mark.parametrize("kw", [dict(E0=-1.0), dict(alpha=0.0),
                                     dict(sigma_t=0.0), dict(lt=-5.0),
-                                    dict(sigma_c0=0.0), dict(kappa_c0=1.0)])
+                                    dict(sigma_c0=0.0), dict(kappa_c0=1.0),
+                                    dict(rst=0.0), dict(kappa_c3=0.0),
+                                    dict(sigma_N0=0.0), dict(Hc0_over_E0=-0.1),
+                                    dict(Hc1_over_E0=-0.1),
+                                    dict(kappa_c2=-1.0), dict(mu_inf=-0.1),
+                                    dict(mu_0=0.1, mu_inf=0.2),
+                                    dict(r_s=-0.1)])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             MaterialParams(**kw)
