@@ -5,15 +5,19 @@ element-eigenvalue estimate of the critical explicit time step.
 The kinematics is linear (small strains/displacements/rotations), so the
 strain operator B with e_k = B_k q is built once per mesh and reused; the
 volumetric strain of a tetrahedron is the one geometric nonlinearity kept
-(it is evaluated from the displaced vertex positions).
+(it is evaluated from the displaced vertex positions, only for the facets
+whose compressive boundary reads it, once a bound on the displacements has
+ruled out inverted tetrahedra).
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import ConstraintKind, Mesh
+from .geometry import ConstraintKind, Mesh, tet_volume
 from .material import MaterialParams, FacetStateArray, facet_update, \
     elastic_tractions
 
@@ -100,20 +104,59 @@ def facet_weights(mesh: Mesh) -> np.ndarray:
     return mesh.facets.projected_area * mesh.facets.edge_length
 
 
-def volumetric_strain(q, mesh: Mesh) -> np.ndarray:
-    """Per-tetrahedron volumetric strain (V - V0) / (3 V0) from displaced
-    vertex positions."""
-    if not len(mesh.tets):
+def volumetric_strain(q, mesh: Mesh, tets=None) -> np.ndarray:
+    """Volumetric strain (V - V0) / (3 V0) from displaced vertex positions,
+    of every tetrahedron or of the tet indices `tets`."""
+    ids = np.arange(len(mesh.tets)) if tets is None else np.asarray(tets, int)
+    if not len(ids):
         return np.zeros(0)
-    q = np.asarray(q, float)
-    disp = q.reshape(-1, 6)[:, :3]
-    x = mesh.positions + disp
-    p = x[mesh.tets]
+    disp = np.asarray(q, float).reshape(-1, 6)[:, :3]
+    p = (mesh.positions + disp)[mesh.tets[ids]]
     v = np.linalg.det(p[:, 1:] - p[:, :1]) / 6.0
     if np.any(v <= 0):
-        bad = np.nonzero(v <= 0)[0]
-        raise AssemblyError(f"inverted tetrahedra {bad.tolist()[:10]}")
-    return (v - mesh.tet_volumes) / (3.0 * mesh.tet_volumes)
+        raise AssemblyError(f"inverted tetrahedra {ids[v <= 0].tolist()[:10]}")
+    v0 = mesh.tet_volumes[ids]
+    return (v - v0) / (3.0 * v0)
+
+
+# an inradius below this share of its tet's size (diameter plus largest
+# coordinate) leaves the sign of a displaced volume to rounding
+_GUARD_RATIO = 1e-4
+
+
+def inversion_guard(mesh: Mesh) -> float:
+    """Translation size below which no tetrahedron can invert: r_min / 2,
+    with r_min the smallest inradius 3 V / S of the reference tets.
+
+    Proof: let every node move by at most |u| < r_min / 2.  If a tet became
+    flat on some plane along the path s u, s in [0, 1], each reference
+    vertex would lie within |u| of that plane, and the reference tet, with
+    its insphere of radius r >= r_min, inside a slab narrower than 2 r:
+    impossible.  The volume is continuous along the path and never zero, so
+    it stays positive.  The factor 1/2 keeps each displaced tet wider than r
+    in every direction, so it holds a ball of radius r / (2 sqrt 3)
+    (Steinhagen) and 6 V > 0.6 r^3, far above the ~1e-14 L^3 rounding of its
+    determinant, L the tet's size, while r > _GUARD_RATIO L.
+
+    Returns 0 (volumes always evaluated) without tets, when a reference
+    volume is not positive, or when an inradius is within that margin.
+    """
+    if not len(mesh.tets):
+        return 0.0
+    p = mesh.positions[mesh.tets]
+    v = tet_volume(*p.transpose(1, 0, 2))
+    if not np.all(v > 0):
+        return 0.0
+    faces = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    area = sum(np.linalg.norm(np.cross(p[:, b] - p[:, a], p[:, c] - p[:, a]),
+                              axis=1) for a, b, c in faces) / 2.0
+    size = np.max([np.linalg.norm(p[:, a] - p[:, b], axis=1)
+                   for a in range(4) for b in range(a)], axis=0) \
+        + np.abs(p).max(axis=(1, 2))
+    r = 3.0 * v / area
+    if not np.all(r > _GUARD_RATIO * size):
+        return 0.0
+    return 0.5 * float(r.min())
 
 
 class SystemOperators:
@@ -127,23 +170,51 @@ class SystemOperators:
         # CSC view sharing B's arrays (a CSR copy of B^T would cost memory)
         self.BT = self.B.T
         self.weights = facet_weights(mesh)
+        # A_k l_k per strain component, matching the flattened tractions
+        self._weights3 = np.repeat(self.weights, 3)
         self.lengths = mesh.facets.edge_length
         self.parent_tet = mesh.facets.parent_tet
         self._has_parent = self.parent_tet >= 0
+        self.inversion_guard = inversion_guard(mesh)
         self.K = assemble_stiffness(mesh, params, self.B)
 
     def strains(self, q) -> np.ndarray:
         return (self.B @ np.asarray(q, float)).reshape(-1, 3)
 
-    def facet_volumetric(self, q) -> np.ndarray:
+    def facet_volumetric(self, q):
+        """Per-facet e_V at q for `facet_update`, 0 on orphan facets, once
+        no tet has inverted.
+
+        While sqrt(3) max|u| over the nodal translation components stays
+        below `inversion_guard`, no tet can have inverted and no volume is
+        computed: the result is the function `volumetric_at` bound to q,
+        which evaluates only the facets asked for.  Otherwise every tet
+        volume is evaluated, an inverted tet raises AssemblyError, and the
+        result is the (nf,) array.
+        """
+        q = np.asarray(q, float)
+        u = q.reshape(-1, 6)[:, :3]
+        if np.sqrt(3.0) * np.abs(u).max() < self.inversion_guard:
+            return partial(self.volumetric_at, q)
         e_v = np.zeros(self.mesh.n_facets)
         if len(self.mesh.tets):
             tet_ev = volumetric_strain(q, self.mesh)
             e_v[self._has_parent] = tet_ev[self.parent_tet[self._has_parent]]
         return e_v
 
+    def volumetric_at(self, q, facets) -> np.ndarray:
+        """e_V at q of the facets `facets` from their parent tets alone,
+        each tet evaluated once; 0 on orphan facets."""
+        e_v = np.zeros(len(facets))
+        tets = self.parent_tet[facets]
+        has = tets >= 0
+        if has.any():
+            ids, at = np.unique(tets[has], return_inverse=True)
+            e_v[has] = volumetric_strain(q, self.mesh, ids)[at]
+        return e_v
+
     def gather_forces(self, tractions) -> np.ndarray:
-        return self.BT @ (self.weights[:, None] * tractions).ravel()
+        return self.BT @ (self._weights3 * np.ravel(tractions))
 
 
 def internal_forces(q, ops: SystemOperators, states: FacetStateArray,

@@ -277,12 +277,16 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     the boundary (see `active_floors`).  Below it the elastic value is the
     one the boundary would let through, so the result is bit for bit that
     of evaluating every boundary on every facet.
+
+    e_v is the per-facet volumetric strain, an array or a scalar, or a
+    function returning it for an index array of facets; the function is
+    called once, with the facets that reach the compressive boundary (the
+    only ones that read e_v).
     """
     e = np.asarray(strains, float)
     if not np.all(np.isfinite(e)):
         raise FloatingPointError("non-finite facet strains")
     e_n, e_m, e_l = e[:, 0], e[:, 1], e[:, 2]
-    e_v = np.broadcast_to(np.asarray(e_v, float), e_n.shape)
     lengths = np.broadcast_to(np.asarray(lengths, float), e_n.shape)
     check_snap_back(lengths, params)
     E0, a = params.E0, params.alpha
@@ -312,7 +316,9 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     trial = e_nc * (e_n - state.e_n_res)
     bound_c = np.full(len(e_n), params.sigma_c0)
     hot = np.flatnonzero(comp & (trial <= -params.sigma_c0))
-    bound_c[hot] = sigma_bc(e_n[hot] - e_v[hot], e_v[hot], params)
+    e_v = e_v(hot) if callable(e_v) \
+        else np.broadcast_to(np.asarray(e_v, float), e_n.shape)[hot]
+    bound_c[hot] = sigma_bc(e_n[hot] - e_v, e_v, params)
     # an array lower bound, as in the full evaluation: np.clip with a
     # scalar one returns -0.0 for a trial of -0.0, with an array one +0.0
     tc_n = np.clip(trial, -bound_c, 0.0)

@@ -206,14 +206,18 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
     record(0, True)
     held = None
     n_not_converged = 0
+    # external forces at solver.t, reactions included; a step's end value
+    # starts the next step unless a perturbation commits new reactions
+    f_ext = ext_vec(solver.t)
     for step in range(n_steps):
         q_prev = solver.q.copy()
         f_int_prev = solver.f_int.copy()
-        f_ext_prev = ext_vec(solver.t)
+        f_ext_prev = f_ext
         report = solver.step()
         if not report.converged:
             n_not_converged += 1
-        diagnostics.accumulate_work(ledger, f_ext_prev, ext_vec(solver.t),
+        f_ext = ext_vec(solver.t)
+        diagnostics.accumulate_work(ledger, f_ext_prev, f_ext,
                                     f_int_prev, solver.f_int,
                                     solver.q - q_prev)
         if held is not None:
@@ -226,7 +230,8 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
                                           solver.q - q_prev)
             # out-of-balance force at the perturbed state (zero on the
             # prescribed DoFs, whose reactions balance it)
-            held = solver.f_int - ext_vec(solver.t)
+            f_ext = ext_vec(solver.t)
+            held = solver.f_int - f_ext
             if solver.mass is not None:
                 held += solver.mass.values * solver.a
             next_perturb += cfg.interval

@@ -13,16 +13,18 @@ from ldpm.assembly import (
     crack_openings,
     critical_timestep,
     facet_weights,
+    inversion_guard,
     internal_forces,
     volumetric_strain,
 )
 from ldpm.geometry import (
     Constraint,
     ConstraintKind,
+    Mesh,
     build_block_specimen,
     build_fixture,
 )
-from ldpm.material import FacetStateArray, MaterialParams
+from ldpm.material import FacetStateArray, MaterialParams, facet_update
 from ldpm.runner import resolve_constraints
 
 import oracles
@@ -157,6 +159,71 @@ class TestVolumetricStrain:
             (single_tet.positions[:, 0] - lo[0]) / (hi[0] - lo[0])
         with pytest.raises(AssemblyError, match="inverted"):
             volumetric_strain(q, single_tet)
+
+
+def translations(mesh, u):
+    """DoF vector with the nodal translations u (nn, 3), no rotations."""
+    q = np.zeros((mesh.n_nodes, 6))
+    q[:, :3] = u
+    return q.ravel()
+
+
+class TestInversionGuard:
+    def test_half_the_inradius_of_a_regular_tet(self, single_tet):
+        # edge a = 100: inradius a / (2 sqrt 6)
+        assert inversion_guard(single_tet) == pytest.approx(
+            100.0 / (4.0 * np.sqrt(6.0)), rel=1e-12)
+
+    def test_off_without_tets_or_for_flat_and_inverted_ones(
+            self, single_facet, single_tet):
+        assert inversion_guard(single_facet) == 0.0
+        for z in (1e-5, -10.0):      # a sliver within the margin; inverted
+            pos = single_tet.positions.copy()
+            pos[3, 2] = z
+            mesh = Mesh(pos, single_tet.particle_diameters,
+                        single_tet.facets, single_tet.tets,
+                        single_tet.tet_volumes, single_tet.cell_volumes)
+            assert inversion_guard(mesh) == 0.0
+
+    def test_on_demand_path_just_below_the_guard(self, single_tet, params):
+        ops = SystemOperators(single_tet, params)
+        u = np.full((4, 3), -ops.inversion_guard / np.sqrt(3.0)
+                    * (1.0 - 1e-12))
+        assert callable(ops.facet_volumetric(translations(single_tet, u)))
+        u[2, 1] = ops.inversion_guard / np.sqrt(3.0) * (1.0 + 1e-12)
+        assert isinstance(ops.facet_volumetric(translations(single_tet, u)),
+                          np.ndarray)
+
+    def test_inverted_tet_raises_the_all_tet_message(self, single_tet,
+                                                    params):
+        ops = SystemOperators(single_tet, params)
+        lo, hi = single_tet.bounding_box()
+        q = np.zeros(single_tet.n_dofs)
+        q[0::6] = -10.0 * (single_tet.positions[:, 0] - lo[0])
+        with pytest.raises(AssemblyError) as want:
+            volumetric_strain(q, single_tet)
+        with pytest.raises(AssemblyError) as got:
+            internal_forces(q, ops, FacetStateArray.virgin(12))
+        assert str(got.value) == str(want.value) == "inverted tetrahedra [0]"
+
+    @pytest.mark.parametrize("shift", [0.0, 10.0])
+    def test_both_paths_give_the_all_tet_tractions(self, block, params,
+                                                   shift):
+        # hydrostatic compression past sigma_c0, so that the compressive
+        # boundary reads e_V; a rigid shift of 10 guards takes the fallback
+        ops = SystemOperators(block, params)
+        q = uniform_strain_vector(block, -4e-3 * np.eye(3))
+        q[0::6] += shift * ops.inversion_guard
+        e_v = ops.facet_volumetric(q)
+        assert callable(e_v) == (shift == 0.0)
+        states = FacetStateArray.virgin(block.n_facets)
+        _, trial, t, e = internal_forces(q, ops, states)
+        tet_ev = volumetric_strain(q, block)
+        want_t, want = facet_update(states, e, tet_ev[block.facets.parent_tet],
+                                    ops.lengths, params)
+        assert np.any(trial.e_n_res != 0.0)
+        assert np.array_equal(t, want_t)
+        assert np.array_equal(trial.e_n_res, want.e_n_res)
 
 
 class TestInternalForces:

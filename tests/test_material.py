@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from ldpm.material import (
@@ -22,6 +23,17 @@ from ldpm.material import (
 @pytest.fixture
 def params():
     return MaterialParams()
+
+
+def radial_loop_work(params, direction, amps):
+    """Work per unit volume of a fixed-direction strain path through the
+    amplitudes `amps`, 200 steps per leg, on a 60 mm facet."""
+    amp = np.concatenate([np.linspace(amps[i], amps[i + 1], 200)
+                          for i in range(len(amps) - 1)])
+    path = amp[:, None] * direction[None, :]
+    trace, _ = ramp_update(params, path, length=60.0)
+    t_mid = 0.5 * (trace[1:] + trace[:-1])
+    return np.sum(t_mid * np.diff(path, axis=0))
 
 
 def ramp_update(params, path, e_v=0.0, length=100.0):
@@ -395,13 +407,20 @@ class TestInvariants:
             d /= np.linalg.norm(d)
             amps = [0.0, rng.uniform(0.0, 8e-4),
                     rng.uniform(-8e-4, 8e-4), rng.uniform(-8e-4, 8e-4), 0.0]
-            amp = np.concatenate([np.linspace(amps[i], amps[i + 1], 200)
-                                  for i in range(4)])
-            path = amp[:, None] * d[None, :]
-            trace, _ = ramp_update(params, path, length=60.0)
-            de = np.diff(path, axis=0)
-            t_mid = 0.5 * (trace[1:] + trace[:-1])
-            assert np.sum(t_mid * de) >= -1e-9
+            assert radial_loop_work(params, d, amps) >= -1e-9
+
+
+@given(direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(np.array)
+       .filter(lambda d: np.linalg.norm(d) > 1e-3),
+       peak=st.floats(0.0, 8e-4),
+       mid=st.tuples(*[st.floats(-8e-4, 8e-4)] * 2))
+def test_closed_radial_loops_do_not_create_energy_property(direction, peak,
+                                                           mid):
+    # the fixed-seed loops of TestInvariants, in any direction and with any
+    # amplitudes of their range
+    d = direction / np.linalg.norm(direction)
+    assert radial_loop_work(MaterialParams(), d,
+                            [0.0, peak, *mid, 0.0]) >= -1e-9
 
 
 def test_elastic_tractions_diagonal(params):
