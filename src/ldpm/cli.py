@@ -20,7 +20,7 @@ import numpy as np
 
 from .assembly import AssemblyError
 from .compare import CompareError, compare_fields, load_field_dump
-from .config import ConfigError, parse_config
+from .config import SOLVER_KINDS, ConfigError, parse_config
 from .geometry import MeshError, build_fixture, load_mesh, validate_mesh, \
     write_mesh
 from .integrators import DivergenceError, NonConvergenceError
@@ -47,9 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--mesh", help="facet-data file replacing the "
                                         "built-in specimen")
     p_bench.add_argument("--scale", type=float, default=1.0)
-    p_bench.add_argument("--solver",
-                         choices=("explicit", "genalpha", "hht", "newmark",
-                                  "static"))
+    p_bench.add_argument("--solver", choices=SOLVER_KINDS)
     p_bench.add_argument("--out", help="override the output directory")
 
     p_cmp = sub.add_parser("compare", help="compare crack-field dumps")
@@ -74,10 +72,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _execute(cfg, mesh=None) -> int:
-    t0 = time.perf_counter()
+def _execute(load, out) -> int:
+    """Run the config that `load()` returns, in directory `out` when given,
+    and turn every config, mesh or solver failure into its exit code."""
     try:
-        rec = run(cfg, mesh=mesh)
+        cfg = load()
+        if out:
+            cfg.directory = out
+        t0 = time.perf_counter()
+        rec = run(cfg)
+    except (ConfigError, MeshError, RunError, SnapBackError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (DivergenceError, NonConvergenceError, AssemblyError,
             np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
@@ -93,31 +99,18 @@ def _execute(cfg, mesh=None) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        if args.out:
-            cfg.directory = args.out
-        return _execute(cfg)
-    except (ConfigError, MeshError, RunError, SnapBackError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    return _execute(lambda: parse_config(args.config), args.out)
 
 
 def cmd_bench(args) -> int:
-    try:
+    def load():
         cfg = preset_config(args.preset, scale=args.scale, solver=args.solver)
-        if args.out:
-            cfg.directory = args.out
-        mesh = None
         if args.mesh:
-            mesh = load_mesh(args.mesh)
-            cfg.specimen = None
-            cfg.fixture = None
+            cfg.specimen = cfg.fixture = None
             cfg.mesh_path = args.mesh
-        return _execute(cfg, mesh=mesh)
-    except (ConfigError, MeshError, RunError, SnapBackError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return cfg
+
+    return _execute(load, args.out)
 
 
 def cmd_compare(args) -> int:

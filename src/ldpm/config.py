@@ -1,6 +1,9 @@
 """Run configuration: a flat INI file with sections, parsed into a validated
-RunConfig.  Unknown sections or keys are rejected; every run is fully
-reproducible from its config file (synthetic meshes carry their seed).
+RunConfig.  One table, `_KEYS`, drives parsing and `write_config`.  Unknown
+sections or keys are rejected, and every mistake in a config file (key,
+value, load directive, fixture/specimen option, mesh path) raises a one-line
+ConfigError; every run is fully reproducible from its config file
+(synthetic meshes carry their seed).
 
 Sections and keys::
 
@@ -10,7 +13,7 @@ Sections and keys::
     specimen = prism|dogbone|notched <lx>x<ly>x<lz> div=<nx>x<ny>x<nz>
                [seed=<s>] [jitter=<j>] [dp=<mm>] [waist=<f>]
                [notch_depth=<f>] [notch_width=<mm>]
-    density = 2380
+    density = 2380                  # kg/m^3, the only density setting
 
     [material]
     E0 = 60273                      # any MaterialParams field name
@@ -18,18 +21,18 @@ Sections and keys::
 
     [solver]
     kind = explicit | genalpha | hht | newmark | static
-    rho_inf = 0.8                   # genalpha
-    hht_alpha = -0.05               # hht
+    rho_inf = 0.8                   # genalpha, in [0, 1]
+    hht_alpha = -0.05               # hht, in [-1/3, 0]
     dt = 2e-5                       # or dt_crit_factor = 0.9
     total_time = 0.1
     safety = 0.9                    # explicit runs with a set dt: warn
                                     # above safety x dt_crit, exit 2 above
                                     # dt_crit; 0 < safety <= 1
-    criteria = residual,increment,energy
-    tolerance = 1e-4
+    criteria = residual,increment,energy    # and/or wrms
+    tolerance = 1e-4                # tolerance, rtol, atol > 0
     rtol = 1e-4
     atol = 1e-6
-    max_iter = 100
+    max_iter = 100                  # >= 1
     on_fail = accept | abort
 
     [load]
@@ -44,7 +47,7 @@ Sections and keys::
 
     [perturbation]
     eta = 0
-    interval = 0.002
+    interval = 0.002                 # > 0 when eta > 0
     seed = 0
 
     [output]
@@ -58,27 +61,16 @@ import configparser
 import dataclasses
 from dataclasses import dataclass, field
 
-from .geometry import DOF_NAMES, MeshError, Mesh, build_block_specimen, \
-    build_fixture, load_mesh
+from .geometry import DOF_NAMES, Mesh, build_block_specimen, build_fixture, \
+    load_mesh
+from .integrators import ConvergenceSpec, GenAlphaParams, genalpha_from_rho, \
+    hht_params, newmark_params
 from .material import MaterialParams
 
 
 class ConfigError(Exception):
     pass
 
-
-_ALLOWED = {
-    "mesh": {"path", "fixture", "specimen", "density"},
-    "material": {f.name for f in dataclasses.fields(MaterialParams)}
-    | {"elastic_only"},
-    "solver": {"kind", "rho_inf", "hht_alpha", "dt", "dt_crit_factor",
-               "total_time", "safety", "criteria", "tolerance", "rtol",
-               "atol", "max_iter", "on_fail"},
-    "load": {"constraints", "monitor", "nominal_area", "gauge_length",
-             "nominal_sign"},
-    "perturbation": {"eta", "interval", "seed"},
-    "output": {"directory", "stride"},
-}
 
 SOLVER_KINDS = ("explicit", "genalpha", "hht", "newmark", "static")
 
@@ -137,14 +129,30 @@ class RunConfig:
             raise ConfigError("output.stride must be >= 1")
         if self.eta < 0:
             raise ConfigError("perturbation.eta must be non-negative")
+        if self.eta > 0 and self.interval <= 0:
+            raise ConfigError("perturbation.interval must be positive "
+                              "when eta > 0")
         if sum(x is not None for x in
                (self.mesh_path, self.fixture, self.specimen)) != 1:
             raise ConfigError("mesh: exactly one of path/fixture/specimen")
         for d in self.constraints:
             parse_directive(d)
-        if self.on_fail not in ("accept", "abort"):
-            raise ConfigError("solver.on_fail must be accept or abort")
+        self.solver_params()
         return self
+
+    def solver_params(self) -> tuple[ConvergenceSpec, GenAlphaParams | None]:
+        """The convergence settings and the generalized-alpha parameters of
+        the configured kind (None for explicit and static); the constructors
+        hold the rules of their values."""
+        try:
+            conv = ConvergenceSpec(self.criteria, self.tolerance, self.rtol,
+                                   self.atol, self.max_iter, self.on_fail)
+            ga = genalpha_from_rho(self.rho_inf) if self.solver == "genalpha" \
+                else hht_params(self.hht_alpha) if self.solver == "hht" \
+                else newmark_params() if self.solver == "newmark" else None
+        except ValueError as exc:
+            raise ConfigError(f"solver: {exc}") from None
+        return conv, ga
 
     def material_params(self) -> MaterialParams:
         try:
@@ -153,26 +161,39 @@ class RunConfig:
             raise ConfigError(f"material: {exc}")
 
     def build_mesh(self) -> Mesh:
-        if self.mesh_path is not None:
-            return load_mesh(self.mesh_path, density=self.density)
-        if self.fixture is not None:
-            tok = self.fixture.split()
-            kw = _kwargs(tok[1:], {"n": int, "length": float, "area": float,
-                                   "d_p": float})
-            return build_fixture(tok[0], density=self.density, **kw)
-        return build_specimen_from_spec(self.specimen, self.density)
+        try:
+            if self.mesh_path is not None:
+                return load_mesh(self.mesh_path, density=self.density)
+            if self.fixture is not None:
+                kind, *options = self.fixture.split() or [""]
+                kw = _kwargs(options, {"n": int, "length": float,
+                                       "area": float, "d_p": float})
+                return build_fixture(kind, density=self.density, **kw)
+            return build_specimen_from_spec(self.specimen, self.density)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"mesh: {exc}") from None
 
 
 def _kwargs(tokens, schema):
     kw = {}
     for t in tokens:
-        if "=" not in t:
+        k, eq, v = t.partition("=")
+        if not eq:
             raise ConfigError(f"expected key=value, got {t!r}")
-        k, v = t.split("=", 1)
         if k not in schema:
             raise ConfigError(f"unknown option {k!r}")
         kw[k] = schema[k](v)
     return kw
+
+
+def _triple(kind):
+    """Parser of `<a>x<b>x<c>` into three values of type `kind`."""
+    def parse(text):
+        values = tuple(kind(v) for v in text.split("x"))
+        if len(values) != 3:
+            raise ValueError(f"expected <a>x<b>x<c>, got {text!r}")
+        return values
+    return parse
 
 
 def build_specimen_from_spec(spec: str, density: float) -> Mesh:
@@ -180,15 +201,11 @@ def build_specimen_from_spec(spec: str, density: float) -> Mesh:
     tok = spec.split()
     if len(tok) < 2:
         raise ConfigError(f"malformed specimen spec {spec!r}")
-    shape = tok[0]
-    try:
-        size = tuple(float(v) for v in tok[1].split("x"))
-    except ValueError:
-        raise ConfigError(f"malformed specimen size {tok[1]!r}")
-    kw = _kwargs(tok[2:], {"div": str, "seed": int, "jitter": float,
+    shape, size = tok[0], _triple(float)(tok[1])
+    kw = _kwargs(tok[2:], {"div": _triple(int), "seed": int, "jitter": float,
                            "dp": float, "waist": float,
                            "notch_depth": float, "notch_width": float})
-    div = tuple(int(v) for v in kw.pop("div", "2x2x4").split("x"))
+    div = kw.pop("div", (2, 2, 4))
     seed = kw.pop("seed", 0)
     jitter = kw.pop("jitter", 0.15)
     d_p = kw.pop("dp", None)
@@ -258,6 +275,14 @@ def _parse_dofs(text: str):
     return tuple(out)
 
 
+def _number(text: str, line: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"expected a number, got {text!r} in "
+                          f"{line!r}") from None
+
+
 def parse_directive(line: str) -> Directive:
     tok = line.split()
     if not tok:
@@ -275,18 +300,18 @@ def parse_directive(line: str) -> Directive:
         if len(tok) == 5:
             if not tok[4].startswith("ramp="):
                 raise ConfigError(f"expected ramp=<t>, got {tok[4]!r}")
-            ramp = float(tok[4][5:])
+            ramp = _number(tok[4][5:], line)
         dofs = _parse_dofs(tok[2])
-        return Directive("velocity", tok[1], dofs, velocity=float(tok[3]),
-                         t_ramp=ramp)
+        return Directive("velocity", tok[1], dofs,
+                         velocity=_number(tok[3], line), t_ramp=ramp)
     if action == "force":
         if len(tok) != 4:
             raise ConfigError(
                 f"force needs: force <selector> <dof> <t0>:<f0>,...")
         hist = []
         for pair in tok[3].split(","):
-            t, f = pair.split(":")
-            hist.append((float(t), float(f)))
+            t, _, f = pair.partition(":")
+            hist.append((_number(t, line), _number(f, line)))
         return Directive("force", tok[1], _parse_dofs(tok[2]),
                          history=tuple(hist))
     raise ConfigError(f"unknown load directive {action!r}")
@@ -300,127 +325,94 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
+def _bool(text: str) -> bool:
+    if text.lower() not in _BOOL:
+        raise ValueError(f"expected true or false, got {text!r}")
+    return _BOOL[text.lower()]
+
+
+# (parse, format) of a value
+_TEXT, _FLOAT, _INT = (str, str), (float, repr), (int, str)
+_BOOLEAN = (_bool, lambda v: "true" if v else "false")
+_LIST = (lambda text: tuple(v.strip() for v in text.split(",")), ",".join)
+_LINES = (lambda text: tuple(l.strip() for l in text.splitlines()
+                             if l.strip()), lambda v: "\n" + "\n".join(v))
+
+# section -> key -> (RunConfig attribute, (parse, format)), in the order
+# write_config emits them; attribute None is an entry of RunConfig.material
+_KEYS = {
+    "mesh": {"path": ("mesh_path", _TEXT), "fixture": ("fixture", _TEXT),
+             "specimen": ("specimen", _TEXT),
+             "density": ("density", _FLOAT)},
+    "material": {
+        **{f.name: (None, _FLOAT) for f in dataclasses.fields(MaterialParams)},
+        "elastic_only": ("elastic_only", _BOOLEAN)},
+    "solver": {"kind": ("solver", _TEXT),
+               "total_time": ("total_time", _FLOAT),
+               "safety": ("safety", _FLOAT), "criteria": ("criteria", _LIST),
+               "tolerance": ("tolerance", _FLOAT), "rtol": ("rtol", _FLOAT),
+               "atol": ("atol", _FLOAT), "max_iter": ("max_iter", _INT),
+               "on_fail": ("on_fail", _TEXT), "rho_inf": ("rho_inf", _FLOAT),
+               "hht_alpha": ("hht_alpha", _FLOAT), "dt": ("dt", _FLOAT),
+               "dt_crit_factor": ("dt_crit_factor", _FLOAT)},
+    "load": {"constraints": ("constraints", _LINES),
+             "monitor": ("monitor", _TEXT),
+             "nominal_area": ("nominal_area", _FLOAT),
+             "gauge_length": ("gauge_length", _FLOAT),
+             "nominal_sign": ("nominal_sign", _FLOAT)},
+    "perturbation": {"eta": ("eta", _FLOAT), "interval": ("interval", _FLOAT),
+                     "seed": ("seed", _INT)},
+    "output": {"directory": ("directory", _TEXT), "stride": ("stride", _INT)},
+}
+# keys written only for the solver kind that reads them
+_KIND_KEYS = {"rho_inf": "genalpha", "hht_alpha": "hht"}
+
+
 def parse_config(path) -> RunConfig:
     cp = configparser.ConfigParser()
     cp.optionxform = str          # material keys are case-sensitive (E0, ...)
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except (configparser.Error, ValueError) as exc:
+        raise ConfigError(" ".join(str(exc).split())) from None
     if not read:
         raise ConfigError(f"cannot read config {path}")
     cfg = RunConfig()
     for section in cp.sections():
-        if section not in _ALLOWED:
+        keys = _KEYS.get(section)
+        if keys is None:
             raise ConfigError(f"unknown section [{section}]")
-        for key, value in cp.items(section):
-            if key not in _ALLOWED[section]:
+        for key in cp[section]:
+            if key not in keys:
                 raise ConfigError(f"unknown key {section}.{key}")
+            attr, (parse, _) = keys[key]
             try:
-                _assign(cfg, section, key, value)
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key}: {exc}")
+                value = parse(cp[section][key])
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"{section}.{key}: {exc}") from None
+            if attr is None:
+                cfg.material[key] = value
+            else:
+                setattr(cfg, attr, value)
     return cfg.validate()
 
 
-def _assign(cfg: RunConfig, section, key, value):
-    if section == "mesh":
-        if key == "path":
-            cfg.mesh_path = value
-        elif key == "fixture":
-            cfg.fixture = value
-        elif key == "specimen":
-            cfg.specimen = value
-        else:
-            cfg.density = float(value)
-    elif section == "material":
-        if key == "elastic_only":
-            cfg.elastic_only = _BOOL[value.lower()]
-        elif key == "density":
-            cfg.density = float(value)
-        else:
-            cfg.material[key] = float(value)
-    elif section == "solver":
-        if key == "kind":
-            cfg.solver = value
-        elif key == "criteria":
-            cfg.criteria = tuple(v.strip() for v in value.split(","))
-        elif key == "on_fail":
-            cfg.on_fail = value
-        elif key == "max_iter":
-            cfg.max_iter = int(value)
-        else:
-            setattr(cfg, {"rho_inf": "rho_inf", "hht_alpha": "hht_alpha",
-                          "dt": "dt", "dt_crit_factor": "dt_crit_factor",
-                          "total_time": "total_time", "safety": "safety",
-                          "tolerance": "tolerance", "rtol": "rtol",
-                          "atol": "atol"}[key], float(value))
-    elif section == "load":
-        if key == "constraints":
-            cfg.constraints = tuple(l.strip() for l in value.splitlines()
-                                    if l.strip())
-        elif key == "monitor":
-            cfg.monitor = value
-        elif key == "nominal_area":
-            cfg.nominal_area = float(value)
-        elif key == "gauge_length":
-            cfg.gauge_length = float(value)
-        else:
-            cfg.nominal_sign = float(value)
-    elif section == "perturbation":
-        if key == "seed":
-            cfg.seed = int(value)
-        else:
-            setattr(cfg, key, float(value))
-    elif section == "output":
-        if key == "directory":
-            cfg.directory = value
-        else:
-            cfg.stride = int(value)
-
-
 def write_config(cfg: RunConfig, path) -> None:
-    """Emit a config file that parses back to an equivalent RunConfig."""
+    """Emit a config file that parses back to an equivalent RunConfig.  It
+    holds every key of `_KEYS` in table order, except None or empty values
+    and the parameters of other solver kinds."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    mesh = {}
-    if cfg.mesh_path is not None:
-        mesh["path"] = cfg.mesh_path
-    if cfg.fixture is not None:
-        mesh["fixture"] = cfg.fixture
-    if cfg.specimen is not None:
-        mesh["specimen"] = cfg.specimen
-    mesh["density"] = repr(cfg.density)
-    cp["mesh"] = mesh
-    mat = {k: repr(v) for k, v in cfg.material.items()}
-    mat["elastic_only"] = "true" if cfg.elastic_only else "false"
-    cp["material"] = mat
-    solver = {"kind": cfg.solver, "total_time": repr(cfg.total_time),
-              "safety": repr(cfg.safety),
-              "criteria": ",".join(cfg.criteria),
-              "tolerance": repr(cfg.tolerance), "rtol": repr(cfg.rtol),
-              "atol": repr(cfg.atol), "max_iter": str(cfg.max_iter),
-              "on_fail": cfg.on_fail}
-    if cfg.solver == "genalpha":
-        solver["rho_inf"] = repr(cfg.rho_inf)
-    if cfg.solver == "hht":
-        solver["hht_alpha"] = repr(cfg.hht_alpha)
-    if cfg.dt is not None:
-        solver["dt"] = repr(cfg.dt)
-    if cfg.dt_crit_factor is not None:
-        solver["dt_crit_factor"] = repr(cfg.dt_crit_factor)
-    cp["solver"] = solver
-    load = {"constraints": "\n" + "\n".join(cfg.constraints)}
-    if cfg.monitor:
-        load["monitor"] = cfg.monitor
-    if cfg.nominal_area is not None:
-        load["nominal_area"] = repr(cfg.nominal_area)
-    if cfg.gauge_length is not None:
-        load["gauge_length"] = repr(cfg.gauge_length)
-    load["nominal_sign"] = repr(cfg.nominal_sign)
-    cp["load"] = load
-    cp["perturbation"] = {"eta": repr(cfg.eta),
-                          "interval": repr(cfg.interval),
-                          "seed": str(cfg.seed)}
-    cp["output"] = {"directory": cfg.directory, "stride": str(cfg.stride)}
+    for section, keys in _KEYS.items():
+        values = {}
+        for key, (attr, (_, fmt)) in keys.items():
+            value = cfg.material.get(key) if attr is None \
+                else getattr(cfg, attr)
+            if value is None or _KIND_KEYS.get(key, cfg.solver) != cfg.solver:
+                continue
+            text = fmt(value)
+            if text:
+                values[key] = text
+        cp[section] = values
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)

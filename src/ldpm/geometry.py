@@ -700,8 +700,15 @@ def select_nodes(mesh: Mesh, selector: str) -> list[int]:
         center = np.array([(lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2, axis_val])
         d = np.linalg.norm(pos[ids] - center, axis=1)
         return [int(ids[np.argmin(d)])]
-    if selector.startswith("node:"):
-        return [int(selector[5:])]
-    if selector.startswith("nodes:"):
-        return sorted(int(v) for v in selector[6:].split(","))
+    if selector.startswith(("node:", "nodes:")):
+        head, _, text = selector.partition(":")
+        try:
+            ids = sorted(int(v) for v in
+                         (text.split(",") if head == "nodes" else [text]))
+        except ValueError:
+            ids = [-1]
+        if not 0 <= ids[0] <= ids[-1] < mesh.n_nodes:
+            raise MeshError(f"selector {selector!r}: node ids must be "
+                            f"integers in [0, {mesh.n_nodes})")
+        return ids
     raise MeshError(f"unknown node selector {selector!r}")

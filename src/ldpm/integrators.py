@@ -87,6 +87,8 @@ class ConvergenceSpec:
             raise ValueError("tolerances must be positive")
         if self.on_fail not in ("accept", "abort"):
             raise ValueError("on_fail must be accept or abort")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 def check_convergence(residual, dq, q, f_ext, f_int, f_inertia,

@@ -30,7 +30,6 @@ class SnapBackError(Exception):
 @dataclass(frozen=True)
 class MaterialParams:
     """Mesoscale material constants (N-mm-s-MPa units)."""
-    density: float = 2380.0       # kg/m^3
     E0: float = 60273.0           # MPa, effective normal modulus
     alpha: float = 0.25           # shear/normal coupling
     sigma_t: float = 3.44         # MPa, tensile strength
@@ -99,27 +98,24 @@ class FacetStateArray:
     e_max       max effective strain ever reached (fracture history)
     e_p_m/e_p_l plastic shear strains
     e_n_res     residual normal strain from compressive pore collapse
-    e_n_min     most negative normal strain seen
     traction    last committed traction (MPa)
     """
     e_max: np.ndarray
     e_p_m: np.ndarray
     e_p_l: np.ndarray
     e_n_res: np.ndarray
-    e_n_min: np.ndarray
     traction: np.ndarray          # (nf, 3)
 
     @classmethod
     def virgin(cls, n_facets: int) -> "FacetStateArray":
         z = lambda: np.zeros(n_facets)
-        return cls(e_max=z(), e_p_m=z(), e_p_l=z(),
-                   e_n_res=z(), e_n_min=z(),
+        return cls(e_max=z(), e_p_m=z(), e_p_l=z(), e_n_res=z(),
                    traction=np.zeros((n_facets, 3)))
 
     def copy(self) -> "FacetStateArray":
         return FacetStateArray(self.e_max.copy(), self.e_p_m.copy(),
                                self.e_p_l.copy(), self.e_n_res.copy(),
-                               self.e_n_min.copy(), self.traction.copy())
+                               self.traction.copy())
 
     def __len__(self):
         return len(self.e_max)
@@ -347,8 +343,6 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     t[:, 2] = np.where(frac, a * scale * e_l, tl)
     new = FacetStateArray(
         e_max=e_max, e_p_m=e_p_m, e_p_l=e_p_l, e_n_res=e_n_res,
-        e_n_min=np.where(comp, np.minimum(state.e_n_min, e_n),
-                         state.e_n_min),
         traction=t.copy(),
     )
     return t, new

@@ -41,8 +41,7 @@ def preset_config(name: str, scale: float = 1.0,
     cfg.directory = f"out-{name}"
     if solver is not None:
         cfg.solver = solver
-        if solver in ("genalpha", "hht", "newmark", "static") \
-                and cfg.dt_crit_factor is not None:
+        if solver != "explicit" and cfg.dt_crit_factor is not None:
             # implicit solvers take much larger steps than the explicit limit
             cfg.dt_crit_factor *= 50.0
     return cfg.validate()

@@ -31,9 +31,8 @@ from .assembly import SystemOperators, assemble_lumped_mass, \
 from .config import ConfigError, RunConfig, parse_directive, write_config
 from .geometry import Constraint, ConstraintKind, ConstraintSet, Mesh, \
     select_nodes
-from .integrators import ConvergenceSpec, ExplicitIntegrator, \
-    GeneralizedAlphaIntegrator, LoadProgram, StaticSolver, genalpha_from_rho, \
-    hht_params, newmark_params
+from .integrators import ExplicitIntegrator, GeneralizedAlphaIntegrator, \
+    LoadProgram, StaticSolver
 from .material import SnapBackError
 
 
@@ -110,11 +109,11 @@ def build_solver(cfg: RunConfig, mesh: Mesh, ops: SystemOperators,
     """Construct the configured solver plus the resolved time step."""
     program = LoadProgram(constraints, mesh.n_dofs)
     dt = cfg.dt
-    if dt is None:
+    if dt is None or cfg.solver == "explicit":
         dt_crit = critical_timestep(mesh, ops.params, constraints=constraints)
+    if dt is None:
         dt = cfg.dt_crit_factor * dt_crit
     elif cfg.solver == "explicit":
-        dt_crit = critical_timestep(mesh, ops.params, constraints=constraints)
         if dt > dt_crit:
             raise RunError(f"solver.dt={dt!r} s exceeds the critical explicit "
                            f"time step {dt_crit!r} s")
@@ -122,23 +121,15 @@ def build_solver(cfg: RunConfig, mesh: Mesh, ops: SystemOperators,
             print(f"warning: solver.dt={dt!r} s is above safety "
                   f"{cfg.safety!r} x critical time step {dt_crit!r} s",
                   file=sys.stderr)
-    conv = ConvergenceSpec(criteria=cfg.criteria, tolerance=cfg.tolerance,
-                           r_tol=cfg.rtol, a_tol=cfg.atol,
-                           max_iter=cfg.max_iter, on_fail=cfg.on_fail)
     if cfg.solver == "explicit":
         mass = assemble_lumped_mass(mesh)
         return ExplicitIntegrator(ops, program, mass, dt,
                                   elastic_only=cfg.elastic_only), dt
-    if cfg.solver == "static":
+    conv, ga = cfg.solver_params()
+    if ga is None:
         return StaticSolver(ops, program, dt, conv,
                             elastic_only=cfg.elastic_only), dt
     mass = assemble_lumped_mass(mesh)
-    if cfg.solver == "genalpha":
-        ga = genalpha_from_rho(cfg.rho_inf)
-    elif cfg.solver == "hht":
-        ga = hht_params(cfg.hht_alpha)
-    else:
-        ga = newmark_params()
     return GeneralizedAlphaIntegrator(ops, program, mass, ga, dt, conv,
                                       elastic_only=cfg.elastic_only), dt
 

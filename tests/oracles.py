@@ -173,8 +173,6 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
         e_p_l=np.where(yielding, state.e_p_l + (tl - tc_l) / (a * E0),
                        state.e_p_l),
         e_n_res=e_n_res,
-        e_n_min=np.where(~frac, np.minimum(state.e_n_min, e_n),
-                         state.e_n_min),
         traction=t.copy(),
     )
     return t, new

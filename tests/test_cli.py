@@ -315,6 +315,58 @@ constraints =
             and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        pytest.param(MINIMAL + "\n[material]\nelastic_only = maybe\n",
+                     id="bool"),
+        pytest.param(MINIMAL.replace("velocity node:1 ux 1",
+                                     "velocity node:1 ux fast"),
+                     id="velocity"),
+        pytest.param(MINIMAL.replace("velocity node:1 ux 1",
+                                     "force node:1 ux 0-1"), id="force"),
+        pytest.param(MINIMAL.replace("kind = static",
+                                     "kind = genalpha\nrho_inf = 2"),
+                     id="rho_inf"),
+        pytest.param(MINIMAL.replace("kind = static",
+                                     "kind = hht\nhht_alpha = 0.5"),
+                     id="hht_alpha"),
+        pytest.param(MINIMAL.replace("kind = static",
+                                     "kind = static\ntolerance = 0"),
+                     id="tolerance"),
+        pytest.param(MINIMAL.replace("kind = static",
+                                     "kind = static\ncriteria = bogus"),
+                     id="criteria"),
+        pytest.param(MINIMAL.replace("single-facet", "blob"), id="fixture"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = prism 10x10x20 div=2x2"),
+                     id="div"),
+        pytest.param(MINIMAL.replace("fix node:0 all", "fix node:abc all"),
+                     id="node-id"),
+        pytest.param(MINIMAL.replace("monitor = node:1 ux",
+                                     "monitor = node:99 ux"),
+                     id="node-range"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "path = {tmp}/absent.mesh"),
+                     id="path"),
+        pytest.param(MINIMAL + "\n[solver]\nkind = static\n",
+                     id="duplicate-section"),
+        pytest.param(MINIMAL.replace("kind = static",
+                                     "kind = static\nmax_iter = 0"),
+                     id="max_iter"),
+        pytest.param(MINIMAL + "\n[perturbation]\neta = 1e-5\n"
+                     "interval = -1\n", id="interval"),
+        # [mesh] density is the only density setting
+        pytest.param(MINIMAL + "\n[material]\ndensity = 2000\n",
+                     id="material-density"),
+    ])
+    def test_config_mistake_exit_2(self, tmp_path, capsys, text):
+        path = write_text(tmp_path / "c.ini", text.replace("{tmp}",
+                                                           str(tmp_path)))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_inverted_tet_mid_run_exit_3(self, tmp_path, capsys):
         text = """
 [mesh]

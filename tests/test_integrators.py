@@ -281,8 +281,7 @@ class TestSolverPerturb:
         assert np.array_equal(solver.f_int, f)
         assert np.array_equal(solver.tractions, t)
         assert np.array_equal(solver.strains, e)
-        for name in ("e_max", "e_p_m", "e_p_l", "e_n_res", "e_n_min",
-                     "traction"):
+        for name in ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction"):
             assert np.array_equal(getattr(solver.states, name),
                                   getattr(trial, name))
         f_ext = solver.program.external_force(solver.t)

@@ -16,7 +16,7 @@ from ldpm.material import FLOOR_MARGIN, FacetStateArray, MaterialParams, \
 
 import oracles
 
-FIELDS = ("e_max", "e_p_m", "e_p_l", "e_n_res", "e_n_min", "traction")
+FIELDS = ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction")
 
 params_st = st.builds(
     MaterialParams,
@@ -86,12 +86,11 @@ def cases(draw):
     e_max = np.abs(col(sv))
     e_p_m, e_p_l = col(sv), col(sv)
     e_n_res = -np.abs(col(sv))
-    e_n_min = -np.abs(col(sv))
     traction = draw(hnp.arrays(float, (n, 3),
                                elements=st.floats(-20.0, 20.0)))
     traction[:, 0] = col(st.sampled_from(near([p.sigma_c0]))
                          | st.floats(-2 * p.sigma_c0, 0.0))
-    state = FacetStateArray(e_max, e_p_m, e_p_l, e_n_res, e_n_min, traction)
+    state = FacetStateArray(e_max, e_p_m, e_p_l, e_n_res, traction)
     return state, e, e_v, lengths, p
 
 
