@@ -222,16 +222,23 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray,
     """Assemble nodal internal forces.
 
     Returns (f_int, trial_states, tractions, strains); trial states are not
-    committed here.
+    committed here.  The elastic law is linear, so an `elastic_only`
+    evaluation is the one product f_int = K q (K = B^T W D B): it returns
+    `states` unchanged and None for the tractions and strains, which
+    `elastic_response` gives when they are needed.
     """
-    e = ops.strains(q)
     if elastic_only:
-        t = elastic_tractions(e, ops.params)
-        trial = states
-    else:
-        t, trial = facet_update(states, e, ops.facet_volumetric(q),
-                                ops.lengths, ops.params)
+        return ops.K @ np.asarray(q, float), states, None, None
+    e = ops.strains(q)
+    t, trial = facet_update(states, e, ops.facet_volumetric(q),
+                            ops.lengths, ops.params)
     return ops.gather_forces(t), trial, t, e
+
+
+def elastic_response(q, ops: SystemOperators):
+    """(tractions, strains) of the elastic law at q."""
+    e = ops.strains(q)
+    return elastic_tractions(e, ops.params), e
 
 
 def crack_openings(mesh: Mesh, strains, tractions,

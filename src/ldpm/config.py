@@ -12,7 +12,7 @@ Sections and keys::
     fixture = single-facet | two-particle-chain n=<k> | single-tet
     specimen = prism|dogbone|notched <lx>x<ly>x<lz> div=<nx>x<ny>x<nz>
                [seed=<s>] [jitter=<j>] [dp=<mm>] [waist=<f>]
-               [notch_depth=<f>] [notch_width=<mm>]
+               [notch_depth=<f>] [notch_width=<mm>]   # div entries >= 1
     density = 2380                  # kg/m^3, the only density setting
 
     [material]
@@ -24,7 +24,8 @@ Sections and keys::
     rho_inf = 0.8                   # genalpha, in [0, 1]
     hht_alpha = -0.05               # hht, in [-1/3, 0]
     dt = 2e-5                       # or dt_crit_factor = 0.9
-    total_time = 0.1
+    total_time = 0.1                # dt, dt_crit_factor, total_time and
+                                    # [mesh] density: finite, > 0
     safety = 0.9                    # explicit runs with a set dt: warn
                                     # above safety x dt_crit, exit 2 above
                                     # dt_crit; 0 < safety <= 1
@@ -59,6 +60,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .geometry import DOF_NAMES, Mesh, build_block_specimen, build_fixture, \
@@ -115,14 +117,15 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.solver not in SOLVER_KINDS:
             raise ConfigError(f"solver.kind: unknown solver {self.solver!r}")
-        if self.total_time <= 0:
-            raise ConfigError("solver.total_time must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("solver.dt must be positive")
+        for key, value in (("solver.total_time", self.total_time),
+                           ("solver.dt", self.dt),
+                           ("solver.dt_crit_factor", self.dt_crit_factor),
+                           ("mesh.density", self.density)):
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, "
+                                  f"got {value!r}")
         if self.dt is None and self.dt_crit_factor is None:
             raise ConfigError("solver: set dt or dt_crit_factor")
-        if self.dt_crit_factor is not None and self.dt_crit_factor <= 0:
-            raise ConfigError("solver.dt_crit_factor must be positive")
         if not 0 < self.safety <= 1:
             raise ConfigError("solver.safety must be in (0, 1]")
         if self.stride < 1:
@@ -206,6 +209,9 @@ def build_specimen_from_spec(spec: str, density: float) -> Mesh:
                            "dp": float, "waist": float,
                            "notch_depth": float, "notch_width": float})
     div = kw.pop("div", (2, 2, 4))
+    if min(div) < 1:
+        raise ConfigError(f"specimen div entries must be at least 1, got "
+                          f"{'x'.join(map(str, div))}")
     seed = kw.pop("seed", 0)
     jitter = kw.pop("jitter", 0.15)
     d_p = kw.pop("dp", None)

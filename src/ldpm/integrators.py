@@ -10,13 +10,15 @@ simulation.  The static solver is the same driver without inertia.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SystemOperators, DiagMass, internal_forces
+from .assembly import SystemOperators, DiagMass, elastic_response, \
+    internal_forces
 from .geometry import ConstraintKind, ConstraintSet
 from .material import FacetStateArray
 
@@ -146,7 +148,14 @@ class StepReport:
 class LoadProgram:
     """Compiled loading: prescribed displacement/velocity/acceleration
     histories for kinematic constraints and piecewise-linear force
-    histories, all as functions of time."""
+    histories, all as functions of time.
+
+    Once every ramp has ended, the prescribed velocities and accelerations
+    are constant, and so is the external force after the last point of
+    every force history; those values are computed once, here, and the
+    velocity and acceleration are then returned as shared read-only
+    arrays.
+    """
 
     def __init__(self, constraints: ConstraintSet, n_dofs: int):
         self.n_dofs = n_dofs
@@ -165,6 +174,13 @@ class LoadProgram:
         self._ramp = np.array(ramp)[order]
         self._ramped = self._ramp > 0
         self._ramp_div = np.where(self._ramped, self._ramp, 1.0)
+        # for t past _ramp_end every DoF follows u = v (t - t_ramp / 2),
+        # v and 0; t_ramp = 0 on an unramped DoF makes that u = v t exactly
+        self._ramp_end = self._ramp.max() if self._ramped.any() else -np.inf
+        self._half_ramp = self._ramp / 2.0
+        self._vel.flags.writeable = False
+        self._accel_end = np.zeros(len(self._vel))
+        self._accel_end.flags.writeable = False
         free = np.ones(n_dofs, dtype=bool)
         free[self.prescribed] = False
         self.free = np.nonzero(free)[0]
@@ -179,8 +195,14 @@ class LoadProgram:
         for c in constraints.forces:
             hist = np.array(c.history, float).reshape(-1, 2)
             self._forces.append((6 * c.node + c.comp, hist))
+        # np.interp returns a history's last value past its last point
+        self._force_end = max((h[-1, 0] for _, h in self._forces),
+                              default=-np.inf)
+        self._f_end = self._force_at(np.inf)
 
     def displacement(self, t: float) -> np.ndarray:
+        if t > self._ramp_end:
+            return self._vel * (t - self._half_ramp)
         return np.where(self._ramped & (t <= self._ramp),
                         self._vel * t * t / (2.0 * self._ramp_div),
                         np.where(self._ramped,
@@ -188,17 +210,24 @@ class LoadProgram:
                                  self._vel * t))
 
     def velocity(self, t: float) -> np.ndarray:
+        if t > self._ramp_end:
+            return self._vel
         return np.where(self._ramped & (t <= self._ramp),
                         self._vel * t / self._ramp_div, self._vel)
 
     def acceleration(self, t: float) -> np.ndarray:
+        if t > self._ramp_end:
+            return self._accel_end
         return np.where(self._ramped & (t <= self._ramp),
                         self._vel / self._ramp_div, 0.0)
 
     def external_force(self, t: float) -> np.ndarray:
+        if t > self._force_end:
+            return self._f_end.copy()
+        return self._force_at(t)
+
+    def _force_at(self, t: float) -> np.ndarray:
         f = np.zeros(self.n_dofs)
-        if not self._forces:
-            return f
         for dof, hist in self._forces:
             f[dof] += np.interp(t, hist[:, 0], hist[:, 1])
         return f
@@ -221,8 +250,13 @@ def perturb(q, free_idx, eta: float, rng: np.random.Generator) -> np.ndarray:
 
 class _SolverBase:
     """State shared by all solvers: DoF vectors, facet history, load
-    program, and the last internal-force evaluation (for energy work).
-    `mass` is None for the quasi-static solver."""
+    program, and the last committed evaluation: internal and external
+    forces (for energy work) and reactions.  `mass` is None for the
+    quasi-static solver.
+
+    step() and perturb() bind new q and f_int arrays rather than writing
+    into the committed ones, so a caller may keep the previous arrays
+    without copying them."""
 
     def __init__(self, ops: SystemOperators, program: LoadProgram,
                  mass: DiagMass | None, elastic_only: bool = False):
@@ -238,22 +272,41 @@ class _SolverBase:
         self.step_index = 0
         self.states = FacetStateArray.virgin(ops.mesh.n_facets)
         self.f_int = np.zeros(n)
-        self.tractions = np.zeros((ops.mesh.n_facets, 3))
-        self.strains = np.zeros((ops.mesh.n_facets, 3))
+        self.f_ext = program.external_force(self.t)
         self.reaction_forces = np.zeros(n)
+        self._tractions = self._strains = None
+
+    @property
+    def strains(self) -> np.ndarray:
+        """(nf, 3) facet strains at the committed q."""
+        if self._strains is None:
+            self._tractions, self._strains = elastic_response(self.q,
+                                                              self.ops)
+        return self._strains
+
+    @property
+    def tractions(self) -> np.ndarray:
+        """(nf, 3) facet tractions at the committed q.  An evaluation that
+        returns none (elastic_only: f_int = K q) leaves them and the
+        strains to the elastic law of q, evaluated on the first read after
+        the commit and kept until the next one."""
+        if self._tractions is None:
+            self._tractions, self._strains = elastic_response(self.q,
+                                                              self.ops)
+        return self._tractions
 
     def evaluate(self, q):
         return internal_forces(q, self.ops, self.states, self.elastic_only)
 
     def _commit(self, f_int, trial, tractions, strains, f_ext) -> None:
-        """Commit one evaluation at the current (t, q, a) and recover the
-        reactions on the prescribed DoFs."""
-        self.states, self.f_int = trial, f_int
-        self.tractions, self.strains = tractions, strains
+        """Commit one evaluation at the current (t, q, a) and f_ext = the
+        external force at t, and recover the reactions on the prescribed
+        DoFs (the other entries of reaction_forces stay zero)."""
+        self.states, self.f_int, self.f_ext = trial, f_int, f_ext
+        self._tractions, self._strains = tractions, strains
         pres = self.program.prescribed
         f = f_int[pres] if self.mass is None \
             else self.mass.values[pres] * self.a[pres] + f_int[pres]
-        self.reaction_forces = np.zeros_like(self.q)
         self.reaction_forces[pres] = f - f_ext[pres]
 
     def perturb(self, eta: float, rng: np.random.Generator) -> None:
@@ -264,11 +317,11 @@ class _SolverBase:
 
     def reaction_sum(self) -> np.ndarray:
         """Resultant of reactions over the driven translational DoFs,
-        reported per global axis."""
-        out = np.zeros(3)
-        np.add.at(out, self.program.reaction_axes,
-                  self.reaction_forces[self.program.reaction_dofs])
-        return out
+        reported per global axis and summed in DoF order."""
+        p = self.program
+        return np.bincount(p.reaction_axes,
+                           weights=self.reaction_forces[p.reaction_dofs],
+                           minlength=3)
 
 
 class ExplicitIntegrator(_SolverBase):
@@ -304,17 +357,20 @@ class ExplicitIntegrator(_SolverBase):
         if self.step_index:
             self._v_half = self._v_half + dt * self.a
         q_new = self.q + dt * self._v_half
-        if not np.all(np.isfinite(q_new)):
+        # the facet law needs finite strains; K q is scanned with q below
+        if not self.elastic_only and not np.all(np.isfinite(q_new)):
             raise DivergenceError(self.step_index)
         self.t += dt
-        self.step_index += 1
         self.q = q_new
         self.q[p.prescribed] = p.displacement(self.t)
         self._refresh()
+        # one scan of q and f_int: an entry that is not finite in either
+        # makes their dot product non-finite
+        if not math.isfinite(np.dot(self.q, self.f_int)):
+            raise DivergenceError(self.step_index)
+        self.step_index += 1
         self.v = self._v_half + 0.5 * dt * self.a
         self.v[p.prescribed] = p.velocity(self.t)
-        if not np.all(np.isfinite(self.f_int)):
-            raise DivergenceError(self.step_index)
         return StepReport(self.t, 0, True, {}, self.reaction_sum())
 
 
@@ -386,7 +442,7 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         f_ext_mid = f_ext
         if mass is not None:
             v_new, a_new = self._newmark(q_new, t1)
-            f_ext_mid = (1.0 - af) * f_ext + af * p.external_force(self.t)
+            f_ext_mid = (1.0 - af) * f_ext + af * self.f_ext
         zeros = np.zeros_like(q0)
 
         def residual(qn, an):

@@ -19,6 +19,7 @@ and stdout only, never into the files.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,10 +149,24 @@ def _monitor_dofs(cfg: RunConfig, mesh: Mesh):
     return np.array([6 * n + comp for n in nodes], dtype=int)
 
 
+def check_output_directory(directory) -> None:
+    """Raise RunError unless `directory` is a writable directory or can be
+    created as one: its nearest existing ancestor must be a writable
+    directory.  Creates nothing."""
+    path = Path(directory).absolute()
+    while not os.path.lexists(path):
+        path = path.parent
+    if not (path.is_dir() and os.access(path, os.W_OK | os.X_OK)):
+        raise RunError(f"output.directory {str(directory)!r}: {str(path)!r} "
+                       "is not a writable directory")
+
+
 def run(cfg: RunConfig, mesh: Mesh | None = None,
         write_outputs: bool = True) -> RunRecord:
     """Execute one simulation end to end and return its record."""
     cfg.validate()
+    if write_outputs:
+        check_output_directory(cfg.directory)
     if mesh is None:
         mesh = cfg.build_mesh()
     params = cfg.material_params()
@@ -174,8 +189,8 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
     times, iters, conv_flags = [], [], []
     reactions, w_kin, w_int, w_ext, balance, mon = [], [], [], [], [], []
 
-    def ext_vec(t):
-        return solver.reaction_forces + solver.program.external_force(t)
+    def ext_vec():
+        return solver.reaction_forces + solver.f_ext
 
     def record(report_iters, report_conv):
         times.append(solver.t)
@@ -198,16 +213,16 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
     held = None
     n_not_converged = 0
     # external forces at solver.t, reactions included; a step's end value
-    # starts the next step unless a perturbation commits new reactions
-    f_ext = ext_vec(solver.t)
+    # starts the next step unless a perturbation commits new reactions.
+    # The solver binds new q and f_int arrays, so the previous ones are
+    # kept without copies.
+    f_ext = ext_vec()
     for step in range(n_steps):
-        q_prev = solver.q.copy()
-        f_int_prev = solver.f_int.copy()
-        f_ext_prev = f_ext
+        q_prev, f_int_prev, f_ext_prev = solver.q, solver.f_int, f_ext
         report = solver.step()
         if not report.converged:
             n_not_converged += 1
-        f_ext = ext_vec(solver.t)
+        f_ext = ext_vec()
         diagnostics.accumulate_work(ledger, f_ext_prev, f_ext,
                                     f_int_prev, solver.f_int,
                                     solver.q - q_prev)
@@ -221,7 +236,7 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
                                           solver.q - q_prev)
             # out-of-balance force at the perturbed state (zero on the
             # prescribed DoFs, whose reactions balance it)
-            f_ext = ext_vec(solver.t)
+            f_ext = ext_vec()
             held = solver.f_int - f_ext
             if solver.mass is not None:
                 held += solver.mass.values * solver.a
@@ -245,7 +260,11 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
         crack_field=cracks, volumetric=vol, solver=solver,
         n_not_converged=n_not_converged)
     if write_outputs:
-        rec.output_dir = write_run_outputs(rec)
+        try:
+            rec.output_dir = write_run_outputs(rec)
+        except OSError as exc:
+            raise RunError(f"output.directory {cfg.directory!r}: {exc}") \
+                from None
     return rec
 
 

@@ -13,9 +13,11 @@ from ldpm.config import (
     write_config,
 )
 from ldpm.geometry import build_fixture
-from ldpm.integrators import genalpha_from_rho
+from ldpm.integrators import StaticSolver, genalpha_from_rho
 from ldpm.presets import PRESET_NAMES, preset_config
-from ldpm.runner import RunError, resolve_constraints, run
+from ldpm import runner
+from ldpm.runner import RunError, check_output_directory, \
+    resolve_constraints, run
 
 
 def write_text(path, text):
@@ -357,6 +359,14 @@ constraints =
         # [mesh] density is the only density setting
         pytest.param(MINIMAL + "\n[material]\ndensity = 2000\n",
                      id="material-density"),
+        pytest.param(MINIMAL.replace("total_time = 0.005",
+                                     "total_time = nan"), id="total_time"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = prism 10x10x20 div=0x2x2"),
+                     id="div-zero"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "fixture = single-facet\ndensity = 0"),
+                     id="density"),
     ])
     def test_config_mistake_exit_2(self, tmp_path, capsys, text):
         path = write_text(tmp_path / "c.ini", text.replace("{tmp}",
@@ -366,6 +376,44 @@ constraints =
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
+
+    def test_uncreatable_output_directory_exit_2_before_any_step(
+            self, tmp_path, capsys, monkeypatch):
+        path = write_text(tmp_path / "c.ini", MINIMAL)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out"
+
+        def no_step(*args):
+            raise AssertionError("a step ran before the directory check")
+
+        monkeypatch.setattr(StaticSolver, "step", no_step)
+        assert main(["run", path, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.directory ") \
+            and err.count("\n") == 1, err
+        assert blocker.read_text(encoding="utf-8") == ""
+
+    def test_output_write_failure_exit_2(self, tmp_path, capsys,
+                                         monkeypatch):
+        # a directory that passes the check but cannot be written to (a
+        # full disk, a file system that refuses new entries) still ends
+        # in one line
+        path = write_text(tmp_path / "c.ini", MINIMAL)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setattr(runner, "check_output_directory",
+                            lambda directory: None)
+        assert main(["run", path, "--out", str(blocker / "out")]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.directory ") \
+            and err.count("\n") == 1, err
+
+    def test_output_directory_check_creates_nothing(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        check_output_directory(out)
+        assert not (tmp_path / "a").exists()
 
     def test_inverted_tet_mid_run_exit_3(self, tmp_path, capsys):
         text = """

@@ -26,7 +26,7 @@ from ldpm.integrators import (
     newmark_params,
     perturb,
 )
-from ldpm.material import MaterialParams
+from ldpm.material import MaterialParams, elastic_tractions
 
 
 @pytest.fixture
@@ -207,6 +207,40 @@ class TestLoadProgram:
         assert p.external_force(1.5)[0] == pytest.approx(5.0)
         assert p.external_force(5.0)[0] == pytest.approx(0.0)
 
+    def test_constant_values_after_the_histories_end(self):
+        # the values precomputed for the end of every ramp and force history
+        # are those of the general formulas, bit for bit
+        histories = ((7, ((0.0, 0.0), (0.0004, 7.0), (0.0004, 3.0))),
+                     (7, ((0.0, 1.0), (0.0009, -2.5))), (8, ((0.0, 0.1),)))
+        cs = ConstraintSet([
+            Constraint(0, 0, ConstraintKind.VELOCITY, velocity=-5.0,
+                       t_ramp=0.001),
+            Constraint(0, 1, ConstraintKind.VELOCITY, velocity=0.3,
+                       t_ramp=0.0007),
+            Constraint(0, 2, ConstraintKind.VELOCITY, velocity=2.0),
+            Constraint(1, 0, ConstraintKind.FIXED)]
+            + [Constraint(dof // 6, dof % 6, ConstraintKind.FORCE, history=h)
+               for dof, h in histories])
+        p = LoadProgram(cs, 12)
+        vel, ramp = np.array([-5.0, 0.3, 2.0, 0.0]), \
+            np.array([0.001, 0.0007, 0.0, 0.0])
+        ramped = ramp > 0
+        div = np.where(ramped, ramp, 1.0)
+        for t in np.linspace(0.0, 0.002, 41):
+            on = ramped & (t <= ramp)
+            u = np.where(on, vel * t * t / (2.0 * div),
+                         np.where(ramped, vel * (t - ramp / 2.0), vel * t))
+            f = np.zeros(12)
+            for dof, hist in histories:
+                h = np.array(hist)
+                f[dof] += np.interp(t, h[:, 0], h[:, 1])
+            assert p.displacement(t).tobytes() == u.tobytes()
+            assert p.velocity(t).tobytes() == \
+                np.where(on, vel * t / div, vel).tobytes()
+            assert p.acceleration(t).tobytes() == \
+                np.where(on, vel / div, 0.0).tobytes()
+            assert p.external_force(t).tobytes() == f.tobytes()
+
 
 class TestPerturb:
     def test_zero_eta_unchanged(self):
@@ -237,8 +271,9 @@ class TestPerturb:
                     np.random.default_rng(0))
 
 
-def block_solvers(params):
-    """Each solver kind on one small compressed block, after a few steps."""
+def block_solvers(params, elastic_only=False, steps=3):
+    """Each solver kind on one small compressed block, after `steps`
+    steps."""
     mesh = build_block_specimen((40.0, 40.0, 40.0), (1, 1, 1), seed=2)
     cons = [Constraint(n, 2, ConstraintKind.FIXED)
             for n in np.nonzero(mesh.positions[:, 2] == 0.0)[0]]
@@ -251,17 +286,20 @@ def block_solvers(params):
     dt = 0.5 * critical_timestep(mesh, params, mass, ConstraintSet(cons))
     conv = ConvergenceSpec()
     solvers = {
-        "explicit": ExplicitIntegrator(ops, program, mass, dt),
-        "static": StaticSolver(ops, program, 20 * dt, conv),
+        "explicit": ExplicitIntegrator(ops, program, mass, dt, elastic_only),
+        "static": StaticSolver(ops, program, 20 * dt, conv, elastic_only),
         "newmark": GeneralizedAlphaIntegrator(
-            ops, program, mass, newmark_params(), 20 * dt, conv),
+            ops, program, mass, newmark_params(), 20 * dt, conv,
+            elastic_only),
         "hht": GeneralizedAlphaIntegrator(
-            ops, program, mass, hht_params(-0.05), 20 * dt, conv),
+            ops, program, mass, hht_params(-0.05), 20 * dt, conv,
+            elastic_only),
         "genalpha": GeneralizedAlphaIntegrator(
-            ops, program, mass, genalpha_from_rho(0.8), 20 * dt, conv),
+            ops, program, mass, genalpha_from_rho(0.8), 20 * dt, conv,
+            elastic_only),
     }
     for solver in solvers.values():
-        for _ in range(3):
+        for _ in range(steps):
             solver.step()
     return ops, solvers
 
@@ -304,6 +342,66 @@ class TestSolverPerturb:
             solver.step()
         for attr in ("q", "v", "a", "f_int", "reaction_forces", "tractions"):
             assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+
+
+class TestElasticOnDemand:
+    """elastic_only evaluations are f_int = K q alone; the facet strains
+    and tractions are computed on demand from the committed q."""
+
+    @staticmethod
+    def assert_committed(solver, ops, strains_first):
+        e = ops.strains(solver.q)
+        t = elastic_tractions(e, ops.params)
+        if strains_first:
+            assert np.array_equal(solver.strains, e)
+        assert np.array_equal(solver.tractions, t)
+        assert np.array_equal(solver.strains, e)
+        assert solver.strains is solver.strains
+        assert np.array_equal(solver.f_int, ops.K @ solver.q)
+
+    @pytest.mark.parametrize("kind", ["explicit", "genalpha", "static"])
+    def test_state_follows_every_step_and_perturb(self, params, kind):
+        ops, solvers = block_solvers(params, elastic_only=True, steps=0)
+        solver = solvers[kind]
+        rng = np.random.default_rng(8)
+        for i in range(6):
+            if i == 3:
+                solver.perturb(1e-3, rng)
+                self.assert_committed(solver, ops, strains_first=False)
+            solver.step()
+            self.assert_committed(solver, ops, strains_first=i % 2 == 0)
+        assert np.any(solver.strains != 0.0)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("elastic_only", [True, False])
+    def test_nan_in_q_raises_at_that_step(self, params, elastic_only):
+        mesh, cs, ops, program, mass, k, m = single_dof_setup(params,
+                                                              force=1.0)
+        solver = ExplicitIntegrator(ops, program, mass, 0.5 * np.sqrt(m / k),
+                                    elastic_only)
+        for _ in range(4):
+            solver.step()
+        solver.q = solver.q.copy()
+        solver.q[6] = np.nan
+        with pytest.raises(DivergenceError) as exc:
+            solver.step()
+        assert exc.value.step == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_force_raises_at_that_step(self, params):
+        mesh, cs, ops, program, mass, k, m = single_dof_setup(params,
+                                                              force=1.0)
+        solver = ExplicitIntegrator(ops, program, mass, 0.5 * np.sqrt(m / k),
+                                    elastic_only=True)
+        for _ in range(4):
+            solver.step()
+        # a finite displacement whose elastic force k q overflows
+        solver.q = solver.q.copy()
+        solver.q[6] = 1e305
+        with pytest.raises(DivergenceError) as exc:
+            solver.step()
+        assert exc.value.step == 4
 
 
 class TestBookkeeping:

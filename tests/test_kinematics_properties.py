@@ -2,7 +2,8 @@
 stacked strain operator B must annihilate rigid motions, agree with the
 per-facet oracle, and project a uniform strain onto each facet frame.
 Translations below the inversion guard must invert no tet, and e_V computed
-on demand for some facets must equal the all-tet evaluation."""
+on demand for some facets must equal the all-tet evaluation.  The elastic
+force K q must equal the facet-wise gather B^T W D B q."""
 
 from dataclasses import replace
 
@@ -10,9 +11,10 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from ldpm.assembly import SystemOperators, build_strain_operator, \
-    inversion_guard, volumetric_strain
+    internal_forces, inversion_guard, volumetric_strain
 from ldpm.geometry import Mesh, build_block_specimen
-from ldpm.material import MaterialParams
+from ldpm.material import FacetStateArray, MaterialParams, \
+    elastic_tractions
 
 from oracles import facet_strain, frame
 
@@ -121,3 +123,16 @@ def test_on_demand_volumetric_equals_all_tets(mesh, seed, orphans):
     for size in (0, rng.integers(1, mesh.n_facets + 1)):
         facets = rng.choice(mesh.n_facets, size=size, replace=False)
         assert np.array_equal(e_v(facets), want[facets])
+
+
+@given(mesh=meshes, seed=st.integers(0, 2 ** 32 - 1),
+       alpha=st.floats(0.05, 1.0))
+def test_stiffness_action_equals_elastic_gather(mesh, seed, alpha):
+    ops = SystemOperators(mesh, MaterialParams(alpha=alpha))
+    q = np.random.default_rng(seed).normal(scale=1e-3, size=mesh.n_dofs)
+    want = ops.gather_forces(elastic_tractions(ops.strains(q), ops.params))
+    states = FacetStateArray.virgin(mesh.n_facets)
+    f, trial, t, e = internal_forces(q, ops, states, elastic_only=True)
+    assert trial is states and t is None and e is None
+    np.testing.assert_allclose(f, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
