@@ -152,9 +152,9 @@ class LoadProgram:
 
     Once every ramp has ended, the prescribed velocities and accelerations
     are constant, and so is the external force after the last point of
-    every force history; those values are computed once, here, and the
-    velocity and acceleration are then returned as shared read-only
-    arrays.
+    every force history.  Those values are computed once, at
+    construction; the velocity and acceleration are then returned as
+    shared read-only arrays.
     """
 
     def __init__(self, constraints: ConstraintSet, n_dofs: int):
