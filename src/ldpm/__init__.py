@@ -4,9 +4,6 @@ solvers, a quasi-static solver, energy diagnostics, and crack-field
 comparison utilities."""
 
 from .geometry import (
-    Constraint,
-    ConstraintKind,
-    ConstraintSet,
     FacetTable,
     Mesh,
     MeshError,

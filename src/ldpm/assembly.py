@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import ConstraintKind, Mesh, tet_volume
+from .geometry import Mesh, tet_volume
 from .material import MaterialParams, FacetStateArray, facet_update, \
     elastic_tractions
 
@@ -262,20 +262,19 @@ _DT_CHUNK = 1024
 
 def critical_timestep(mesh: Mesh, params: MaterialParams,
                       mass: DiagMass | None = None,
-                      constraints=None) -> float:
+                      fixed=()) -> float:
     """Largest stable explicit step 2/omega_max, with omega_max the largest
     element eigenfrequency (the element bound of Irons & Treharne, 1971).
     Elements are tetrahedra (the facets whose parent is the tet, on the
     nodes those facets touch) when present, otherwise single facets (12
     DoFs).  Element masses are local shares so that they sum to the global
-    lumped mass.
+    lumped mass.  The DoF indices `fixed` (the prescribed DoFs of the load
+    program) drop out of every element.
     """
     if mass is None:
         mass = assemble_lumped_mass(mesh)
-    fixed = np.zeros(mesh.n_dofs, dtype=bool)
-    for c in constraints or ():
-        if c.kind in (ConstraintKind.FIXED, ConstraintKind.VELOCITY):
-            fixed[6 * c.node + c.comp] = True
+    fixed_mask = np.zeros(mesh.n_dofs, dtype=bool)
+    fixed_mask[np.asarray(fixed, dtype=int)] = True
     f = mesh.facets
     in_tet = f.parent_tet >= 0 if len(mesh.tets) \
         else np.zeros(len(f), dtype=bool)
@@ -297,7 +296,8 @@ def critical_timestep(mesh: Mesh, params: MaterialParams,
         m_node = np.where(touched, rho * mesh.tet_volumes[tet_ids, None] / 4.0,
                           0.0)
         omega_max = _max_element_omega(f, grouped, elem, local, nodes, m_node,
-                                       mesh.particle_diameters, fixed, params)
+                                       mesh.particle_diameters, fixed_mask,
+                                       params)
     orphans = np.nonzero(~in_tet)[0]
     if len(orphans):
         nodes = np.column_stack([f.node_i[orphans], f.node_j[orphans]])
@@ -306,7 +306,7 @@ def critical_timestep(mesh: Mesh, params: MaterialParams,
         omega_max = max(omega_max, _max_element_omega(
             f, orphans, np.arange(len(orphans)),
             np.tile([0, 1], (len(orphans), 1)), nodes, m_node,
-            mesh.particle_diameters, fixed, params))
+            mesh.particle_diameters, fixed_mask, params))
 
     if omega_max <= 0:
         raise AssemblyError("no dynamic DoFs; cannot estimate a time step")

@@ -39,8 +39,8 @@ Sections and keys::
     [load]
     constraints =
         fix zmin all
-        velocity zmax uz -5 ramp=0.001
-        force node:7 ux 0:0,0.01:50,0.01004:0
+        velocity zmax uz -5 ramp=0.001     # finite numbers, ramp >= 0
+        force node:7 ux 0:0,0.01:50,0.01004:0   # times strictly increase
     monitor = zmax uz                # displacement record point
     nominal_area = 10000             # mm^2, optional
     gauge_length = 200               # mm, optional
@@ -283,10 +283,14 @@ def _parse_dofs(text: str):
 
 def _number(text: str, line: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r} in "
                           f"{line!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r} in "
+                          f"{line!r}")
+    return value
 
 
 def parse_directive(line: str) -> Directive:
@@ -307,6 +311,9 @@ def parse_directive(line: str) -> Directive:
             if not tok[4].startswith("ramp="):
                 raise ConfigError(f"expected ramp=<t>, got {tok[4]!r}")
             ramp = _number(tok[4][5:], line)
+            if ramp < 0.0:
+                raise ConfigError(f"ramp must be >= 0, got {ramp!r} in "
+                                  f"{line!r}")
         dofs = _parse_dofs(tok[2])
         return Directive("velocity", tok[1], dofs,
                          velocity=_number(tok[3], line), t_ramp=ramp)
@@ -318,6 +325,9 @@ def parse_directive(line: str) -> Directive:
         for pair in tok[3].split(","):
             t, _, f = pair.partition(":")
             hist.append((_number(t, line), _number(f, line)))
+            if len(hist) > 1 and not hist[-2][0] < hist[-1][0]:
+                raise ConfigError(f"force history times must strictly "
+                                  f"increase, got {tok[3]!r} in {line!r}")
         return Directive("force", tok[1], _parse_dofs(tok[2]),
                          history=tuple(hist))
     raise ConfigError(f"unknown load directive {action!r}")

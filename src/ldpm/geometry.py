@@ -2,10 +2,10 @@
 
 Holds the particles (node coordinates and diameters), the facets (the
 potential crack interfaces between adjacent cells) as one struct-of-arrays
-table, the tetrahedra (for volumetric strain), and the constraint
-bookkeeping.  Meshes are either loaded from facet-data files produced by an
-external preprocessor or synthesized as small verification fixtures and
-desk-scale block specimens.
+table, the tetrahedra (for volumetric strain), and the node selectors that
+load directives name.  Meshes are either loaded from facet-data files
+produced by an external preprocessor or synthesized as small verification
+fixtures and desk-scale block specimens.
 
 Every per-facet quantity is computed for all facets at once.  Dot products
 and norms of stacked 3-vectors go through `_dot`, a stacked matmul that
@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -32,6 +31,9 @@ TOL_PROJECTED_AREA = 1e-10
 TOL_CENTROID = 1e-9
 TOL_EDGE_LENGTH = 1e-10
 TOL_VOLUME_SUM = 1e-8
+
+# the six DoFs of a particle, in the order of its block of q (DoF 6 n + c)
+DOF_NAMES = ("ux", "uy", "uz", "rx", "ry", "rz")
 
 
 class MeshError(Exception):
@@ -135,64 +137,6 @@ class Mesh:
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         p = self.positions
         return p.min(axis=0), p.max(axis=0)
-
-
-# ---------------------------------------------------------------------------
-# Constraints
-# ---------------------------------------------------------------------------
-
-DOF_NAMES = ("ux", "uy", "uz", "rx", "ry", "rz")
-
-
-class ConstraintKind(Enum):
-    FIXED = "fixed"
-    VELOCITY = "velocity"
-    FORCE = "force"
-
-
-@dataclass(frozen=True)
-class Constraint:
-    node: int
-    comp: int                     # 0..5 per DOF_NAMES
-    kind: ConstraintKind
-    velocity: float = 0.0         # target velocity for VELOCITY
-    t_ramp: float = 0.0           # linear ramp 0 -> velocity
-    history: tuple = ()           # ((t, f), ...) piecewise-linear for FORCE
-
-
-class ConstraintSet:
-    """A collection of constraints; a (node, component) pair may carry at
-    most one kinematic constraint.  FORCE entries act on free DoFs."""
-
-    def __init__(self, constraints=()):
-        self._kinematic: list[Constraint] = []
-        self._forces: list[Constraint] = []
-        seen = set()
-        for c in constraints:
-            if c.kind is ConstraintKind.FORCE:
-                self._forces.append(c)
-                continue
-            key = (c.node, c.comp)
-            if key in seen:
-                raise MeshError(
-                    f"duplicate constraint on node {c.node} dof {DOF_NAMES[c.comp]}"
-                )
-            seen.add(key)
-            self._kinematic.append(c)
-
-    def __iter__(self):
-        return iter(self._kinematic)
-
-    def __len__(self):
-        return len(self._kinematic)
-
-    @property
-    def forces(self) -> list[Constraint]:
-        return list(self._forces)
-
-    @property
-    def kinematic(self) -> list[Constraint]:
-        return list(self._kinematic)
 
 
 # ---------------------------------------------------------------------------

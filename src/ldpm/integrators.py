@@ -19,7 +19,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import SystemOperators, DiagMass, elastic_response, \
     internal_forces
-from .geometry import ConstraintKind, ConstraintSet
 from .material import FacetStateArray
 
 
@@ -142,13 +141,18 @@ class StepReport:
     iterations: int
     converged: bool
     criteria: dict = field(default_factory=dict)
-    reactions: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 class LoadProgram:
     """Compiled loading: prescribed displacement/velocity/acceleration
-    histories for kinematic constraints and piecewise-linear force
-    histories, all as functions of time.
+    histories and piecewise-linear force histories, all as functions of
+    time.
+
+    `kinematic` maps each prescribed DoF (6 node + component) to its
+    (velocity, t_ramp): the velocity is reached by a linear ramp over
+    t_ramp and held, and (0, 0) fixes the DoF.  `forces` lists (dof,
+    ((t, f), ...)) pairs, summed in list order; a force may act on a
+    prescribed DoF.
 
     Once every ramp has ended, the prescribed velocities and accelerations
     are constant, and so is the external force after the last point of
@@ -157,21 +161,12 @@ class LoadProgram:
     shared read-only arrays.
     """
 
-    def __init__(self, constraints: ConstraintSet, n_dofs: int):
+    def __init__(self, n_dofs: int, kinematic: dict, forces=()):
         self.n_dofs = n_dofs
-        idx, vel, ramp = [], [], []
-        for c in constraints:
-            idx.append(6 * c.node + c.comp)
-            if c.kind is ConstraintKind.VELOCITY:
-                vel.append(c.velocity)
-                ramp.append(c.t_ramp)
-            else:
-                vel.append(0.0)
-                ramp.append(0.0)
-        order = np.argsort(idx)
-        self.prescribed = np.array(idx, dtype=int)[order]
-        self._vel = np.array(vel)[order]
-        self._ramp = np.array(ramp)[order]
+        dofs = sorted(kinematic)
+        self.prescribed = np.array(dofs, dtype=int)
+        self._vel = np.array([kinematic[d][0] for d in dofs], float)
+        self._ramp = np.array([kinematic[d][1] for d in dofs], float)
         self._ramped = self._ramp > 0
         self._ramp_div = np.where(self._ramped, self._ramp, 1.0)
         # for t past _ramp_end every DoF follows u = v (t - t_ramp / 2),
@@ -191,10 +186,8 @@ class LoadProgram:
         # reaction_sum in this order
         self.reaction_dofs = self.driven[self.driven % 6 < 3]
         self.reaction_axes = self.reaction_dofs % 6
-        self._forces = []
-        for c in constraints.forces:
-            hist = np.array(c.history, float).reshape(-1, 2)
-            self._forces.append((6 * c.node + c.comp, hist))
+        self._forces = [(dof, np.array(hist, float).reshape(-1, 2))
+                        for dof, hist in forces]
         # np.interp returns a history's last value past its last point
         self._force_end = max((h[-1, 0] for _, h in self._forces),
                               default=-np.inf)
@@ -371,7 +364,7 @@ class ExplicitIntegrator(_SolverBase):
         self.step_index += 1
         self.v = self._v_half + 0.5 * dt * self.a
         self.v[p.prescribed] = p.velocity(self.t)
-        return StepReport(self.t, 0, True, {}, self.reaction_sum())
+        return StepReport(self.t, 0, True)
 
 
 class GeneralizedAlphaIntegrator(_SolverBase):
@@ -492,8 +485,7 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         self.q, self.v, self.a, self.t = q_new, v_new, a_new, t1
         self._commit(*last, f_ext)
         self.step_index += 1
-        return StepReport(self.t, iterations, converged, values,
-                          self.reaction_sum())
+        return StepReport(self.t, iterations, converged, values)
 
 
 class StaticSolver(GeneralizedAlphaIntegrator):

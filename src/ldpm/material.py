@@ -48,9 +48,6 @@ class MaterialParams:
     sigma_N0: float = 600.0       # MPa
     Ed_over_E0: float = 1.0
     beta: float = 0.0
-    k_t: float = 0.0
-    k_s: float = 0.0
-    k_c: float = 0.0
     r_s: float = 0.0
 
     def __post_init__(self):
@@ -119,22 +116,6 @@ class FacetStateArray:
 
     def __len__(self):
         return len(self.e_max)
-
-
-def effective_measures(e, params: MaterialParams):
-    """Effective strain and coupling angle.
-
-    Returns (e_eff, omega) with omega = atan2(e_N, sqrt(alpha (e_M^2+e_L^2)))
-    in [-pi/2, pi/2]; a zero strain reports omega = pi/2 by convention.
-    """
-    e = np.asarray(e, float)
-    e_n, e_m, e_l = e[..., 0], e[..., 1], e[..., 2]
-    shear = np.sqrt(params.alpha * (e_m ** 2 + e_l ** 2))
-    e_eff = np.sqrt(e_n ** 2 + shear ** 2)
-    omega = np.where(e_eff == 0.0, np.pi / 2, np.arctan2(e_n, shear))
-    if omega.ndim == 0:
-        return float(e_eff), float(omega)
-    return e_eff, omega
 
 
 def sigma0(omega, params: MaterialParams):

@@ -30,8 +30,7 @@ from . import diagnostics
 from .assembly import SystemOperators, assemble_lumped_mass, \
     crack_openings, critical_timestep, volumetric_strain
 from .config import ConfigError, RunConfig, parse_directive, write_config
-from .geometry import Constraint, ConstraintKind, ConstraintSet, Mesh, \
-    select_nodes
+from .geometry import Mesh, select_nodes
 from .integrators import ExplicitIntegrator, GeneralizedAlphaIntegrator, \
     LoadProgram, StaticSolver
 from .material import SnapBackError
@@ -41,33 +40,28 @@ class RunError(Exception):
     pass
 
 
-def resolve_constraints(mesh: Mesh, directives) -> ConstraintSet:
-    """Expand directive strings into per-DoF constraints.  Identical
+def resolve_constraints(mesh: Mesh, directives) -> LoadProgram:
+    """Compile directive strings into the mesh's load program.  Identical
     duplicates (e.g. a shared edge of two fixed faces) merge silently;
-    conflicting kinematic constraints on one DoF are an error."""
-    kinematic: dict[tuple, Constraint] = {}
+    conflicting kinematic constraints on one DoF are an error, `fix` and
+    `velocity` even at v = 0.  Forces keep directive order."""
+    kinematic: dict[int, tuple] = {}   # dof -> (action, velocity, t_ramp)
     forces = []
     for d in directives:
         if isinstance(d, str):
             d = parse_directive(d)
-        nodes = select_nodes(mesh, d.selector)
-        for node in nodes:
+        for node in select_nodes(mesh, d.selector):
             for comp in d.dofs:
+                dof = 6 * node + comp
                 if d.action == "force":
-                    forces.append(Constraint(node, comp, ConstraintKind.FORCE,
-                                             history=d.history))
+                    forces.append((dof, d.history))
                     continue
-                kind = ConstraintKind.FIXED if d.action == "fix" \
-                    else ConstraintKind.VELOCITY
-                c = Constraint(node, comp, kind, velocity=d.velocity,
-                               t_ramp=d.t_ramp)
-                prev = kinematic.get((node, comp))
-                if prev is None:
-                    kinematic[(node, comp)] = c
-                elif prev != c:
+                c = (d.action, d.velocity, d.t_ramp)
+                if kinematic.setdefault(dof, c) != c:
                     raise ConfigError(
                         f"conflicting constraints on node {node} dof {comp}")
-    return ConstraintSet(list(kinematic.values()) + forces)
+    return LoadProgram(mesh.n_dofs,
+                       {dof: c[1:] for dof, c in kinematic.items()}, forces)
 
 
 @dataclass
@@ -106,12 +100,13 @@ class RunRecord:
 
 
 def build_solver(cfg: RunConfig, mesh: Mesh, ops: SystemOperators,
-                 constraints: ConstraintSet):
+                 program: LoadProgram):
     """Construct the configured solver plus the resolved time step."""
-    program = LoadProgram(constraints, mesh.n_dofs)
+    mass = assemble_lumped_mass(mesh)
     dt = cfg.dt
     if dt is None or cfg.solver == "explicit":
-        dt_crit = critical_timestep(mesh, ops.params, constraints=constraints)
+        dt_crit = critical_timestep(mesh, ops.params, mass,
+                                    fixed=program.prescribed)
     if dt is None:
         dt = cfg.dt_crit_factor * dt_crit
     elif cfg.solver == "explicit":
@@ -123,14 +118,12 @@ def build_solver(cfg: RunConfig, mesh: Mesh, ops: SystemOperators,
                   f"{cfg.safety!r} x critical time step {dt_crit!r} s",
                   file=sys.stderr)
     if cfg.solver == "explicit":
-        mass = assemble_lumped_mass(mesh)
         return ExplicitIntegrator(ops, program, mass, dt,
                                   elastic_only=cfg.elastic_only), dt
     conv, ga = cfg.solver_params()
     if ga is None:
         return StaticSolver(ops, program, dt, conv,
                             elastic_only=cfg.elastic_only), dt
-    mass = assemble_lumped_mass(mesh)
     return GeneralizedAlphaIntegrator(ops, program, mass, ga, dt, conv,
                                       elastic_only=cfg.elastic_only), dt
 
@@ -175,8 +168,8 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
             f"edge length {float(mesh.facets.edge_length.max())!r} mm >= "
             f"characteristic length lt={params.lt}: softening would snap back")
     ops = SystemOperators(mesh, params)
-    constraints = resolve_constraints(mesh, cfg.constraints)
-    solver, dt = build_solver(cfg, mesh, ops, constraints)
+    program = resolve_constraints(mesh, cfg.constraints)
+    solver, dt = build_solver(cfg, mesh, ops, program)
     n_steps = int(round(cfg.total_time / dt))
     if n_steps < 1:
         raise RunError("total_time shorter than one step")

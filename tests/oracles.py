@@ -7,7 +7,6 @@ optimized."""
 import numpy as np
 import scipy.linalg
 
-from ldpm.geometry import ConstraintKind
 from ldpm.material import FacetStateArray, MaterialParams, sigma_bc, \
     sigma_bs, sigma_bt
 
@@ -42,14 +41,13 @@ def facet_blocks(facets, k):
             -Pt @ _skew(facets.c_j[k]))
 
 
-def critical_timestep(mesh, params, mass, constraints=None) -> float:
+def critical_timestep(mesh, params, mass, fixed=()) -> float:
     """Element-by-element bound 2/omega_max: tets group the facets whose
     parent they are, every other facet is an element of its own whose node
     masses are shares of the lumped `mass` split over the orphan facets
     meeting at the node."""
     f = mesh.facets
-    fixed = {6 * c.node + c.comp for c in constraints or ()
-             if c.kind in (ConstraintKind.FIXED, ConstraintKind.VELOCITY)}
+    fixed = {int(dof) for dof in fixed}
     rho = mesh.density * 1.0e-12
     dp = mesh.particle_diameters
     D = np.array([1.0, params.alpha, params.alpha]) * params.E0

@@ -16,8 +16,7 @@ from ldpm.assembly import (
 from ldpm.compare import FieldSample, compare_fields, nrmse, pearson
 from ldpm.config import RunConfig, parse_config, write_config
 from ldpm.diagnostics import fft_peaks
-from ldpm.geometry import Constraint, ConstraintKind, ConstraintSet, \
-    build_block_specimen, build_fixture
+from ldpm.geometry import build_block_specimen, build_fixture
 from ldpm.integrators import (
     ConvergenceSpec,
     DivergenceError,
@@ -219,21 +218,16 @@ class TestCriterion5:
     def _system(kind, params):
         if kind == "1dof":
             mesh = build_fixture("single-facet", length=100.0, area=100.0)
-            cons = [Constraint(0, c, ConstraintKind.FIXED) for c in range(6)]
-            cons += [Constraint(1, c, ConstraintKind.FIXED)
-                     for c in range(1, 6)]
-            cons.append(Constraint(1, 0, ConstraintKind.FORCE,
-                                   history=((0.0, 10.0), (1.0, 10.0))))
+            fixed = [dof for dof in range(12) if dof != 6]
+            loaded = 6
         else:
             mesh = build_fixture("single-tet")
-            cons = [Constraint(0, c, ConstraintKind.FIXED) for c in range(6)]
-            cons.append(Constraint(2, 0, ConstraintKind.FORCE,
-                                   history=((0.0, 10.0), (1.0, 10.0))))
-        cs = ConstraintSet(cons)
+            fixed, loaded = range(6), 12
         ops = SystemOperators(mesh, params)
-        program = LoadProgram(cs, mesh.n_dofs)
+        program = LoadProgram(mesh.n_dofs, {dof: (0.0, 0.0) for dof in fixed},
+                              [(loaded, ((0.0, 10.0), (1.0, 10.0)))])
         mass = assemble_lumped_mass(mesh)
-        dt_crit = critical_timestep(mesh, params, constraints=cs)
+        dt_crit = critical_timestep(mesh, params, mass, program.prescribed)
         return ops, program, mass, dt_crit
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -277,15 +271,10 @@ class TestCriterion6:
     def test_single_iteration(self, params):
         mesh = build_fixture("two-particle-chain", n=3, length=100.0,
                              area=100.0)
-        cons = [Constraint(0, c, ConstraintKind.FIXED) for c in range(6)]
-        for node in (1, 2, 3):
-            cons += [Constraint(node, c, ConstraintKind.FIXED)
-                     for c in range(1, 6)]
-        cons.append(Constraint(3, 0, ConstraintKind.FORCE,
-                               history=((0.0, 0.0), (1.0, 100.0))))
-        cs = ConstraintSet(cons)
+        fixed = [dof for dof in range(24) if dof not in (6, 12, 18)]
         ops = SystemOperators(mesh, params)
-        program = LoadProgram(cs, mesh.n_dofs)
+        program = LoadProgram(mesh.n_dofs, {dof: (0.0, 0.0) for dof in fixed},
+                              [(18, ((0.0, 0.0), (1.0, 100.0)))])
         mass = assemble_lumped_mass(mesh)
 
         conv = ConvergenceSpec(criteria=("residual",), tolerance=1e-12)

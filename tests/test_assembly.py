@@ -18,8 +18,6 @@ from ldpm.assembly import (
     volumetric_strain,
 )
 from ldpm.geometry import (
-    Constraint,
-    ConstraintKind,
     Mesh,
     build_block_specimen,
     build_fixture,
@@ -383,9 +381,8 @@ class TestCriticalTimestep:
     def test_spring_mass_reduction(self, single_facet, params):
         # clamp node 0 entirely and every non-axial DoF of node 1: the
         # remaining system is one mass on one spring
-        cons = [Constraint(0, c, ConstraintKind.FIXED) for c in range(6)]
-        cons += [Constraint(1, c, ConstraintKind.FIXED) for c in range(1, 6)]
-        dt = critical_timestep(single_facet, params, constraints=cons)
+        fixed = [dof for dof in range(12) if dof != 6]
+        dt = critical_timestep(single_facet, params, fixed=fixed)
         m = assemble_lumped_mass(single_facet).values[6]
         k = params.E0 * 100.0 / 100.0
         assert dt == pytest.approx(2.0 * np.sqrt(m / k), rel=1e-10)
@@ -418,21 +415,20 @@ class TestCriticalTimestep:
 
     def test_constrained_block_matches_element_loop(self, params):
         mesh = build_block_specimen((40.0, 40.0, 80.0), (2, 2, 4), seed=9)
-        cons = resolve_constraints(mesh, ["fix zmin all",
-                                          "velocity zmax uz -5 ramp=0.001",
-                                          "fix center-zmax ux,uy"])
+        fixed = resolve_constraints(mesh, ["fix zmin all",
+                                           "velocity zmax uz -5 ramp=0.001",
+                                           "fix center-zmax ux,uy"]).prescribed
         mass = assemble_lumped_mass(mesh)
-        dt = critical_timestep(mesh, params, constraints=cons)
-        assert dt == oracles.critical_timestep(mesh, params, mass, cons)
+        dt = critical_timestep(mesh, params, fixed=fixed)
+        assert dt == oracles.critical_timestep(mesh, params, mass, fixed)
         assert dt != critical_timestep(mesh, params)
 
     def test_orphan_chain_matches_element_loop(self, params):
         chain = build_fixture("two-particle-chain", n=4, d_p=15.0)
-        cons = [Constraint(0, c, ConstraintKind.FIXED) for c in range(6)]
         mass = assemble_lumped_mass(chain)
-        for c in (None, cons):
-            dt = critical_timestep(chain, params, constraints=c)
-            assert dt == oracles.critical_timestep(chain, params, mass, c)
+        for fixed in ((), range(6)):
+            dt = critical_timestep(chain, params, fixed=fixed)
+            assert dt == oracles.critical_timestep(chain, params, mass, fixed)
 
 
 def test_facet_weights(single_facet):

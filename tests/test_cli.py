@@ -179,8 +179,9 @@ class TestRoundTrip:
 class TestResolveConstraints:
     def test_duplicate_merge(self):
         mesh = build_fixture("two-particle-chain", n=2)
-        cs = resolve_constraints(mesh, ("fix node:0 all", "fix node:0 ux"))
-        assert len(cs.kinematic) == 6
+        program = resolve_constraints(mesh, ("fix node:0 all",
+                                             "fix node:0 ux"))
+        assert list(program.prescribed) == list(range(6))
 
     def test_conflict_rejected(self):
         mesh = build_fixture("two-particle-chain", n=2)
@@ -325,6 +326,21 @@ constraints =
                      id="velocity"),
         pytest.param(MINIMAL.replace("velocity node:1 ux 1",
                                      "force node:1 ux 0-1"), id="force"),
+        pytest.param(MINIMAL.replace("velocity node:1 ux 1",
+                                     "force node:1 ux 0.5:10,0:0,1:5"),
+                     id="force-times"),
+        pytest.param(MINIMAL.replace("velocity node:1 ux 1",
+                                     "velocity node:1 ux 1 ramp=-0.001"),
+                     id="ramp-negative"),
+        pytest.param(MINIMAL.replace("velocity node:1 ux 1",
+                                     "velocity node:1 ux 1 ramp=inf"),
+                     id="ramp-inf"),
+        pytest.param(MINIMAL.replace("velocity node:1 ux 1",
+                                     "velocity node:1 ux nan"),
+                     id="velocity-nan"),
+        pytest.param(MINIMAL.replace("velocity node:1 ux 1",
+                                     "force node:1 ux 0:0,1:inf"),
+                     id="force-inf"),
         pytest.param(MINIMAL.replace("kind = static",
                                      "kind = genalpha\nrho_inf = 2"),
                      id="rho_inf"),
@@ -359,6 +375,8 @@ constraints =
         # [mesh] density is the only density setting
         pytest.param(MINIMAL + "\n[material]\ndensity = 2000\n",
                      id="material-density"),
+        # nothing reads a stiffness of that name
+        pytest.param(MINIMAL + "\n[material]\nk_t = 0\n", id="material-k_t"),
         pytest.param(MINIMAL.replace("total_time = 0.005",
                                      "total_time = nan"), id="total_time"),
         pytest.param(MINIMAL.replace("fixture = single-facet",
@@ -459,8 +477,8 @@ class TestExplicitSafety:
     def dt_crit():
         mesh = build_fixture("single-facet")
         return critical_timestep(mesh, RunConfig().material_params(),
-                                 constraints=resolve_constraints(
-                                     mesh, SPRING_LOAD))
+                                 fixed=resolve_constraints(
+                                     mesh, SPRING_LOAD).prescribed)
 
     def run_with(self, tmp_path, factor):
         dt = factor * self.dt_crit()

@@ -13,8 +13,7 @@ from ldpm.diagnostics import (
     fft_peaks,
     kinetic_energy,
 )
-from ldpm.geometry import Constraint, ConstraintKind, ConstraintSet, \
-    build_fixture
+from ldpm.geometry import build_fixture
 from ldpm.integrators import ConvergenceSpec, ExplicitIntegrator, \
     LoadProgram, StaticSolver
 from ldpm.material import MaterialParams
@@ -73,10 +72,9 @@ class TestAccumulateWork:
         # single facet loaded through the static solver: with the reaction
         # counted as the external force, the two work tallies coincide
         mesh = build_fixture("single-facet", length=100.0, area=100.0)
-        cons = [Constraint(0, c, ConstraintKind.FIXED) for c in range(6)]
-        cons += [Constraint(1, c, ConstraintKind.FIXED) for c in range(1, 6)]
-        cons.append(Constraint(1, 0, ConstraintKind.VELOCITY, velocity=0.1))
-        program = LoadProgram(ConstraintSet(cons), mesh.n_dofs)
+        kinematic = {dof: (0.0, 0.0) for dof in range(12)}
+        kinematic[6] = (0.1, 0.0)
+        program = LoadProgram(mesh.n_dofs, kinematic)
         ops = SystemOperators(mesh, params)
         solver = StaticSolver(ops, program, dt=1e-3,
                               conv=ConvergenceSpec(criteria=("residual",),
@@ -222,17 +220,14 @@ class TestFreeVibrationConservation:
         # single-DoF spring-mass rung by a short triangular force pulse;
         # once the pulse ends the total mechanical energy must hold steady
         mesh = build_fixture("single-facet", length=100.0, area=100.0)
-        cons = [Constraint(0, c, ConstraintKind.FIXED) for c in range(6)]
-        cons += [Constraint(1, c, ConstraintKind.FIXED) for c in range(1, 6)]
         mass = assemble_lumped_mass(mesh)
         k = params.E0 * 100.0 / 100.0
         m = mass.values[6]
         period = 2.0 * np.pi * np.sqrt(m / k)
         t_off = 0.5 * period
-        cons.append(Constraint(1, 0, ConstraintKind.FORCE,
-                               history=((0.0, 0.0), (0.5 * t_off, 20.0),
-                                        (t_off, 0.0))))
-        program = LoadProgram(ConstraintSet(cons), mesh.n_dofs)
+        program = LoadProgram(
+            mesh.n_dofs, {dof: (0.0, 0.0) for dof in range(12) if dof != 6},
+            [(6, ((0.0, 0.0), (0.5 * t_off, 20.0), (t_off, 0.0)))])
         ops = SystemOperators(mesh, params)
         dt = 0.9 * 2.0 * np.sqrt(m / k) * 1e-2
         solver = ExplicitIntegrator(ops, program, mass, dt,

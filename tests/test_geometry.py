@@ -3,9 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ldpm.geometry import (
-    Constraint,
-    ConstraintKind,
-    ConstraintSet,
     Mesh,
     MeshError,
     build_block_specimen,
@@ -17,7 +14,8 @@ from ldpm.geometry import (
     validate_mesh,
     write_mesh,
 )
-from ldpm.integrators import LoadProgram
+from ldpm.config import ConfigError
+from ldpm.runner import resolve_constraints
 from ldpm.presets import preset_config
 
 from oracles import frame
@@ -264,25 +262,27 @@ class TestBlockSpecimen:
 
 
 class TestConstraints:
-    def test_duplicate_kinematic_rejected(self):
-        with pytest.raises(MeshError, match="duplicate"):
-            ConstraintSet([
-                Constraint(0, 2, ConstraintKind.FIXED),
-                Constraint(0, 2, ConstraintKind.VELOCITY, velocity=1.0),
-            ])
+    """The per-DoF load rules, applied where directives are compiled into
+    the mesh's load program."""
 
-    def test_forces_do_not_collide_with_kinematic(self):
-        cs = ConstraintSet([
-            Constraint(0, 2, ConstraintKind.FIXED),
-            Constraint(0, 2, ConstraintKind.FORCE, history=((0, 0), (1, 5))),
-        ])
-        assert len(cs) == 1
-        assert len(cs.forces) == 1
+    @pytest.fixture
+    def chain(self):
+        return build_fixture("two-particle-chain", n=2)
 
-    def test_partition_disjoint_and_complete(self):
-        cs = ConstraintSet([Constraint(1, 0, ConstraintKind.FIXED),
-                            Constraint(2, 5, ConstraintKind.FIXED)])
-        program = LoadProgram(cs, 18)
+    def test_duplicate_kinematic_rejected(self, chain):
+        with pytest.raises(ConfigError, match="conflicting"):
+            resolve_constraints(chain, ("fix node:0 uz",
+                                        "velocity node:0 uz 1"))
+
+    def test_forces_do_not_collide_with_kinematic(self, chain):
+        program = resolve_constraints(chain, ("fix node:0 uz",
+                                              "force node:0 uz 0:0,1:5"))
+        assert list(program.prescribed) == [2]
+        assert program.external_force(1.0)[2] == 5.0
+
+    def test_partition_disjoint_and_complete(self, chain):
+        program = resolve_constraints(chain, ("fix node:1 ux",
+                                              "fix node:2 rz"))
         free, pres = program.free, program.prescribed
         assert set(free) | set(pres) == set(range(18))
         assert not set(free) & set(pres)

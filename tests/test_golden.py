@@ -112,11 +112,18 @@ def _record_case(cfg) -> dict:
         mesh = cfg.build_mesh()
         dt = cfg.dt_crit_factor * critical_timestep(
             mesh, cfg.material_params(),
-            constraints=resolve_constraints(mesh, cfg.constraints))
+            fixed=resolve_constraints(mesh, cfg.constraints).prescribed)
     total_time = STEPS * dt
     with tempfile.TemporaryDirectory() as tmp:
         return {"total_time": total_time,
                 "digests": short_run(cfg, total_time, tmp)[0]}
+
+
+def test_recorder_reproduces_a_stored_case():
+    # `--record` derives the step from the critical time step on its own
+    # path; it must land on a stored entry exactly
+    entry = _golden()["presets"]["free-vibration"]
+    assert _record_case(preset_config("free-vibration")) == entry
 
 
 def record() -> None:

@@ -7,7 +7,6 @@ from ldpm.material import (
     FacetStateArray,
     MaterialParams,
     SnapBackError,
-    effective_measures,
     elastic_tractions,
     facet_update,
     hc,
@@ -74,28 +73,6 @@ class TestParams:
         p2 = params.with_overrides(sigma_t=4.0)
         assert p2.sigma_t == 4.0
         assert params.sigma_t == 3.44
-
-
-class TestEffectiveMeasures:
-    def test_pure_tension(self, params):
-        e_eff, omega = effective_measures((1e-4, 0.0, 0.0), params)
-        assert e_eff == pytest.approx(1e-4, rel=1e-14)
-        assert omega == pytest.approx(np.pi / 2)
-
-    def test_pure_shear(self, params):
-        e_eff, omega = effective_measures((0.0, 2e-4, 0.0), params)
-        assert e_eff == pytest.approx(1e-4, rel=1e-14)
-        assert omega == 0.0
-
-    def test_mixed(self, params):
-        e_eff, omega = effective_measures((1e-4, 2e-4, 0.0), params)
-        assert e_eff == pytest.approx(np.sqrt(2.0) * 1e-4, rel=1e-14)
-        assert omega == pytest.approx(np.pi / 4, rel=1e-14)
-
-    def test_zero_strain_convention(self, params):
-        e_eff, omega = effective_measures((0.0, 0.0, 0.0), params)
-        assert e_eff == 0.0
-        assert omega == np.pi / 2
 
 
 class TestSigma0:
@@ -343,7 +320,8 @@ class TestInvariants:
             frac = e[:, 0] > 0.0
             t_eff = np.sqrt(t[:, 0] ** 2 +
                             (t[:, 1] ** 2 + t[:, 2] ** 2) / params.alpha)
-            _, omega = effective_measures(e[frac], params)
+            omega = np.arctan2(e[frac, 0], np.sqrt(
+                params.alpha * (e[frac, 1] ** 2 + e[frac, 2] ** 2)))
             bound = sigma_bt(state.e_max[frac], omega, lengths[frac], params)
             assert np.all(t_eff[frac] <= bound + tol)
             assert np.all(t_eff[frac] >= -tol)
