@@ -18,7 +18,6 @@ from .material import FacetStateArray, MaterialParams, SnapBackError, \
     facet_update
 from .assembly import (
     AssemblyError,
-    DiagMass,
     SystemOperators,
     assemble_lumped_mass,
     assemble_stiffness,

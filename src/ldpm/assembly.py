@@ -7,7 +7,9 @@ strain operator B with e_k = B_k q is built once per mesh and reused; the
 volumetric strain of a tetrahedron is the one geometric nonlinearity kept
 (it is evaluated from the displaced vertex positions, only for the facets
 whose compressive boundary reads it, once a bound on the displacements has
-ruled out inverted tetrahedra).
+ruled out inverted tetrahedra).  Solvers see the facets only through
+`internal_forces(q, ops, states) -> (f_int, trial)`; the law mode
+(elastic or inelastic) lives on the `SystemOperators`.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Mesh, tet_volume
-from .material import MaterialParams, FacetStateArray, facet_update, \
-    elastic_tractions
+from .material import MaterialParams, FacetStateArray, SnapBackError, \
+    facet_update, elastic_tractions
 
 
 class AssemblyError(Exception):
@@ -54,27 +56,10 @@ def build_strain_operator(mesh: Mesh) -> sp.csr_matrix:
                          shape=(3 * nf, mesh.n_dofs))
 
 
-class DiagMass:
-    """Diagonal mass/inertia per DoF (tonne, tonne mm^2)."""
-
-    def __init__(self, values: np.ndarray):
-        self.values = np.asarray(values, float)
-
-    def __len__(self):
-        return len(self.values)
-
-    def require_positive(self, dof_indices) -> None:
-        bad = np.asarray(dof_indices)[self.values[dof_indices] <= 0.0]
-        if len(bad):
-            nodes = sorted({int(d) // 6 for d in bad})
-            raise AssemblyError(
-                f"zero mass on unconstrained DoFs of nodes {nodes[:10]}; "
-                "explicit integration impossible")
-
-
-def assemble_lumped_mass(mesh: Mesh) -> DiagMass:
-    """Translational mass from the per-node cell volume share, rotatory
-    inertia from the solid-sphere formula m d_p^2 / 10."""
+def assemble_lumped_mass(mesh: Mesh) -> np.ndarray:
+    """Diagonal mass per DoF (tonne, tonne mm^2): translational mass from
+    the per-node cell volume share, rotatory inertia from the solid-sphere
+    formula m d_p^2 / 10."""
     if mesh.density <= 0:
         raise AssemblyError("density must be positive")
     rho = mesh.density * 1.0e-12  # tonne/mm^3
@@ -84,7 +69,7 @@ def assemble_lumped_mass(mesh: Mesh) -> DiagMass:
     for comp in range(3):
         values[comp::6] = m
         values[comp + 3::6] = inertia
-    return DiagMass(values)
+    return values
 
 
 def assemble_stiffness(mesh: Mesh, params: MaterialParams,
@@ -160,19 +145,28 @@ def inversion_guard(mesh: Mesh) -> float:
 
 
 class SystemOperators:
-    """Per-mesh cache: strain operator, facet weights, geometry arrays and
-    the facet -> parent-tet map.  Shared read-only by the solvers."""
+    """Per-mesh cache: strain operator, facet weights, geometry arrays, the
+    facet -> parent-tet map and the law mode: elastic alone, or the facet
+    law, which refuses facets at least as long as lt.  Shared read-only by
+    solvers."""
 
-    def __init__(self, mesh: Mesh, params: MaterialParams):
+    def __init__(self, mesh: Mesh, params: MaterialParams,
+                 elastic_only: bool = False):
+        lengths = mesh.facets.edge_length
+        if not elastic_only and np.any(lengths >= params.lt):
+            raise SnapBackError(
+                f"edge length {float(lengths.max())!r} mm >= characteristic "
+                f"length lt={params.lt}: softening would snap back")
         self.mesh = mesh
         self.params = params
+        self.elastic_only = elastic_only
         self.B = build_strain_operator(mesh)
         # CSC view sharing B's arrays (a CSR copy of B^T would cost memory)
         self.BT = self.B.T
         self.weights = facet_weights(mesh)
         # A_k l_k per strain component, matching the flattened tractions
         self._weights3 = np.repeat(self.weights, 3)
-        self.lengths = mesh.facets.edge_length
+        self.lengths = lengths
         self.parent_tet = mesh.facets.parent_tet
         self._has_parent = self.parent_tet >= 0
         self.inversion_guard = inversion_guard(mesh)
@@ -217,28 +211,25 @@ class SystemOperators:
         return self.BT @ (self._weights3 * np.ravel(tractions))
 
 
-def internal_forces(q, ops: SystemOperators, states: FacetStateArray,
-                    elastic_only: bool = False):
-    """Assemble nodal internal forces.
+def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
+    """Nodal internal forces at q from the committed facet `states`.
 
-    Returns (f_int, trial_states, tractions, strains); trial states are not
-    committed here.  The elastic law is linear, so an `elastic_only`
-    evaluation is the one product f_int = K q (K = B^T W D B): it returns
-    `states` unchanged and None for the tractions and strains, which
-    `elastic_response` gives when they are needed.
+    Returns (f_int, trial); the trial states are not committed here.  The
+    elastic law is linear, so on `elastic_only` operators f_int is the one
+    product K q (K = B^T W D B) and the trial states are `states`.
+    Otherwise the facet law gives the trial states, and f_int gathers
+    their tractions.
     """
-    if elastic_only:
-        return ops.K @ np.asarray(q, float), states, None, None
-    e = ops.strains(q)
-    t, trial = facet_update(states, e, ops.facet_volumetric(q),
+    if ops.elastic_only:
+        return ops.K @ np.asarray(q, float), states
+    t, trial = facet_update(states, ops.strains(q), ops.facet_volumetric(q),
                             ops.lengths, ops.params)
-    return ops.gather_forces(t), trial, t, e
+    return ops.gather_forces(t), trial
 
 
-def elastic_response(q, ops: SystemOperators):
-    """(tractions, strains) of the elastic law at q."""
-    e = ops.strains(q)
-    return elastic_tractions(e, ops.params), e
+def elastic_response(q, ops: SystemOperators) -> np.ndarray:
+    """(nf, 3) tractions of the elastic law at q."""
+    return elastic_tractions(ops.strains(q), ops.params)
 
 
 def crack_openings(mesh: Mesh, strains, tractions,
@@ -261,7 +252,7 @@ _DT_CHUNK = 1024
 
 
 def critical_timestep(mesh: Mesh, params: MaterialParams,
-                      mass: DiagMass | None = None,
+                      mass: np.ndarray | None = None,
                       fixed=()) -> float:
     """Largest stable explicit step 2/omega_max, with omega_max the largest
     element eigenfrequency (the element bound of Irons & Treharne, 1971).
@@ -302,7 +293,7 @@ def critical_timestep(mesh: Mesh, params: MaterialParams,
     if len(orphans):
         nodes = np.column_stack([f.node_i[orphans], f.node_j[orphans]])
         incident = np.bincount(nodes.ravel(), minlength=mesh.n_nodes)
-        m_node = mass.values[6 * nodes] / incident[nodes]
+        m_node = mass[6 * nodes] / incident[nodes]
         omega_max = max(omega_max, _max_element_omega(
             f, orphans, np.arange(len(orphans)),
             np.tile([0, 1], (len(orphans), 1)), nodes, m_node,

@@ -21,8 +21,7 @@ import numpy as np
 from .assembly import AssemblyError
 from .compare import CompareError, compare_fields, load_field_dump
 from .config import SOLVER_KINDS, ConfigError, parse_config
-from .geometry import MeshError, build_fixture, load_mesh, validate_mesh, \
-    write_mesh
+from .geometry import MeshError, build_fixture, load_mesh, write_mesh
 from .integrators import DivergenceError, NonConvergenceError
 from .material import SnapBackError
 from .presets import PRESET_NAMES, preset_config
@@ -130,16 +129,19 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    """Load (and so validate) the mesh once; an invalid one prints every
+    violation of that validation."""
     try:
         mesh = load_mesh(args.mesh)
     except (MeshError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
+        if getattr(exc, "report", None) is not None:
+            print(exc.report, file=sys.stderr)
         return EXIT_VALIDATION
-    report = validate_mesh(mesh)
-    print(report)
+    print("mesh valid")
     print(f"{mesh.n_nodes} nodes, {len(mesh.tets)} tets, "
           f"{mesh.n_facets} facets, hash {mesh.mesh_hash()}")
-    return EXIT_OK if report.ok else EXIT_VALIDATION
+    return EXIT_OK
 
 
 def cmd_fixture(args) -> int:

@@ -42,9 +42,9 @@ Sections and keys::
         velocity zmax uz -5 ramp=0.001     # finite numbers, ramp >= 0
         force node:7 ux 0:0,0.01:50,0.01004:0   # times strictly increase
     monitor = zmax uz                # displacement record point
-    nominal_area = 10000             # mm^2, optional
-    gauge_length = 200               # mm, optional
-    nominal_sign = -1
+    nominal_area = 10000             # mm^2, optional; finite, > 0
+    gauge_length = 200               # mm, optional; finite, > 0
+    nominal_sign = -1                # 1 or -1
 
     [perturbation]
     eta = 0
@@ -120,10 +120,15 @@ class RunConfig:
         for key, value in (("solver.total_time", self.total_time),
                            ("solver.dt", self.dt),
                            ("solver.dt_crit_factor", self.dt_crit_factor),
-                           ("mesh.density", self.density)):
+                           ("mesh.density", self.density),
+                           ("load.nominal_area", self.nominal_area),
+                           ("load.gauge_length", self.gauge_length)):
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigError(f"{key} must be positive and finite, "
                                   f"got {value!r}")
+        if self.nominal_sign not in (1, -1):
+            raise ConfigError(f"load.nominal_sign must be 1 or -1, got "
+                              f"{self.nominal_sign!r}")
         if self.dt is None and self.dt_crit_factor is None:
             raise ConfigError("solver: set dt or dt_crit_factor")
         if not 0 < self.safety <= 1:

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import DiagMass
-
 
 @dataclass
 class EnergyLedger:
@@ -26,9 +24,10 @@ class EnergyLedger:
     flagged: bool = False
 
 
-def kinetic_energy(velocity, mass: DiagMass) -> float:
+def kinetic_energy(velocity, mass) -> float:
+    """1/2 v^T M v of the per-DoF diagonal mass `mass`."""
     v = np.asarray(velocity, float)
-    return 0.5 * float(np.dot(mass.values * v, v))
+    return 0.5 * float(np.dot(mass * v, v))
 
 
 def accumulate_work(ledger: EnergyLedger, f_ext_start, f_ext_end,

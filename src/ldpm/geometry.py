@@ -37,7 +37,12 @@ DOF_NAMES = ("ux", "uy", "uz", "rx", "ry", "rz")
 
 
 class MeshError(Exception):
-    """Raised when a mesh file cannot be parsed or violates invariants."""
+    """Raised when a mesh file cannot be parsed or violates invariants;
+    `report` is the ValidationReport of the violations, None otherwise."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 def _dot(x, y) -> np.ndarray:
@@ -252,8 +257,6 @@ class ValidationReport:
         self.violations.append(Violation(kind, entity, message))
 
     def __str__(self):
-        if self.ok:
-            return "mesh valid"
         return "\n".join(str(v) for v in self.violations)
 
 
@@ -332,8 +335,9 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
 
 def load_mesh(path, density: float = 2380.0) -> Mesh:
     """Read a facet-data file (see `write_mesh` for the layout) and return a
-    validated Mesh.  Raises MeshError with a line number on parse problems
-    and with the failing check on invariant violations."""
+    validated Mesh.  Raises MeshError with a line number on parse problems;
+    on invariant violations its one-line message gives their count and the
+    first of them, and its `report` all of them."""
     node_ids, nodes, tets, facets, facet_lines = [], [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
@@ -427,7 +431,10 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
                 density=density)
     report = validate_mesh(mesh)
     if not report.ok:
-        raise MeshError(f"{path}: invalid mesh\n{report}")
+        n = len(report.violations)
+        raise MeshError(f"{path}: invalid mesh, {n} violation"
+                        f"{'s' if n > 1 else ''}, first {report.violations[0]}",
+                        report)
     return mesh
 
 

@@ -5,7 +5,10 @@ from the solved system and driven directly by the load program; reactions
 are recovered on the eliminated rows.  The implicit solver is the
 generalized-alpha family (HHT and Newmark as special cases) with modified
 Newton iterations on the initial elastic stiffness, factorized once per
-simulation.  The static solver is the same driver without inertia.
+simulation.  The static solver is the same driver without inertia.  A
+solver sees the facets only through `internal_forces(q, ops, states) ->
+(f_int, trial)` and commits the trial states it accepts; the law mode lives
+on the `SystemOperators`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import SystemOperators, DiagMass, elastic_response, \
+from .assembly import AssemblyError, SystemOperators, elastic_response, \
     internal_forces
 from .material import FacetStateArray
 
@@ -244,19 +247,18 @@ def perturb(q, free_idx, eta: float, rng: np.random.Generator) -> np.ndarray:
 class _SolverBase:
     """State shared by all solvers: DoF vectors, facet history, load
     program, and the last committed evaluation: internal and external
-    forces (for energy work) and reactions.  `mass` is None for the
-    quasi-static solver.
+    forces (for energy work) and reactions.  `mass` is the per-DoF
+    diagonal mass, None for the quasi-static solver.
 
     step() and perturb() bind new q and f_int arrays rather than writing
     into the committed ones, so a caller may keep the previous arrays
     without copying them."""
 
     def __init__(self, ops: SystemOperators, program: LoadProgram,
-                 mass: DiagMass | None, elastic_only: bool = False):
+                 mass: np.ndarray | None):
         self.ops = ops
         self.program = program
         self.mass = mass
-        self.elastic_only = elastic_only
         n = ops.mesh.n_dofs
         self.q = np.zeros(n)
         self.v = np.zeros(n)
@@ -267,39 +269,29 @@ class _SolverBase:
         self.f_int = np.zeros(n)
         self.f_ext = program.external_force(self.t)
         self.reaction_forces = np.zeros(n)
-        self._tractions = self._strains = None
 
     @property
     def strains(self) -> np.ndarray:
         """(nf, 3) facet strains at the committed q."""
-        if self._strains is None:
-            self._tractions, self._strains = elastic_response(self.q,
-                                                              self.ops)
-        return self._strains
+        return self.ops.strains(self.q)
 
     @property
     def tractions(self) -> np.ndarray:
-        """(nf, 3) facet tractions at the committed q.  An evaluation that
-        returns none (elastic_only: f_int = K q) leaves them and the
-        strains to the elastic law of q, evaluated on the first read after
-        the commit and kept until the next one."""
-        if self._tractions is None:
-            self._tractions, self._strains = elastic_response(self.q,
-                                                              self.ops)
-        return self._tractions
+        """(nf, 3) committed facet tractions: those of the committed
+        states, or on elastic operators (whose evaluation is f_int = K q
+        alone) the elastic law of `strains`."""
+        if self.ops.elastic_only:
+            return elastic_response(self.q, self.ops)
+        return self.states.traction
 
-    def evaluate(self, q):
-        return internal_forces(q, self.ops, self.states, self.elastic_only)
-
-    def _commit(self, f_int, trial, tractions, strains, f_ext) -> None:
+    def _commit(self, f_int, trial, f_ext) -> None:
         """Commit one evaluation at the current (t, q, a) and f_ext = the
         external force at t, and recover the reactions on the prescribed
         DoFs (the other entries of reaction_forces stay zero)."""
         self.states, self.f_int, self.f_ext = trial, f_int, f_ext
-        self._tractions, self._strains = tractions, strains
         pres = self.program.prescribed
         f = f_int[pres] if self.mass is None \
-            else self.mass.values[pres] * self.a[pres] + f_int[pres]
+            else self.mass[pres] * self.a[pres] + f_int[pres]
         self.reaction_forces[pres] = f - f_ext[pres]
 
     def perturb(self, eta: float, rng: np.random.Generator) -> None:
@@ -323,13 +315,17 @@ class ExplicitIntegrator(_SolverBase):
     state (q, v, a, forces, reactions) is consistent at the current time.
     """
 
-    def __init__(self, ops, program, mass: DiagMass, dt: float,
-                 elastic_only=False):
-        super().__init__(ops, program, mass, elastic_only)
-        mass.require_positive(program.free)
+    def __init__(self, ops, program, mass: np.ndarray, dt: float):
+        super().__init__(ops, program, mass)
+        free = program.free
+        bad = np.unique(free[mass[free] <= 0.0] // 6)
+        if len(bad):
+            raise AssemblyError(f"zero mass on unconstrained DoFs of nodes "
+                                f"{bad.tolist()[:10]}; explicit integration "
+                                "impossible")
         self.dt = dt
         self._minv = np.zeros(ops.mesh.n_dofs)
-        self._minv[program.free] = 1.0 / mass.values[program.free]
+        self._minv[free] = 1.0 / mass[free]
         self.program.apply(self.q, self.v, self.a, 0.0)
         self._refresh()
         # second-order startup: v_{+1/2} = v_0 + dt/2 a_0
@@ -338,12 +334,12 @@ class ExplicitIntegrator(_SolverBase):
     def _refresh(self):
         """Evaluate and commit forces/acceleration/reactions at (t, q)."""
         p = self.program
-        f_int, trial, t_k, e_k = self.evaluate(self.q)
+        f_int, trial = internal_forces(self.q, self.ops, self.states)
         f_ext = p.external_force(self.t)
         accel = (f_ext - f_int) * self._minv
         accel[p.prescribed] = p.acceleration(self.t)
         self.a = accel
-        self._commit(f_int, trial, t_k, e_k, f_ext)
+        self._commit(f_int, trial, f_ext)
 
     def step(self) -> StepReport:
         p, dt = self.program, self.dt
@@ -351,7 +347,7 @@ class ExplicitIntegrator(_SolverBase):
             self._v_half = self._v_half + dt * self.a
         q_new = self.q + dt * self._v_half
         # the facet law needs finite strains; K q is scanned with q below
-        if not self.elastic_only and not np.all(np.isfinite(q_new)):
+        if not self.ops.elastic_only and not np.all(np.isfinite(q_new)):
             raise DivergenceError(self.step_index)
         self.t += dt
         self.q = q_new
@@ -369,35 +365,25 @@ class ExplicitIntegrator(_SolverBase):
 
 class GeneralizedAlphaIntegrator(_SolverBase):
     """Implicit generalized-alpha with modified Newton on the initial
-    elastic stiffness; the effective matrix is factorized once and only
-    refactorized when the step size changes.
+    elastic stiffness; the effective matrix is factorized once.
 
     With `mass` None the driver is quasi-static: the residual is
     f_int - f_ext, the factorized matrix is the elastic stiffness, and
     velocities and accelerations stay zero.
     """
 
-    def __init__(self, ops, program, mass: DiagMass | None,
-                 ga: GenAlphaParams, dt: float, conv: ConvergenceSpec,
-                 elastic_only=False):
-        super().__init__(ops, program, mass, elastic_only)
+    def __init__(self, ops, program, mass: np.ndarray | None,
+                 ga: GenAlphaParams, dt: float, conv: ConvergenceSpec):
+        super().__init__(ops, program, mass)
         self.ga = ga
         self.conv = conv
-        self.dt = None
-        self.set_dt(dt)
-        self.energy_ref = 0.0  # external/internal/kinetic scale, set by runner
-
-    def set_dt(self, dt: float) -> None:
-        if dt == self.dt:
-            return
         self.dt = dt
-        ga = self.ga
-        free = self.program.free
-        K_eff = self.ops.K
-        if self.mass is not None:
+        self.energy_ref = 0.0  # external/internal/kinetic scale, set by runner
+        free = program.free
+        K_eff = ops.K
+        if mass is not None:
             c_m = (1.0 - ga.alpha_m) / (ga.beta * dt * dt)
-            K_eff = (1.0 - ga.alpha_f) * K_eff \
-                + sp.diags(c_m * self.mass.values)
+            K_eff = (1.0 - ga.alpha_f) * K_eff + sp.diags(c_m * mass)
         try:
             self._lu = spla.splu(K_eff[free][:, free].tocsc())
         except RuntimeError as exc:
@@ -418,7 +404,7 @@ class GeneralizedAlphaIntegrator(_SolverBase):
 
     def _refresh(self):
         """Evaluate and commit forces/reactions at (t, q)."""
-        self._commit(*self.evaluate(self.q),
+        self._commit(*internal_forces(self.q, self.ops, self.states),
                      self.program.external_force(self.t))
 
     def step(self) -> StepReport:
@@ -442,12 +428,11 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             """(residual, inertia force, evaluation) for the end-of-step qn,
             an; the facets see the alpha_f mid-point, qn when alpha_f = 0."""
             q_mid = qn if af == 0.0 else (1.0 - af) * qn + af * q0
-            out = internal_forces(q_mid, self.ops, self.states,
-                                  self.elastic_only)
+            out = internal_forces(q_mid, self.ops, self.states)
             if mass is None:
                 r, f_inertia = out[0] - f_ext_mid, zeros
             else:
-                f_inertia = mass.values * ((1.0 - am) * an + am * a0)
+                f_inertia = mass * ((1.0 - am) * an + am * a0)
                 r = f_inertia + out[0] - f_ext_mid
             if not np.all(np.isfinite(r)):
                 raise DivergenceError(self.step_index, "non-finite residual")
@@ -462,8 +447,7 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             e_ref = self.energy_ref
             if mass is not None:
                 v_new, a_new = self._newmark(q_new, t1)
-                e_ref = max(e_ref, 0.5 * float(np.dot(mass.values * v_new,
-                                                      v_new)))
+                e_ref = max(e_ref, 0.5 * float(np.dot(mass * v_new, v_new)))
             iterations += 1
             # one set of facet arrays at a time keeps the peak memory down
             del last
@@ -481,7 +465,7 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         # history
         if af != 0.0:
             del last
-            last = self.evaluate(q_new)
+            last = internal_forces(q_new, self.ops, self.states)
         self.q, self.v, self.a, self.t = q_new, v_new, a_new, t1
         self._commit(*last, f_ext)
         self.step_index += 1
@@ -493,7 +477,5 @@ class StaticSolver(GeneralizedAlphaIntegrator):
     stiffness: the generalized-alpha driver without inertia.  The
     pseudo-time step only advances the load program."""
 
-    def __init__(self, ops, program, dt: float, conv: ConvergenceSpec,
-                 elastic_only=False):
-        super().__init__(ops, program, None, newmark_params(), dt, conv,
-                         elastic_only)
+    def __init__(self, ops, program, dt: float, conv: ConvergenceSpec):
+        super().__init__(ops, program, None, newmark_params(), dt, conv)

@@ -247,7 +247,9 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     strains and return (tractions, trial_state).
 
     The input state is the last committed one and is not modified; the
-    caller commits the trial state when a step is accepted.
+    caller commits the trial state when a step is accepted.  The trial
+    state holds the returned tractions themselves (`trial.traction is
+    tractions`), not a copy.
 
     The elastic expressions are evaluated on every facet; each boundary
     only on the facets that can reach it, found against a lower bound of
@@ -323,9 +325,7 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     t[:, 1] = np.where(frac, a * scale * e_m, tm)
     t[:, 2] = np.where(frac, a * scale * e_l, tl)
     new = FacetStateArray(
-        e_max=e_max, e_p_m=e_p_m, e_p_l=e_p_l, e_n_res=e_n_res,
-        traction=t.copy(),
-    )
+        e_max=e_max, e_p_m=e_p_m, e_p_l=e_p_l, e_n_res=e_n_res, traction=t)
     return t, new
 
 

@@ -33,7 +33,6 @@ from .config import ConfigError, RunConfig, parse_directive, write_config
 from .geometry import Mesh, select_nodes
 from .integrators import ExplicitIntegrator, GeneralizedAlphaIntegrator, \
     LoadProgram, StaticSolver
-from .material import SnapBackError
 
 
 class RunError(Exception):
@@ -118,14 +117,11 @@ def build_solver(cfg: RunConfig, mesh: Mesh, ops: SystemOperators,
                   f"{cfg.safety!r} x critical time step {dt_crit!r} s",
                   file=sys.stderr)
     if cfg.solver == "explicit":
-        return ExplicitIntegrator(ops, program, mass, dt,
-                                  elastic_only=cfg.elastic_only), dt
+        return ExplicitIntegrator(ops, program, mass, dt), dt
     conv, ga = cfg.solver_params()
     if ga is None:
-        return StaticSolver(ops, program, dt, conv,
-                            elastic_only=cfg.elastic_only), dt
-    return GeneralizedAlphaIntegrator(ops, program, mass, ga, dt, conv,
-                                      elastic_only=cfg.elastic_only), dt
+        return StaticSolver(ops, program, dt, conv), dt
+    return GeneralizedAlphaIntegrator(ops, program, mass, ga, dt, conv), dt
 
 
 def _monitor_dofs(cfg: RunConfig, mesh: Mesh):
@@ -163,11 +159,7 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
     if mesh is None:
         mesh = cfg.build_mesh()
     params = cfg.material_params()
-    if not cfg.elastic_only and np.any(mesh.facets.edge_length >= params.lt):
-        raise SnapBackError(
-            f"edge length {float(mesh.facets.edge_length.max())!r} mm >= "
-            f"characteristic length lt={params.lt}: softening would snap back")
-    ops = SystemOperators(mesh, params)
+    ops = SystemOperators(mesh, params, cfg.elastic_only)
     program = resolve_constraints(mesh, cfg.constraints)
     solver, dt = build_solver(cfg, mesh, ops, program)
     n_steps = int(round(cfg.total_time / dt))
@@ -185,13 +177,16 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
     def ext_vec():
         return solver.reaction_forces + solver.f_ext
 
+    def kinetic():
+        return 0.0 if solver.mass is None \
+            else diagnostics.kinetic_energy(solver.v, solver.mass)
+
     def record(report_iters, report_conv):
         times.append(solver.t)
         iters.append(report_iters)
         conv_flags.append(report_conv)
         reactions.append(solver.reaction_sum())
-        k = 0.0 if solver.mass is None \
-            else diagnostics.kinetic_energy(solver.v, solver.mass)
+        k = kinetic()
         ledger.w_kin = k
         w_kin.append(k)
         w_int.append(ledger.w_int)
@@ -232,10 +227,11 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
             f_ext = ext_vec()
             held = solver.f_int - f_ext
             if solver.mass is not None:
-                held += solver.mass.values * solver.a
+                held += solver.mass * solver.a
             next_perturb += cfg.interval
+        # the scale of the next step's energy criterion, from this step
         if hasattr(solver, "energy_ref"):
-            solver.energy_ref = abs(ledger.w_ext) + ledger.w_kin
+            solver.energy_ref = abs(ledger.w_ext) + kinetic()
         if (step + 1) % cfg.stride == 0 or step == n_steps - 1:
             record(report.iterations, report.converged)
 

@@ -72,7 +72,7 @@ def critical_timestep(mesh, params, mass, fixed=()) -> float:
     for k in orphans:
         nodes = [int(f.node_i[k]), int(f.node_j[k])]
         elements.append(([k], nodes,
-                         [mass.values[6 * n] / incident[n] for n in nodes]))
+                         [mass[6 * n] / incident[n] for n in nodes]))
 
     omega_max = 0.0
     for ks, nodes, m_node in elements:

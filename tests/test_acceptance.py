@@ -223,7 +223,7 @@ class TestCriterion5:
         else:
             mesh = build_fixture("single-tet")
             fixed, loaded = range(6), 12
-        ops = SystemOperators(mesh, params)
+        ops = SystemOperators(mesh, params, elastic_only=True)
         program = LoadProgram(mesh.n_dofs, {dof: (0.0, 0.0) for dof in fixed},
                               [(loaded, ((0.0, 10.0), (1.0, 10.0)))])
         mass = assemble_lumped_mass(mesh)
@@ -235,8 +235,7 @@ class TestCriterion5:
         results = {}
         for kind in ("1dof", "tet"):
             ops, program, mass, dt_crit = self._system(kind, params)
-            solver = ExplicitIntegrator(ops, program, mass, 0.9 * dt_crit,
-                                        elastic_only=True)
+            solver = ExplicitIntegrator(ops, program, mass, 0.9 * dt_crit)
             early = 0.0
             peak = 0.0
             for step in range(100_000):
@@ -248,8 +247,7 @@ class TestCriterion5:
             stable = np.all(np.isfinite(solver.q)) and peak < 10.0 * early
 
             ops, program, mass, dt_crit = self._system(kind, params)
-            solver = ExplicitIntegrator(ops, program, mass, 2.1 * dt_crit,
-                                        elastic_only=True)
+            solver = ExplicitIntegrator(ops, program, mass, 2.1 * dt_crit)
             diverged = False
             try:
                 for _ in range(10_000):
@@ -272,15 +270,14 @@ class TestCriterion6:
         mesh = build_fixture("two-particle-chain", n=3, length=100.0,
                              area=100.0)
         fixed = [dof for dof in range(24) if dof not in (6, 12, 18)]
-        ops = SystemOperators(mesh, params)
+        ops = SystemOperators(mesh, params, elastic_only=True)
         program = LoadProgram(mesh.n_dofs, {dof: (0.0, 0.0) for dof in fixed},
                               [(18, ((0.0, 0.0), (1.0, 100.0)))])
         mass = assemble_lumped_mass(mesh)
 
         conv = ConvergenceSpec(criteria=("residual",), tolerance=1e-12)
         ga = GeneralizedAlphaIntegrator(
-            ops, program, mass, genalpha_from_rho(0.8), 1e-4, conv,
-            elastic_only=True)
+            ops, program, mass, genalpha_from_rho(0.8), 1e-4, conv)
         ga_ok = True
         for _ in range(10):
             rep = ga.step()
@@ -288,8 +285,7 @@ class TestCriterion6:
             res = rep.criteria["residual"]
             ga_ok &= rep.converged and rep.iterations == 1 and res < 1e-10
 
-        st = StaticSolver(ops, program, dt=1e-4, conv=conv,
-                          elastic_only=True)
+        st = StaticSolver(ops, program, dt=1e-4, conv=conv)
         st_ok = True
         for _ in range(10):
             rep = st.step()

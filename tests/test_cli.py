@@ -12,7 +12,8 @@ from ldpm.config import (
     parse_directive,
     write_config,
 )
-from ldpm.geometry import build_fixture
+from ldpm import geometry
+from ldpm.geometry import build_fixture, write_mesh
 from ldpm.integrators import StaticSolver, genalpha_from_rho
 from ldpm.presets import PRESET_NAMES, preset_config
 from ldpm import runner
@@ -22,6 +23,20 @@ from ldpm.runner import RunError, check_output_directory, \
 
 def write_text(path, text):
     path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def broken_single_tet(path, facets=(0, 1)):
+    """A single-tet mesh file whose `facets` have their m tangent doubled
+    (a frame that is not orthonormal)."""
+    write_mesh(build_fixture("single-tet"), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, l in enumerate(lines) if l.startswith("FACETS"))
+    for k in facets:
+        tok = lines[start + 1 + k].split()
+        tok[10:13] = [repr(2.0 * float(v)) for v in tok[10:13]]
+        lines[start + 1 + k] = " ".join(tok)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
 
 
@@ -213,6 +228,19 @@ class TestRunner:
         with pytest.raises(RunError):
             rec.nominal_strain
 
+    def test_energy_ref_from_the_committed_step(self, tmp_path):
+        # a free DoF between a fixed and a ramped node; stride 3 leaves the
+        # last recorded row one step behind the last step
+        text = MINIMAL.replace("kind = static", "kind = newmark").replace(
+            "fixture = single-facet", "fixture = two-particle-chain n=2")
+        text = text.replace("""    fix node:1 uy,uz,rx,ry,rz
+    velocity node:1 ux 1""", """    fix nodes:1,2 uy,uz,rx,ry,rz
+    velocity node:2 ux 1 ramp=0.002""") + "\n[output]\nstride = 3\n"
+        cfg = parse_config(write_text(tmp_path / "c.ini", text))
+        rec = run(cfg, write_outputs=False)
+        assert rec.w_kin[-1] != rec.w_kin[-2]
+        assert rec.solver.energy_ref == abs(rec.w_ext[-1]) + rec.w_kin[-1]
+
     def test_summary_matches_row_flags(self, tmp_path):
         cfg = parse_config(write_text(tmp_path / "c.ini", MINIMAL))
         cfg.directory = str(tmp_path / "out")
@@ -385,8 +413,28 @@ constraints =
         pytest.param(MINIMAL.replace("fixture = single-facet",
                                      "fixture = single-facet\ndensity = 0"),
                      id="density"),
+        pytest.param(MINIMAL.replace("monitor = node:1 ux", "monitor = "
+                                     "node:1 ux\nnominal_area = 0\n"
+                                     "gauge_length = -0.0"),
+                     id="nominal-zero"),
+        pytest.param(MINIMAL.replace("monitor = node:1 ux", "monitor = "
+                                     "node:1 ux\nnominal_area = nan"),
+                     id="nominal_area-nan"),
+        pytest.param(MINIMAL.replace("monitor = node:1 ux", "monitor = "
+                                     "node:1 ux\ngauge_length = inf"),
+                     id="gauge_length-inf"),
+        pytest.param(MINIMAL.replace("monitor = node:1 ux", "monitor = "
+                                     "node:1 ux\nnominal_sign = 0.5"),
+                     id="nominal_sign"),
+        pytest.param(MINIMAL.replace("monitor = node:1 ux", "monitor = "
+                                     "node:1 ux\nnominal_sign = nan"),
+                     id="nominal_sign-nan"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "path = {tmp}/broken.mesh"),
+                     id="invalid-mesh"),
     ])
     def test_config_mistake_exit_2(self, tmp_path, capsys, text):
+        broken_single_tet(tmp_path / "broken.mesh")
         path = write_text(tmp_path / "c.ini", text.replace("{tmp}",
                                                            str(tmp_path)))
         out = tmp_path / "out"
@@ -532,6 +580,36 @@ class TestCliFixtureValidate:
     def test_validate_corrupt_file(self, tmp_path, capsys):
         path = write_text(tmp_path / "bad.mesh", "not a mesh at all\n")
         assert main(["validate", str(path)]) == EXIT_VALIDATION
+
+    def test_validate_prints_every_violation_of_one_pass(
+            self, tmp_path, capsys, monkeypatch):
+        path = broken_single_tet(tmp_path / "bad.mesh")
+        passes = []
+        validate = geometry.validate_mesh
+
+        def counted(mesh):
+            passes.append(validate(mesh))
+            return passes[-1]
+
+        monkeypatch.setattr(geometry, "validate_mesh", counted)
+        assert main(["validate", path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(passes) == 1
+        violations = [str(v) for v in passes[0].violations]
+        assert len(violations) >= 2
+        assert err[0].startswith(f"invalid: {path}: invalid mesh, "
+                                 f"{len(violations)} violations, first ")
+        assert err[1:] == violations
+
+    def test_invalid_mesh_one_line_on_bench(self, tmp_path, capsys):
+        path = broken_single_tet(tmp_path / "bad.mesh")
+        out = tmp_path / "out"
+        assert main(["bench", "uniaxial-strain", "--mesh", path,
+                     "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid mesh, ") \
+            and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestCliCompare:
