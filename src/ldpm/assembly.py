@@ -10,18 +10,27 @@ whose compressive boundary reads it, once a bound on the displacements has
 ruled out inverted tetrahedra).  Solvers see the facets only through
 `internal_forces(q, ops, states) -> (f_int, trial)`; the law mode
 (elastic or inelastic) lives on the `SystemOperators`.
+
+Below its floors (`material.active_floors`) the facet law is linear, so
+f_int = K q + B^T W (t - D e), and a facet whose traction is D e adds
+nothing to the second term.  A `Certificate` proves, from a bound on the
+nodal displacements since the configuration it was built at, which facets
+stay linear; only the others are evaluated (`B_E q`, the facet law and the
+gather `B_E^T W_E (t_E - D e_E)`).  The tractions of the certified facets
+are computed on demand (`facet_tractions`).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .geometry import Mesh, tet_volume
-from .material import MaterialParams, FacetStateArray, SnapBackError, \
-    facet_update, elastic_tractions
+from .material import FLOOR_MARGIN, MaterialParams, FacetStateArray, \
+    SnapBackError, active_floors, facet_update, elastic_tractions
 
 
 class AssemblyError(Exception):
@@ -144,11 +153,35 @@ def inversion_guard(mesh: Mesh) -> float:
     return 0.5 * float(r.min())
 
 
+# rows of B per chunk of `_row_norms`
+_ROW_CHUNK = 12288
+
+
+def _row_norms(B: sp.csr_matrix):
+    """(c_u, c_theta): per facet, the largest 1-norm of its three rows of
+    B over the translation and over the rotation columns.
+
+    Every row of B holds 12 entries, sorted by column: the 3 translations
+    and 3 rotations of the facet's lower node, then those of its higher
+    node, so the norms are read from B.data in place."""
+    if not B.has_sorted_indices or B.nnz != 12 * B.shape[0]:
+        raise ValueError("strain operator without 12 sorted entries a row")
+    rot = np.arange(12) % 6 >= 3
+    columns = np.column_stack([~rot, rot]).astype(float)
+    c = np.empty((B.shape[0], 2))
+    for lo in range(0, B.shape[0], _ROW_CHUNK):
+        hi = min(B.shape[0], lo + _ROW_CHUNK)
+        c[lo:hi] = np.abs(B.data[12 * lo:12 * hi]).reshape(-1, 12) @ columns
+    c = c.reshape(-1, 3, 2).max(axis=1)
+    return c[:, 0], c[:, 1]
+
+
 class SystemOperators:
     """Per-mesh cache: strain operator, facet weights, geometry arrays, the
     facet -> parent-tet map and the law mode: elastic alone, or the facet
-    law, which refuses facets at least as long as lt.  Shared read-only by
-    solvers."""
+    law, which refuses facets at least as long as lt and carries the
+    set-up constants of the certificates (`Certificate`).  Shared
+    read-only by solvers."""
 
     def __init__(self, mesh: Mesh, params: MaterialParams,
                  elastic_only: bool = False):
@@ -171,9 +204,46 @@ class SystemOperators:
         self._has_parent = self.parent_tet >= 0
         self.inversion_guard = inversion_guard(mesh)
         self.K = assemble_stiffness(mesh, params, self.B)
+        if not elastic_only:
+            # set-up constants of the certificates
+            self.D = np.array([1.0, params.alpha, params.alpha]) * params.E0
+            self.c_u, self.c_theta = _row_norms(self.B)
+            ends = np.concatenate([mesh.facets.node_i, mesh.facets.node_j])
+            order = np.argsort(ends, kind="stable")
+            self._end_facet = order % mesh.n_facets
+            self._node_start = np.flatnonzero(np.diff(ends[order],
+                                                      prepend=-1))
+            self._node_id = ends[order][self._node_start]
+            self.zero_slack = float(self.slack(np.zeros((1, 3)))[0])
 
     def strains(self, q) -> np.ndarray:
         return (self.B @ np.asarray(q, float)).reshape(-1, 3)
+
+    def slack(self, e) -> np.ndarray:
+        """Per facet, a lower bound on the inf-norm distance from the
+        strains e (n, 3) to the nearest floor a virgin facet can reach
+        (`Certificate`), less a relative rounding margin; NaN stays NaN."""
+        p = self.params
+        floor_t, floor_s2 = active_floors(p)
+        e_n, e_m, e_l = e[:, 0], e[:, 1], e[:, 2]
+        e_eff = np.sqrt(e_n * e_n + p.alpha * (e_m * e_m + e_l * e_l))
+        tension = np.maximum(-e_n, (floor_t - e_eff)
+                             / np.sqrt(1.0 + 2.0 * p.alpha))
+        g = p.alpha * p.E0
+        shear = np.maximum(e_n, (np.sqrt(floor_s2) - g * np.hypot(e_m, e_l))
+                           / (g * np.sqrt(2.0)))
+        compression = e_n + p.sigma_c0 / p.E0
+        return np.minimum(np.minimum(tension, shear), compression) \
+            * (1.0 - FLOOR_MARGIN)
+
+    def node_min(self, values) -> np.ndarray:
+        """Per node, the least of the per-facet `values` over the facets
+        that end at it; inf at a node no facet ends at."""
+        out = np.full(self.mesh.n_nodes, np.inf)
+        if len(self._node_id):
+            out[self._node_id] = np.minimum.reduceat(
+                values[self._end_facet], self._node_start)
+        return out
 
     def facet_volumetric(self, q):
         """Per-facet e_V at q for `facet_update`, 0 on orphan facets, once
@@ -211,25 +281,151 @@ class SystemOperators:
         return self.BT @ (self._weights3 * np.ravel(tractions))
 
 
+class Certificate:
+    """The facets proven to answer the linear law at every q near q_ref,
+    built from the committed facet `states` at q_ref.
+
+    Bound.  The strains of facet f are e_f = B_f q, and each of its three
+    rows of B holds 6 entries per end node: 3 on its translations u, 3 on
+    its rotations theta.  With c_u,f and c_theta,f the largest row 1-norm
+    over those translation and rotation columns (`SystemOperators.c_u`,
+    `c_theta`),
+        |e_f(q) - e_f(q_ref)|_inf <= c_u,f max_n |du_n|_inf
+                                     + c_theta,f max_n |dtheta_n|_inf,
+    with du_n = u_n - u_n(q_ref), dtheta_n likewise and n over the facet's
+    two nodes.
+
+    Slack.  A facet is virgin when e_max is below the tension floor of
+    `active_floors`, e_p_m = e_p_l = e_n_res = 0 and its committed t_N >=
+    -sigma_c0.  The law then leaves its linear range only on one of three
+    sets, and `SystemOperators.slack` is the least inf-norm distance to
+    them:
+      tension, e_N > 0 and e_eff >= floor_t: e_eff is Lipschitz with the
+        constant sqrt(1 + 2 alpha), so the distance is at least
+        max(-e_N, (floor_t - e_eff) / sqrt(1 + 2 alpha));
+      shear, e_N <= 0 and tau = alpha E0 |(e_M, e_L)| >= sqrt(tau2_floor)
+        (the trial shear traction, e_p = 0): tau is Lipschitz with the
+        constant alpha E0 sqrt 2, so the distance is at least
+        max(e_N, (sqrt(tau2_floor) - tau) / (alpha E0 sqrt 2));
+      compression, E0 e_N <= -sigma_c0 (the trial traction, e_n_res = 0,
+        and the modulus is E0 because the committed t_N >= -sigma_c0):
+        at least e_N + sigma_c0 / E0.
+    The slack is shrunk by the relative `FLOOR_MARGIN`, far above the
+    rounding of e_eff, the shear norm and B q.
+
+    Certificate.  The certified facets are the virgin ones whose slack s_f
+    at q_ref is at least half the slack s_0 of a zero strain (a fixed
+    hysteresis, so that a rebuild certifies facets with room to move).
+    Each node gets the budgets b_u,n = min s_f / (2 c_u,f) and b_theta,n =
+    min s_f / (2 c_theta,f) over the certified facets at it (inf with
+    none).  While every node moved by less than its budgets since q_ref
+    (`covers`), the bound gives |e_f(q) - e_f(q_ref)| < s_f / 2 + s_f / 2,
+    so no certified facet reaches a floor: `facet_update` would leave its
+    history fields unchanged (e_max rises only below the floor, and is
+    not stored), evaluate no boundary, and return D e up to rounding:
+    E0 e_N and alpha E0 (e_M, e_L) in compression, (E0 e_eff / e_eff) e_N
+    and alpha (E0 e_eff / e_eff) (e_M, e_L) in tension.  A certified facet
+    is therefore not evaluated and none of its committed fields changes.
+    Its e_max may go stale, but only below the floor, where `facet_update`
+    never reads it: once evaluated again, max(stale, e_eff) reaches the
+    floor exactly when the true history does.  Certified facets stay
+    virgin, so the certificate holds for every state committed from
+    `states` while q stays inside the budgets.
+
+    The other facets are evaluated: `rows` (None when that is every
+    facet), with, unless there are none, their rows `B` of the strain
+    operator (B itself for every facet), its transpose `BT`, `weights3`
+    and `lengths`.
+    """
+
+    def __init__(self, q, ops: SystemOperators, states: FacetStateArray):
+        p = ops.params
+        self.ops = ops
+        self.q_ref = q.reshape(-1, 6).copy()
+        # every strain is 0 at q = 0, with no need of B q
+        slack = ops.slack(ops.strains(q)) if q.any() else ops.zero_slack
+        virgin = (states.e_max < active_floors(p)[0]) \
+            & (states.e_p_m == 0.0) & (states.e_p_l == 0.0) \
+            & (states.e_n_res == 0.0) & (states.traction[:, 0] >= -p.sigma_c0)
+        self.certified = virgin & (slack >= 0.5 * ops.zero_slack)
+        half = np.where(self.certified, 0.5 * slack, np.inf)
+        with np.errstate(divide="ignore"):
+            self.b_u = ops.node_min(half / ops.c_u)
+            self.b_theta = ops.node_min(half / ops.c_theta)
+        self.rows = np.flatnonzero(~self.certified)
+        if len(self.rows) == len(self.certified):
+            self.rows, self.B, self.BT = None, ops.B, ops.BT
+            self.weights3, self.lengths = ops._weights3, ops.lengths
+        elif len(self.rows):
+            rows = self.rows
+            rows3 = (3 * rows[:, None] + np.arange(3)).ravel()
+            self.B = ops.B[rows3]
+            self.BT = self.B.T
+            self.weights3 = ops._weights3[rows3]
+            self.lengths = ops.lengths[rows]
+
+    def covers(self, q) -> bool:
+        """Whether every node moved by less than its budgets since q_ref;
+        false on a NaN."""
+        d = np.abs(q.reshape(-1, 6) - self.q_ref)
+        return bool(np.all(d[:, :3].max(axis=1) < self.b_u)
+                    and np.all(d[:, 3:].max(axis=1) < self.b_theta))
+
+
 def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     """Nodal internal forces at q from the committed facet `states`.
 
     Returns (f_int, trial); the trial states are not committed here.  The
     elastic law is linear, so on `elastic_only` operators f_int is the one
     product K q (K = B^T W D B) and the trial states are `states`.
-    Otherwise the facet law gives the trial states, and f_int gathers
-    their tractions.
+
+    Otherwise f_int = K q + B_E^T W_E (t_E - D e_E) over the facets E that
+    the certificate memoized on `states` does not prove linear (see
+    `Certificate`); it is rebuilt at q, and memoized on `states`, when q
+    leaves its budgets.  Only E is evaluated: e_E = B_E q and the facet law
+    from the committed states.  The trial states are the committed ones
+    with E's rows replaced, and inherit the certificate.
     """
+    q = np.asarray(q, float)
     if ops.elastic_only:
-        return ops.K @ np.asarray(q, float), states
-    t, trial = facet_update(states, ops.strains(q), ops.facet_volumetric(q),
-                            ops.lengths, ops.params)
-    return ops.gather_forces(t), trial
+        return ops.K @ q, states
+    cert = states.certificate
+    if cert is None or cert.ops is not ops or not cert.covers(q):
+        cert = states.certificate = Certificate(q, ops, states)
+    f_int = ops.K @ q
+    rows = cert.rows
+    if rows is not None and not len(rows):
+        return f_int, replace(states, certificate=cert)
+    e = (cert.B @ q).reshape(-1, 3)
+    e_v = ops.facet_volumetric(q)
+    sub = states
+    if rows is not None:
+        sub = states.take(rows)
+        e_v = (lambda hot, at=e_v: at(rows[hot])) if callable(e_v) \
+            else e_v[rows]
+    t, trial = facet_update(sub, e, e_v, cert.lengths, ops.params)
+    f_int += cert.BT @ (cert.weights3 * (t - e * ops.D).ravel())
+    if rows is not None:
+        trial = states.put(rows, trial)
+    trial.certificate = cert
+    return f_int, trial
 
 
-def elastic_response(q, ops: SystemOperators) -> np.ndarray:
-    """(nf, 3) tractions of the elastic law at q."""
-    return elastic_tractions(ops.strains(q), ops.params)
+def facet_tractions(q, ops: SystemOperators,
+                    states: FacetStateArray) -> np.ndarray:
+    """(nf, 3) tractions of the committed `states` at their q: those of
+    the law on the facets their certificate evaluated, and the elastic law
+    of the strains at q on the facets it certified and on elastic
+    operators."""
+    if ops.elastic_only:
+        return elastic_tractions(ops.strains(q), ops.params)
+    cert = states.certificate
+    if cert is None or cert.rows is None:
+        return states.traction
+    t = states.traction.copy()
+    c = cert.certified
+    t[c] = elastic_tractions(ops.strains(q)[c], ops.params)
+    return t
 
 
 def crack_openings(mesh: Mesh, strains, tractions,

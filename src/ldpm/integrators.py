@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import AssemblyError, SystemOperators, elastic_response, \
+from .assembly import AssemblyError, SystemOperators, facet_tractions, \
     internal_forces
 from .material import FacetStateArray
 
@@ -277,12 +277,11 @@ class _SolverBase:
 
     @property
     def tractions(self) -> np.ndarray:
-        """(nf, 3) committed facet tractions: those of the committed
-        states, or on elastic operators (whose evaluation is f_int = K q
-        alone) the elastic law of `strains`."""
-        if self.ops.elastic_only:
-            return elastic_response(self.q, self.ops)
-        return self.states.traction
+        """(nf, 3) committed facet tractions (`assembly.facet_tractions`):
+        those of the committed states on the facets the last evaluation
+        ran the law on, the elastic law of `strains` on the facets it
+        proved linear, and on elastic operators everywhere."""
+        return facet_tractions(self.q, self.ops, self.states)
 
     def _commit(self, f_int, trial, f_ext) -> None:
         """Commit one evaluation at the current (t, q, a) and f_ext = the

@@ -11,8 +11,9 @@ Three regimes govern the facet traction:
 * friction: shear plasticity on a cohesive-frictional cone whose radius
   grows with compressive normal traction.
 
-All functions broadcast over numpy arrays; `facet_update` is evaluated for
-every facet of the mesh in one vectorized call.
+All functions broadcast over numpy arrays; `facet_update` is evaluated in
+one vectorized call over the facets that `ldpm.assembly` cannot prove
+linear (its certificates).
 """
 
 from __future__ import annotations
@@ -96,12 +97,16 @@ class FacetStateArray:
     e_p_m/e_p_l plastic shear strains
     e_n_res     residual normal strain from compressive pore collapse
     traction    last committed traction (MPa)
+    certificate the `ldpm.assembly` certificate memoized on these states
+                (None until one is built): which facets it proves linear,
+                and the displacement budgets of that proof
     """
     e_max: np.ndarray
     e_p_m: np.ndarray
     e_p_l: np.ndarray
     e_n_res: np.ndarray
     traction: np.ndarray          # (nf, 3)
+    certificate: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def virgin(cls, n_facets: int) -> "FacetStateArray":
@@ -112,10 +117,24 @@ class FacetStateArray:
     def copy(self) -> "FacetStateArray":
         return FacetStateArray(self.e_max.copy(), self.e_p_m.copy(),
                                self.e_p_l.copy(), self.e_n_res.copy(),
-                               self.traction.copy())
+                               self.traction.copy(), self.certificate)
+
+    def take(self, rows) -> "FacetStateArray":
+        """The states of the facets `rows` (an index array)."""
+        return FacetStateArray(*(getattr(self, f)[rows] for f in _FIELDS))
+
+    def put(self, rows, sub: "FacetStateArray") -> "FacetStateArray":
+        """A copy with the states of the facets `rows` replaced by `sub`."""
+        new = self.copy()
+        for f in _FIELDS:
+            getattr(new, f)[rows] = getattr(sub, f)
+        return new
 
     def __len__(self):
         return len(self.e_max)
+
+
+_FIELDS = ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction")
 
 
 def sigma0(omega, params: MaterialParams):
@@ -144,8 +163,13 @@ def H0(omega, length, params: MaterialParams):
     """Mixed-mode softening modulus, a power interpolation between the
     pure-shear modulus H_s/alpha and the pure-tension modulus
     H_t = 2 E_0 / (l_t/l - 1)."""
+    check_snap_back(np.asarray(length, float), params)
+    return _H0(omega, length, params)
+
+
+def _H0(omega, length, params: MaterialParams):
+    """`H0` without the snap-back check, for callers that made it."""
     length = np.asarray(length, float)
-    check_snap_back(length, params)
     h_t = 2.0 * params.E0 / (params.lt / length - 1.0)
     h_s = params.r_s * params.E0
     omega = np.asarray(omega, float)
@@ -157,8 +181,14 @@ def H0(omega, length, params: MaterialParams):
 def sigma_bt(e_max, omega, length, params: MaterialParams):
     """Tensile/mixed-mode boundary: exponential decay of the strength limit
     once the max effective strain passes its elastic limit."""
+    check_snap_back(np.asarray(length, float), params)
+    return _sigma_bt(e_max, omega, length, params)
+
+
+def _sigma_bt(e_max, omega, length, params: MaterialParams):
+    """`sigma_bt` without the snap-back check, for callers that made it."""
     s0 = sigma0(omega, params)
-    h0 = H0(omega, length, params)
+    h0 = _H0(omega, length, params)
     e0 = s0 / params.E0
     val = s0 * np.exp(-h0 * np.maximum(np.asarray(e_max, float) - e0, 0.0) / s0)
     return float(val) if np.ndim(val) == 0 else val
@@ -282,8 +312,8 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     hot = np.flatnonzero(frac & (e_max >= floor_t))
     omega = np.where(e_eff[hot] == 0.0, np.pi / 2,
                      np.arctan2(e_n[hot], np.sqrt(shear2[hot])))
-    t_eff[hot] = np.minimum(t_eff[hot], sigma_bt(e_max[hot], omega,
-                                                 lengths[hot], params))
+    t_eff[hot] = np.minimum(t_eff[hot], _sigma_bt(e_max[hot], omega,
+                                                  lengths[hot], params))
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(e_eff > 0.0, t_eff / e_eff, 0.0)
 

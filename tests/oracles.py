@@ -174,3 +174,13 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
         traction=t.copy(),
     )
     return t, new
+
+
+def force_rounding(ops, q, t) -> np.ndarray:
+    """Per-DoF scale of the rounding of an internal force formed from q
+    and the facet tractions t, by the gather B^T W t or by the split
+    K q + B^T W (t - D e): |B|^T W (D |B| |q| + |t|)."""
+    D = np.array([1.0, ops.params.alpha, ops.params.alpha]) * ops.params.E0
+    abs_b = abs(ops.B)
+    e = (abs_b @ np.abs(np.asarray(q, float))).reshape(-1, 3)
+    return abs_b.T @ (ops.weights[:, None] * (D * e + np.abs(t))).ravel()

@@ -11,6 +11,7 @@ from ldpm.assembly import (
     build_strain_operator,
     crack_openings,
     critical_timestep,
+    facet_tractions,
     facet_weights,
     inversion_guard,
     internal_forces,
@@ -235,14 +236,20 @@ class TestInternalForces:
             .elastic_only
 
     def test_trial_holds_the_gathered_tractions(self, block, params):
+        # past the tension floor every facet is evaluated: the trial holds
+        # the law's tractions, and f_int = K q + B^T W (t - D e) is the
+        # gather B^T W t up to rounding
         ops = SystemOperators(block, params)
         q = uniform_strain_vector(block, 1e-4 * np.eye(3))
         states = FacetStateArray.virgin(block.n_facets)
         f, trial = internal_forces(q, ops, states)
-        assert np.array_equal(f, ops.gather_forces(trial.traction))
-        t, trial = facet_update(states, ops.strains(q), 0.0, ops.lengths,
-                                params)
-        assert trial.traction is t
+        t, want = facet_update(states, ops.strains(q), 0.0, ops.lengths,
+                               params)
+        assert trial.certificate.rows is None
+        assert np.array_equal(trial.traction, t)
+        assert np.all(np.abs(f - ops.gather_forces(t))
+                      <= 1e-12 * oracles.force_rounding(ops, q, t))
+        assert want.traction is t
 
     def test_zero_state(self, single_tet, params):
         ops = SystemOperators(single_tet, params)
@@ -286,7 +293,8 @@ class TestInternalForces:
         dq = rng.normal(size=block.n_dofs)
         de = (ops.B @ dq).reshape(-1, 3)
         lhs = f @ dq
-        rhs = np.sum(ops.weights[:, None] * trial.traction * de)
+        rhs = np.sum(ops.weights[:, None] * facet_tractions(q, ops, trial)
+                     * de)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_newtons_third_law(self, block, params):
@@ -303,6 +311,71 @@ class TestInternalForces:
             np.cross(block.positions, forces).sum(axis=0)
         assert_allclose(total_moment, 0.0,
                         atol=1e-9 * scale * block.positions.max())
+
+
+class TestCertificate:
+    def test_row_norms_of_the_facet_blocks(self, block, params):
+        ops = SystemOperators(block, params)
+        for k in range(block.n_facets):
+            u_i, th_i, u_j, th_j = oracles.facet_blocks(block.facets, k)
+            c_u = (np.abs(u_i) + np.abs(u_j)).sum(axis=1).max()
+            c_th = (np.abs(th_i) + np.abs(th_j)).sum(axis=1).max()
+            assert ops.c_u[k] == pytest.approx(c_u, rel=1e-14)
+            assert ops.c_theta[k] == pytest.approx(c_th, rel=1e-14)
+
+    def test_virgin_states_at_zero_need_no_strains(self, block, params,
+                                                   monkeypatch):
+        ops = SystemOperators(block, params)
+        monkeypatch.setattr(ops, "strains", None)
+        states = FacetStateArray.virgin(block.n_facets)
+        f, trial = internal_forces(np.zeros(block.n_dofs), ops, states)
+        cert = states.certificate
+        assert trial.certificate is cert and np.all(cert.certified)
+        assert len(cert.rows) == 0
+        assert np.all(f == 0.0)
+        half = 0.5 * ops.zero_slack
+        for b, c in ((cert.b_u, ops.c_u), (cert.b_theta, ops.c_theta)):
+            want = [min(half / c[k] for k in range(block.n_facets)
+                        if n in (block.facets.node_i[k],
+                                 block.facets.node_j[k]))
+                    for n in range(block.n_nodes)]
+            assert np.array_equal(b, want)
+
+    @pytest.mark.parametrize("bad,dof,error", [
+        (np.nan, 0, FloatingPointError), (np.nan, 4, FloatingPointError),
+        (np.inf, 4, FloatingPointError), (-np.inf, 4, FloatingPointError),
+        # an infinite translation inverts tets before the law sees it
+        (np.inf, 0, AssemblyError)])
+    def test_nonfinite_q_raises_when_every_facet_is_certified(
+            self, block, params, bad, dof, error):
+        ops = SystemOperators(block, params)
+        states = FacetStateArray.virgin(block.n_facets)
+        q = np.zeros(block.n_dofs)
+        internal_forces(q, ops, states)
+        assert np.all(states.certificate.certified)
+        q[6 * 5 + dof] = bad
+        assert not states.certificate.covers(q)
+        with pytest.raises(error), np.errstate(invalid="ignore",
+                                               divide="ignore"):
+            internal_forces(q, ops, states)
+
+    def test_certified_facets_keep_their_committed_fields(self, block,
+                                                          params):
+        # a soft pull certifies the facets with room to move; the trial
+        # shares their committed fields and inherits the certificate
+        ops = SystemOperators(block, params)
+        states = FacetStateArray.virgin(block.n_facets)
+        q = uniform_strain_vector(block, 4e-5 * np.diag([1.0, 0.0, 0.0]))
+        _, trial = internal_forces(q, ops, states)
+        cert = states.certificate
+        c = cert.certified
+        assert 0 < np.count_nonzero(c) < block.n_facets
+        assert trial.certificate is cert
+        t, _ = facet_update(states, ops.strains(q), 0.0, ops.lengths, params)
+        assert np.array_equal(trial.traction[~c], t[~c])
+        assert np.all(trial.traction[c] == 0.0)
+        assert np.array_equal(facet_tractions(q, ops, trial)[c],
+                              (ops.strains(q) * ops.D)[c])
 
 
 class TestStiffness:

@@ -323,6 +323,37 @@ constraints =
         assert err == "solver failure: step 0: non-finite residual\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver,message", [
+        ("kind = explicit\ndt_crit_factor = 0.5\ntotal_time = 1e-4",
+         "non-finite state"),
+        ("kind = static\ndt = 0.5\ntotal_time = 1.0", "non-finite residual"),
+    ], ids=["explicit", "static"])
+    def test_diverging_inelastic_step_exit_3(self, tmp_path, capsys, solver,
+                                             message):
+        # the facet law runs, behind certificates; a force far beyond what
+        # the facet carries makes the first step non-finite, and the run
+        # stops there
+        text = f"""
+[mesh]
+fixture = single-facet
+
+[solver]
+{solver}
+
+[load]
+constraints =
+    fix node:0 all
+    fix node:1 uy,uz,rx,ry,rz
+    force node:1 ux 0:1e305,1:1e305
+"""
+        path = write_text(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", path, "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == \
+            f"solver failure: step 0: {message}\n"
+        assert not out.exists()
+
     def test_snap_back_exit_2_before_any_step(self, tmp_path, capsys):
         text = MINIMAL.replace("kind = static", "kind = explicit") \
             + "\n[material]\nlt = 50\n"

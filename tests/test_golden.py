@@ -18,7 +18,16 @@ output is justified first (CHANGES.md), and only then re-recorded with
     PYTHONPATH=src python tests/test_golden.py --record
 
 which records every case that has no entry in the file yet; delete an entry
-to record it anew.
+to record it anew.  To justify a change of output, run the stored cases
+on both versions and compare the dumps:
+
+    PYTHONPATH=src python tests/test_golden.py --dump DIR
+    PYTHONPATH=src python tests/test_golden.py --deviation DIR_A DIR_B
+
+--dump writes each case's five output files under DIR/<case>/; --deviation
+prints, per case and file, the largest deviation of a numeric field from
+A to B relative to the field's largest magnitude in A (and names any text
+field that differs).
 """
 
 import hashlib
@@ -126,6 +135,16 @@ def test_recorder_reproduces_a_stored_case():
     assert _record_case(preset_config("free-vibration")) == entry
 
 
+def _cases():
+    """(group, name, config) of every golden case, in recording order."""
+    for name in PRESET_NAMES:
+        yield "presets", name, preset_config(name)
+    for name, solver in IMPLICIT:
+        yield "implicit", f"{name}/{solver}", \
+            preset_config(name, solver=solver)
+    yield "collapse", COLLAPSE, collapse_config()
+
+
 def record() -> None:
     """Add the cases missing from golden_digests.json, computed by the code
     on the import path; recorded entries are kept as they are."""
@@ -134,22 +153,74 @@ def record() -> None:
     if data["versions"] != versions() or data["steps"] != STEPS:
         sys.exit(f"{GOLDEN.name} holds {data['versions']} at {data['steps']} "
                  f"steps; delete it to record with {versions()}")
-    presets = data.setdefault("presets", {})
-    for name in PRESET_NAMES:
-        if name not in presets:
-            presets[name] = _record_case(preset_config(name))
-    implicit = data.setdefault("implicit", {})
-    for name, solver in IMPLICIT:
-        if f"{name}/{solver}" not in implicit:
-            implicit[f"{name}/{solver}"] = _record_case(
-                preset_config(name, solver=solver))
-    collapse = data.setdefault("collapse", {})
-    if COLLAPSE not in collapse:
-        collapse[COLLAPSE] = _record_case(collapse_config())
+    for group, name, cfg in _cases():
+        entries = data.setdefault(group, {})
+        if name not in entries:
+            entries[name] = _record_case(cfg)
     GOLDEN.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
+def dump(directory) -> None:
+    """Run every stored case for its stored time and write its output
+    files under directory/<case>/."""
+    data = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for group, name, cfg in _cases():
+        short_run(cfg, data[group][name]["total_time"], Path(directory) / name)
+
+
+def _fields(path: Path) -> dict:
+    """The fields of an output file by name: a float array per numeric
+    column (or summary key), a list of strings otherwise."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if path.suffix == ".csv":
+        names, *rows = [line.split(",") for line in lines]
+    elif path.name == "summary.txt":
+        pairs = [line.split(": ", 1) for line in lines]
+        names, rows = [k for k, _ in pairs], [[v for _, v in pairs]]
+    else:   # a "# mesh <hash>" line, a "# <names>" line, then the rows
+        names = ["mesh"] + lines[1].lstrip("# ").split()
+        rows = [[lines[0].split()[-1]] + line.split() for line in lines[2:]]
+    fields = {}
+    for i, name in enumerate(names):
+        column = [row[i] for row in rows]
+        try:
+            fields[name] = np.array(column, float)
+        except ValueError:
+            fields[name] = column
+    return fields
+
+
+def deviation(a, b) -> None:
+    """Print, per case and output file, the largest deviation of a numeric
+    field from dump a to dump b, relative to the field's largest magnitude
+    in a, and the text fields that differ."""
+    for _, name, _ in _cases():
+        for f in FILES:
+            fa = _fields(Path(a) / name / f)
+            fb = _fields(Path(b) / name / f)
+            worst, where, text = 0.0, "-", []
+            for key, x in fa.items():
+                y = fb[key]
+                if isinstance(x, list) or isinstance(y, list):
+                    if list(x) != list(y):
+                        text.append(key)
+                    continue
+                scale = np.abs(x).max(initial=0.0)
+                dev = np.abs(x - y).max(initial=0.0) / scale if scale \
+                    else float(np.any(x != y))
+                if dev > worst:
+                    worst, where = dev, f"{key}, largest |value| {scale:.3g}"
+            print(f"{name:32s} {f:22s} {worst:9.2g} ({where})"
+                  + (f"; text differs: {', '.join(text)}" if text else ""))
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    args = sys.argv[1:]
+    if args == ["--record"]:
+        record()
+    elif len(args) == 2 and args[0] == "--dump":
+        dump(args[1])
+    elif len(args) == 3 and args[0] == "--deviation":
+        deviation(args[1], args[2])
+    else:
         sys.exit(__doc__)
-    record()

@@ -7,6 +7,7 @@ from ldpm.assembly import (
     SystemOperators,
     assemble_lumped_mass,
     critical_timestep,
+    facet_tractions,
     internal_forces,
 )
 from ldpm.geometry import build_block_specimen, build_fixture
@@ -25,7 +26,7 @@ from ldpm.integrators import (
     newmark_params,
     perturb,
 )
-from ldpm.material import MaterialParams, elastic_tractions
+from ldpm.material import MaterialParams, elastic_tractions, facet_update
 
 
 @pytest.fixture
@@ -295,7 +296,8 @@ class TestSolverPerturb:
         assert np.array_equal(solver.q[pres], q_old[pres])
         f, trial = internal_forces(solver.q, ops, states_old)
         assert np.array_equal(solver.f_int, f)
-        assert np.array_equal(solver.tractions, trial.traction)
+        assert np.array_equal(solver.tractions,
+                              facet_tractions(solver.q, ops, trial))
         assert np.array_equal(solver.strains, ops.strains(solver.q))
         for name in ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction"):
             assert np.array_equal(getattr(solver.states, name),
@@ -354,11 +356,27 @@ class TestCommittedTractions:
     @pytest.mark.parametrize("kind", ["explicit", "static", "newmark", "hht",
                                       "genalpha"])
     def test_states_or_elastic_law(self, params, kind):
-        # inelastic: the one committed copy; elastic: the law of the strains
-        _, solvers = block_solvers(params)
+        # inelastic: the committed law tractions on the facets the last
+        # evaluation ran the law on, and on the facets it certified the
+        # elastic law of the strains, which is the law's up to rounding;
+        # elastic: the law of the strains
+        ops, solvers = block_solvers(params)
         solver = solvers[kind]
-        assert solver.tractions is solver.states.traction
-        assert np.any(solver.tractions != 0.0)
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            c = solver.states.certificate.certified
+            t = solver.tractions
+            e = ops.strains(solver.q)
+            assert np.array_equal(t[~c], solver.states.traction[~c])
+            assert np.array_equal(t[c], elastic_tractions(e, params)[c])
+            law, _ = facet_update(solver.states, e,
+                                  ops.facet_volumetric(solver.q),
+                                  ops.lengths, params)
+            assert np.all(np.abs(t[c] - law[c]) <= 1e-15 * np.abs(law[c]))
+            assert np.any(t != 0.0)
+            # a perturbation leaves some facets evaluated
+            solver.perturb(1e-3, rng)
+        assert np.any(~c)
         ops, solvers = block_solvers(params, elastic_only=True)
         solver = solvers[kind]
         assert np.array_equal(solver.tractions, elastic_tractions(

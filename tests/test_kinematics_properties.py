@@ -3,20 +3,23 @@ stacked strain operator B must annihilate rigid motions, agree with the
 per-facet oracle, and project a uniform strain onto each facet frame.
 Translations below the inversion guard must invert no tet, and e_V computed
 on demand for some facets must equal the all-tet evaluation.  The elastic
-force K q must equal the facet-wise gather B^T W D B q."""
+force K q must equal the facet-wise gather B^T W D B q.  After random
+committed paths, a certificate's facets must answer the linear law, as
+the all-facet law shows, for every q inside its budgets."""
 
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, strategies as st
 
-from ldpm.assembly import SystemOperators, build_strain_operator, \
-    internal_forces, inversion_guard, volumetric_strain
+from ldpm.assembly import Certificate, SystemOperators, \
+    build_strain_operator, internal_forces, inversion_guard, \
+    volumetric_strain
 from ldpm.geometry import Mesh, build_block_specimen
-from ldpm.material import FacetStateArray, MaterialParams, \
-    elastic_tractions
+from ldpm.material import FacetStateArray, MaterialParams, active_floors, \
+    elastic_tractions, facet_update
 
-from oracles import facet_strain, frame
+from oracles import facet_strain, force_rounding, frame
 
 meshes = st.builds(
     build_block_specimen,
@@ -137,3 +140,104 @@ def test_stiffness_action_equals_elastic_gather(mesh, seed, alpha):
     assert trial is states
     np.testing.assert_allclose(f, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+
+
+strain_tensors = st.tuples(*[st.floats(-6e-3, 1e-3)] * 6).map(
+    lambda v: np.array([[v[0], v[3], v[4]], [v[3], v[1], v[5]],
+                        [v[4], v[5], v[2]]]))
+
+
+@given(mesh=meshes, path=st.lists(strain_tensors, max_size=2),
+       confined=st.tuples(st.floats(-9e-3, -6e-3),
+                          st.floats(-3.5e-3, -2.6e-3)),
+       seed=st.integers(0, 2 ** 32 - 1), edge=st.booleans())
+def test_certified_facets_answer_the_linear_law(mesh, path, confined, seed,
+                                                edge):
+    # E_d != E0, so that the unloading modulus after a committed traction
+    # past -sigma_c0 differs from D
+    params = MaterialParams(Ed_over_E0=0.5)
+    ops = SystemOperators(mesh, params)
+    rng = np.random.default_rng(seed)
+    size = np.ptp(mesh.positions, axis=0).max()
+
+    def motion(eps, noise):
+        return displacements(mesh, 1e-3 * rng.normal(size=3),
+                             1e-4 * rng.normal(size=3), eps) \
+            + rng.normal(scale=noise * size, size=mesh.n_dofs)
+
+    # a committed path that softens, slips and compresses facets.  It ends
+    # in a confined compression of the nodes on one side of a random
+    # plane, in a random frame, that takes the facets along its weak axis
+    # past -sigma_c0 inside the hardened compressive boundary (e_n_res
+    # stays 0).  Then a reference configuration near the origin.
+    frame_ = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    path = path + [frame_ @ np.diag([confined[0], confined[0], confined[1]])
+                   @ frame_.T]
+    side = mesh.positions @ frame_[:, 0]
+    inside = np.repeat(side > np.median(side), 6)
+    states = FacetStateArray.virgin(mesh.n_facets)
+    for i, eps in enumerate(path):
+        q = motion(eps, 1e-5)
+        if i == len(path) - 1:
+            q *= inside
+        _, states = facet_update(states, ops.strains(q),
+                                 ops.facet_volumetric(q), ops.lengths, params)
+    q_ref = motion(3e-5 * (rng.random((3, 3)) - 0.5), 1e-7)
+    cert = Certificate(q_ref, ops, states)
+    states.certificate = cert
+    c = cert.certified
+
+    # every node moves by its budgets, times (1 - 1e-9) at the edge; the
+    # translations of a node with an infinite budget stay small.  The
+    # facet closest to its bound gets the motion that raises its strain
+    # fastest
+    reach = 1.0 - 1e-9 if edge else rng.random()
+    b = np.column_stack([np.repeat(cert.b_u[:, None], 3, axis=1),
+                         np.repeat(cert.b_theta[:, None], 3, axis=1)])
+    b = np.minimum(b, 1e-4 * size)
+    dq = reach * b * rng.choice([-1.0, 1.0], size=b.shape)
+    ratio = np.zeros(mesh.n_facets)
+    if np.any(c):
+        q_ref_e = ops.strains(q_ref)
+        slack = ops.slack(q_ref_e)
+        rows = abs(ops.B) @ b.ravel()
+        ratio = np.where(c, rows.reshape(-1, 3).max(axis=1) / slack, 0.0)
+        k = int(np.argmax(ratio))
+        r = 3 * k + int(np.argmax(rows.reshape(-1, 3)[k]))
+        row = ops.B[r]
+        dq = dq.ravel()
+        dq[row.indices] = reach * b.ravel()[row.indices] * np.sign(row.data)
+        dq = dq.reshape(b.shape)
+    q = q_ref + dq.ravel()
+    assert cert.covers(q)
+    f, trial = internal_forces(q, ops, states)
+    assert trial.certificate is cert
+
+    # the bound behind the budgets: each certified strain moved by less
+    # than its slack
+    e = ops.strains(q)
+    if np.any(c):
+        moved = np.abs(e - q_ref_e).max(axis=1)
+        assert np.all(moved[c] < slack[c])
+
+    # the all-facet law: the elastic law on the certified facets, their
+    # history untouched (e_max only below the floor); the evaluated
+    # facets bit for bit
+    t_all, want = facet_update(states, e, ops.facet_volumetric(q),
+                               ops.lengths, params)
+    d_e = elastic_tractions(e, params)
+    assert np.all(np.abs(t_all[c] - d_e[c]) <= 1e-15 * np.abs(d_e[c]))
+    for name in ("e_p_m", "e_p_l", "e_n_res"):
+        assert np.array_equal(getattr(want, name)[c], getattr(states, name)[c])
+        assert np.array_equal(getattr(trial, name)[c],
+                              getattr(states, name)[c])
+    assert np.all(want.e_max[c] < active_floors(params)[0])
+    for name in ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction"):
+        assert np.array_equal(getattr(trial, name)[~c],
+                              getattr(want, name)[~c])
+    assert np.all(np.abs(f - ops.gather_forces(t_all))
+                  <= 1e-12 * force_rounding(ops, q, t_all))
+
+    # a NaN anywhere leaves the budgets and stops the pass
+    q[rng.integers(mesh.n_dofs)] = np.nan
+    assert not cert.covers(q)
