@@ -93,10 +93,14 @@ class MaterialParams:
 class FacetStateArray:
     """Per-facet history, stored as struct-of-arrays over all facets.
 
-    e_max       max effective strain ever reached (fracture history)
+    e_max       max effective strain ever reached (fracture history); on a
+                facet a certificate holds, the value of its last
+                evaluation, which only differs below the tension floor
     e_p_m/e_p_l plastic shear strains
     e_n_res     residual normal strain from compressive pore collapse
-    traction    last committed traction (MPa)
+    traction    traction of the last evaluation (MPa); on a facet a
+                certificate holds, `assembly.facet_tractions` gives the
+                committed one
     certificate the `ldpm.assembly` certificate memoized on these states
                 (None until one is built): which facets it proves linear,
                 and the displacement budgets of that proof

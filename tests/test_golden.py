@@ -135,6 +135,37 @@ def test_recorder_reproduces_a_stored_case():
     assert _record_case(preset_config("free-vibration")) == entry
 
 
+def test_deviation_report(tmp_path, capsys):
+    # two dumps of one case, the second with W_int of its last row
+    # scaled by 1 + 1e-9 and its mesh hash changed
+    total_time = _golden()["presets"]["free-vibration"]["total_time"]
+    for side in "ab":
+        short_run(preset_config("free-vibration"), total_time,
+                  tmp_path / side / "free-vibration")
+    out = tmp_path / "b" / "free-vibration"
+    lines = (out / "steps.csv").read_text(encoding="utf-8").splitlines()
+    row = lines[-1].split(",")
+    w_int = float(row[7])
+    row[7] = repr(w_int * (1.0 + 1e-9))
+    lines[-1] = ",".join(row)
+    (out / "steps.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    text = (out / "summary.txt").read_text(encoding="utf-8")
+    (out / "summary.txt").write_text(text.replace("mesh_hash: ",
+                                                  "mesh_hash: x"),
+                                     encoding="utf-8")
+    deviation(tmp_path / "a", tmp_path / "b")
+    report = dict((line.split()[1], line) for line in
+                  capsys.readouterr().out.splitlines())
+    assert sorted(report) == sorted(FILES)
+    steps = _fields(tmp_path / "a" / "free-vibration" / "steps.csv")
+    dev = float(report["steps.csv"].split()[2])
+    assert dev == pytest.approx(1e-9 * w_int / steps["W_int"].max(),
+                                rel=0.05)
+    assert "(W_int," in report["steps.csv"]
+    assert report["summary.txt"].endswith("text differs: mesh_hash")
+    assert float(report["monitor.csv"].split()[2]) == 0.0
+
+
 def _cases():
     """(group, name, config) of every golden case, in recording order."""
     for name in PRESET_NAMES:
@@ -194,14 +225,16 @@ def deviation(a, b) -> None:
     """Print, per case and output file, the largest deviation of a numeric
     field from dump a to dump b, relative to the field's largest magnitude
     in a, and the text fields that differ."""
-    for _, name, _ in _cases():
+    for case in sorted(p.parent.relative_to(a)
+                       for p in Path(a).rglob(FILES[0])):
         for f in FILES:
-            fa = _fields(Path(a) / name / f)
-            fb = _fields(Path(b) / name / f)
+            fa = _fields(Path(a) / case / f)
+            fb = _fields(Path(b) / case / f)
             worst, where, text = 0.0, "-", []
             for key, x in fa.items():
                 y = fb[key]
-                if isinstance(x, list) or isinstance(y, list):
+                if isinstance(x, list) or isinstance(y, list) \
+                        or len(x) != len(y):
                     if list(x) != list(y):
                         text.append(key)
                     continue
@@ -210,7 +243,7 @@ def deviation(a, b) -> None:
                     else float(np.any(x != y))
                 if dev > worst:
                     worst, where = dev, f"{key}, largest |value| {scale:.3g}"
-            print(f"{name:32s} {f:22s} {worst:9.2g} ({where})"
+            print(f"{str(case):32s} {f:22s} {worst:9.2g} ({where})"
                   + (f"; text differs: {', '.join(text)}" if text else ""))
 
 
