@@ -240,9 +240,8 @@ class SystemOperators:
         """Per node, the least of the per-facet `values` over the facets
         that end at it; inf at a node no facet ends at."""
         out = np.full(self.mesh.n_nodes, np.inf)
-        if len(self._node_id):
-            out[self._node_id] = np.minimum.reduceat(
-                values[self._end_facet], self._node_start)
+        out[self._node_id] = np.minimum.reduceat(values[self._end_facet],
+                                                 self._node_start)
         return out
 
     def facet_volumetric(self, q):
