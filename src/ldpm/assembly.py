@@ -22,7 +22,7 @@ are computed on demand (`facet_tractions`).
 
 from __future__ import annotations
 
-from dataclasses import replace
+import copy
 from functools import partial
 
 import numpy as np
@@ -280,19 +280,27 @@ class SystemOperators:
         return self.BT @ (self._weights3 * np.ravel(tractions))
 
 
+# the certified facets are the virgin ones whose slack at the reference
+# configuration is at least this share of the slack of a zero strain
+CERTIFY_SHARE = 0.25
+
+
 class Certificate:
     """The facets proven to answer the linear law at every q near q_ref,
     built from the committed facet `states` at q_ref.
 
     Bound.  The strains of facet f are e_f = B_f q, and each of its three
     rows of B holds 6 entries per end node: 3 on its translations u, 3 on
-    its rotations theta.  With c_u,f and c_theta,f the largest row 1-norm
-    over those translation and rotation columns (`SystemOperators.c_u`,
-    `c_theta`),
-        |e_f(q) - e_f(q_ref)|_inf <= c_u,f max_n |du_n|_inf
+    its rotations theta.  The translation entries are -P/l on the lower
+    node and +P/l on the higher one (`_facet_blocks`), so B_f annihilates a
+    common translation tau of every node.  With c_u,f and c_theta,f the
+    largest row 1-norm over those translation and rotation columns
+    (`SystemOperators.c_u`, `c_theta`), for any tau
+        |e_f(q) - e_f(q_ref)|_inf <= c_u,f max_n |du_n - tau|_inf
                                      + c_theta,f max_n |dtheta_n|_inf,
     with du_n = u_n - u_n(q_ref), dtheta_n likewise and n over the facet's
-    two nodes.
+    two nodes.  A common rotation has no such term: it moves the rotations
+    of every node, so it counts against the rotation budgets in full.
 
     Slack.  A facet is virgin when e_max is below the tension floor of
     `active_floors`, e_p_m = e_p_l = e_n_res = 0 and its committed t_N >=
@@ -310,26 +318,29 @@ class Certificate:
         and the modulus is E0 because the committed t_N >= -sigma_c0):
         at least e_N + sigma_c0 / E0.
     The slack is shrunk by the relative `FLOOR_MARGIN`, far above the
-    rounding of e_eff, the shear norm and B q.
+    rounding of e_eff, the shear norm and B q (eps c_u,f |u|, while the
+    displacements stay below 1e6 times the budgets).
 
     Certificate.  The certified facets are the virgin ones whose slack s_f
-    at q_ref is at least half the slack s_0 of a zero strain (a fixed
-    hysteresis, so that a rebuild certifies facets with room to move).
-    Each node gets the budgets b_u,n = min s_f / (2 c_u,f) and b_theta,n =
-    min s_f / (2 c_theta,f) over the certified facets at it (inf with
-    none).  While every node moved by less than its budgets since q_ref
-    (`covers`), the bound gives |e_f(q) - e_f(q_ref)| < s_f / 2 + s_f / 2,
-    so no certified facet reaches a floor: `facet_update` would leave its
-    history fields unchanged (e_max rises only below the floor, and is
-    not stored), evaluate no boundary, and return D e up to rounding:
-    E0 e_N and alpha E0 (e_M, e_L) in compression, (E0 e_eff / e_eff) e_N
-    and alpha (E0 e_eff / e_eff) (e_M, e_L) in tension.  A certified facet
-    is therefore not evaluated and none of its committed fields changes.
-    Its e_max may go stale, but only below the floor, where `facet_update`
-    never reads it: once evaluated again, max(stale, e_eff) reaches the
-    floor exactly when the true history does.  Certified facets stay
-    virgin, so the certificate holds for every state committed from
-    `states` while q stays inside the budgets.
+    at q_ref is at least `CERTIFY_SHARE` of the slack s_0 of a zero strain
+    (a fixed hysteresis, so that a rebuild certifies facets with room to
+    move).  Each node gets the budgets b_u,n = min s_f / (2 c_u,f) and
+    b_theta,n = min s_f / (2 c_theta,f) over the certified facets at it
+    (inf with none).  `covers` takes tau as the midrange of du over all
+    nodes, per component.  While every node is inside its budgets,
+    |du_n - tau|_inf < b_u,n and |dtheta_n|_inf < b_theta,n, the bound
+    gives |e_f(q) - e_f(q_ref)| < s_f / 2 + s_f / 2, so no certified facet
+    reaches a floor: `facet_update` would leave its history fields
+    unchanged (e_max rises only below the floor, and is not stored),
+    evaluate no boundary, and return D e itself: E0 e_N and
+    alpha E0 (e_M, e_L).  A certified facet is therefore not evaluated and
+    none of its committed fields changes.  Its e_max may go stale, but only
+    below the floor, where `facet_update` never reads it: once evaluated
+    again, max(stale, e_eff) reaches the floor exactly when the true
+    history does.  Certified facets stay virgin, so the certificate holds
+    for every state committed from `states` while q stays inside the
+    budgets.  A NaN or an infinity in q fails `covers`: one in du makes
+    tau NaN or infinite, and every comparison with a NaN is false.
 
     The other facets are evaluated: `rows` (None when that is every
     facet), with, unless there are none, their rows `B` of the strain
@@ -340,13 +351,15 @@ class Certificate:
     def __init__(self, q, ops: SystemOperators, states: FacetStateArray):
         p = ops.params
         self.ops = ops
-        self.q_ref = q.reshape(-1, 6).copy()
+        # (6, n): one row per DoF component, so that `covers` reduces along
+        # contiguous rows
+        self.q_ref = q.reshape(-1, 6).T.copy()
         # every strain is 0 at q = 0, with no need of B q
         slack = ops.slack(ops.strains(q)) if q.any() else ops.zero_slack
         virgin = (states.e_max < active_floors(p)[0]) \
             & (states.e_p_m == 0.0) & (states.e_p_l == 0.0) \
             & (states.e_n_res == 0.0) & (states.traction[:, 0] >= -p.sigma_c0)
-        self.certified = virgin & (slack >= 0.5 * ops.zero_slack)
+        self.certified = virgin & (slack >= CERTIFY_SHARE * ops.zero_slack)
         half = np.where(self.certified, 0.5 * slack, np.inf)
         with np.errstate(divide="ignore"):
             self.b_u = ops.node_min(half / ops.c_u)
@@ -356,19 +369,30 @@ class Certificate:
             self.rows, self.B, self.BT = None, ops.B, ops.BT
             self.weights3, self.lengths = ops._weights3, ops.lengths
         elif len(self.rows):
-            rows = self.rows
-            rows3 = (3 * rows[:, None] + np.arange(3)).ravel()
-            self.B = ops.B[rows3]
+            # a facet's 3 rows of B are 36 consecutive entries
+            # (`_row_norms`), so B_E is sliced from B's arrays directly
+            rows, n3 = self.rows, 3 * len(self.rows)
+            self.B = sp.csr_matrix(
+                (ops.B.data.reshape(-1, 36)[rows].ravel(),
+                 ops.B.indices.reshape(-1, 36)[rows].ravel(),
+                 np.arange(0, 12 * n3 + 1, 12)), shape=(n3, ops.B.shape[1]))
             self.BT = self.B.T
-            self.weights3 = ops._weights3[rows3]
+            self.weights3 = np.repeat(ops.weights[rows], 3)
             self.lengths = ops.lengths[rows]
 
     def covers(self, q) -> bool:
-        """Whether every node moved by less than its budgets since q_ref;
-        false on a NaN."""
-        d = np.abs(q.reshape(-1, 6) - self.q_ref)
-        return bool(np.all(d[:, :3].max(axis=1) < self.b_u)
-                    and np.all(d[:, 3:].max(axis=1) < self.b_theta))
+        """Whether every node is inside its budgets: its translation since
+        q_ref, less their common midrange tau, and its rotation since q_ref;
+        false on a NaN or an infinity."""
+        d = q.reshape(-1, 6).T - self.q_ref
+        du = d[:3]
+        tau = 0.5 * (du.max(axis=1) + du.min(axis=1))
+        # a NaN or an infinity in du makes tau NaN or infinite
+        if not np.isfinite(tau).all():
+            return False
+        du -= tau[:, None]
+        np.abs(d, out=d)
+        return bool((du < self.b_u).all() and (d[3:] < self.b_theta).all())
 
 
 def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
@@ -382,8 +406,10 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     the certificate memoized on `states` does not prove linear (see
     `Certificate`); it is rebuilt at q, and memoized on `states`, when q
     leaves its budgets.  Only E is evaluated: e_E = B_E q and the facet law
-    from the committed states.  The trial states are the committed ones
-    with E's rows replaced, and inherit the certificate.
+    from the committed states of E, which compact committed states hold
+    as they are.  The trial states are compact: E's new rows on the full
+    states the committed ones share (`FacetStateArray.with_rows`); they
+    inherit the certificate.
     """
     q = np.asarray(q, float)
     if ops.elastic_only:
@@ -394,18 +420,20 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     f_int = ops.K @ q
     rows = cert.rows
     if rows is not None and not len(rows):
-        return f_int, replace(states, certificate=cert)
+        trial = copy.copy(states)
+        trial.certificate = cert
+        return f_int, trial
     e = (cert.B @ q).reshape(-1, 3)
     e_v = ops.facet_volumetric(q)
-    sub = states
-    if rows is not None:
-        sub = states.take(rows)
+    if rows is None:
+        t, trial = facet_update(states, e, e_v, ops.lengths, ops.params)
+    else:
+        base, sub = states.split(rows)
         e_v = (lambda hot, at=e_v: at(rows[hot])) if callable(e_v) \
             else e_v[rows]
-    t, trial = facet_update(sub, e, e_v, cert.lengths, ops.params)
+        t, sub = facet_update(sub, e, e_v, cert.lengths, ops.params)
+        trial = FacetStateArray.with_rows(base, rows, sub)
     f_int += cert.BT @ (cert.weights3 * (t - e * ops.D).ravel())
-    if rows is not None:
-        trial = states.put(rows, trial)
     trial.certificate = cert
     return f_int, trial
 
@@ -421,9 +449,9 @@ def facet_tractions(q, ops: SystemOperators,
     cert = states.certificate
     if cert is None or cert.rows is None:
         return states.traction
-    t = states.traction.copy()
-    c = cert.certified
-    t[c] = elastic_tractions(ops.strains(q)[c], ops.params)
+    t = elastic_tractions(ops.strains(q), ops.params)
+    if len(cert.rows):
+        t[cert.rows] = states.split(cert.rows)[1].traction
     return t
 
 

@@ -18,7 +18,7 @@ linear (its certificates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,7 +89,9 @@ class MaterialParams:
         return replace(self, **kw)
 
 
-@dataclass
+_FIELDS = ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction")
+
+
 class FacetStateArray:
     """Per-facet history, stored as struct-of-arrays over all facets.
 
@@ -98,19 +100,35 @@ class FacetStateArray:
                 evaluation, which only differs below the tension floor
     e_p_m/e_p_l plastic shear strains
     e_n_res     residual normal strain from compressive pore collapse
-    traction    traction of the last evaluation (MPa); on a facet a
-                certificate holds, `assembly.facet_tractions` gives the
+    traction    traction of the last evaluation (MPa), (nf, 3); on a facet
+                a certificate holds, `assembly.facet_tractions` gives the
                 committed one
     certificate the `ldpm.assembly` certificate memoized on these states
                 (None until one is built): which facets it proves linear,
                 and the displacement budgets of that proof
+
+    States may be compact (`with_rows`): the states of the facets `rows`
+    alone, on the full states of every other facet, which they share.  The
+    full arrays are merged at the first read of a field, once.  Nothing
+    writes into the arrays of states after they are built, so states that
+    share arrays stay independent.
     """
-    e_max: np.ndarray
-    e_p_m: np.ndarray
-    e_p_l: np.ndarray
-    e_n_res: np.ndarray
-    traction: np.ndarray          # (nf, 3)
-    certificate: object = field(default=None, repr=False, compare=False)
+
+    def __init__(self, e_max, e_p_m, e_p_l, e_n_res, traction,
+                 certificate=None):
+        self._arrays = (e_max, e_p_m, e_p_l, e_n_res, traction)
+        self._base = self.rows = self.evaluated = None
+        self.certificate = certificate
+
+    @classmethod
+    def with_rows(cls, base: "FacetStateArray", rows,
+                  evaluated: "FacetStateArray") -> "FacetStateArray":
+        """The full states `base` with the states of the facets `rows` (an
+        index array) replaced by `evaluated`, merged when first read."""
+        new = cls(*(None,) * 5)
+        new._arrays, new._base = None, base
+        new.rows, new.evaluated = rows, evaluated
+        return new
 
     @classmethod
     def virgin(cls, n_facets: int) -> "FacetStateArray":
@@ -118,27 +136,40 @@ class FacetStateArray:
         return cls(e_max=z(), e_p_m=z(), e_p_l=z(), e_n_res=z(),
                    traction=np.zeros((n_facets, 3)))
 
+    def _merged(self) -> tuple:
+        if self._arrays is None:
+            merged = []
+            for f in _FIELDS:
+                a = getattr(self._base, f).copy()
+                a[self.rows] = getattr(self.evaluated, f)
+                merged.append(a)
+            self._arrays, self._base = tuple(merged), None
+        return self._arrays
+
+    e_max = property(lambda self: self._merged()[0])
+    e_p_m = property(lambda self: self._merged()[1])
+    e_p_l = property(lambda self: self._merged()[2])
+    e_n_res = property(lambda self: self._merged()[3])
+    traction = property(lambda self: self._merged()[4])
+
+    def split(self, rows):
+        """(base, sub): full states equal to these, and the states of the
+        facets `rows` (an index array), for `with_rows`.  Compact states
+        return their own base and rows when `rows` is their row array;
+        otherwise the rows are gathered from the full arrays, once."""
+        if self.rows is not rows:
+            arrays = self._merged()
+            self.rows = rows
+            self.evaluated = FacetStateArray(*(a[rows] for a in arrays))
+        return (self if self._base is None else self._base), self.evaluated
+
     def copy(self) -> "FacetStateArray":
-        return FacetStateArray(self.e_max.copy(), self.e_p_m.copy(),
-                               self.e_p_l.copy(), self.e_n_res.copy(),
-                               self.traction.copy(), self.certificate)
-
-    def take(self, rows) -> "FacetStateArray":
-        """The states of the facets `rows` (an index array)."""
-        return FacetStateArray(*(getattr(self, f)[rows] for f in _FIELDS))
-
-    def put(self, rows, sub: "FacetStateArray") -> "FacetStateArray":
-        """A copy with the states of the facets `rows` replaced by `sub`."""
-        new = self.copy()
-        for f in _FIELDS:
-            getattr(new, f)[rows] = getattr(sub, f)
-        return new
+        return FacetStateArray(*(a.copy() for a in self._merged()),
+                               certificate=self.certificate)
 
     def __len__(self):
-        return len(self.e_max)
-
-
-_FIELDS = ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction")
+        return len(self._base) if self._arrays is None \
+            else len(self._arrays[0])
 
 
 def sigma0(omega, params: MaterialParams):
@@ -285,6 +316,12 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     state holds the returned tractions themselves (`trial.traction is
     tractions`), not a copy.
 
+    The branch follows the sign of e_N: any e_N > 0, however small
+    (e_N = 0+), takes the fracture branch, and e_N <= 0 (e_N = 0-, and a
+    zero of either sign) the compression and friction branches (Cusatis,
+    Pelessone & Mencarelli 2011).  Where no boundary binds, the traction is
+    the elastic law D e itself: E0 e_N and alpha E0 (e_M, e_L).
+
     The elastic expressions are evaluated on every facet; each boundary
     only on the facets that can reach it, found against a lower bound of
     the boundary (see `active_floors`).  Below it the elastic value is the
@@ -307,19 +344,19 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     frac = e_n > 0.0
     comp = ~frac
 
-    # fracture branch, evaluated everywhere and selected at the end; the
-    # envelope only where e_max reaches its floor
+    # fracture branch, evaluated everywhere and selected at the end: the
+    # traction is scale (e_N, alpha e_M, alpha e_L), with scale = E0 unless
+    # the envelope binds; the envelope only where e_max reaches its floor
     shear2 = a * (e_m * e_m + e_l * e_l)
     e_eff = np.sqrt(e_n * e_n + shear2)
     e_max = np.where(frac, np.maximum(state.e_max, e_eff), state.e_max)
-    t_eff = E0 * e_eff
     hot = np.flatnonzero(frac & (e_max >= floor_t))
     omega = np.where(e_eff[hot] == 0.0, np.pi / 2,
                      np.arctan2(e_n[hot], np.sqrt(shear2[hot])))
-    t_eff[hot] = np.minimum(t_eff[hot], _sigma_bt(e_max[hot], omega,
-                                                  lengths[hot], params))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(e_eff > 0.0, t_eff / e_eff, 0.0)
+    bound_t = _sigma_bt(e_max[hot], omega, lengths[hot], params)
+    soft = bound_t < E0 * e_eff[hot]       # so e_eff > 0 there
+    scale = np.full(len(e_n), E0)
+    scale[hot[soft]] = bound_t[soft] / e_eff[hot[soft]]
 
     # compression branch: incrementally elastic from the residual strain,
     # clamped by the compressive boundary where the trial traction reaches

@@ -1,9 +1,17 @@
-"""Shared pytest set-up: a derandomized hypothesis profile, so that the
-property tests draw the same examples on every run and stay bounded in
-time."""
+"""Shared pytest set-up: hypothesis profiles.  `tier1`, the default, is
+derandomized, so that the property tests draw the same examples on every
+run and stay bounded in time.  `deep` draws 1500 fresh examples per test
+with no deadline, for searches run by hand:
+
+    HYPOTHESIS_PROFILE=deep PYTHONPATH=src python -m pytest tests/...
+"""
+
+import os
 
 from hypothesis import settings
 
 settings.register_profile("tier1", derandomize=True, database=None,
                           max_examples=25, deadline=None)
-settings.load_profile("tier1")
+settings.register_profile("deep", database=None, max_examples=1500,
+                          deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))

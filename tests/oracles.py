@@ -1,14 +1,17 @@
 """Reference implementations that the optimized kernels are checked
 against.  The kinematics and the element time-step bound loop over single
 facets and elements in plain numpy, the way they are written on paper; the
-facet law evaluates every boundary on every facet.  None of them is
-optimized."""
+facet law evaluates every boundary on every facet; the pass of the internal
+forces copies every state array.  None of them is optimized."""
 
 import numpy as np
 import scipy.linalg
 
+from ldpm import material
 from ldpm.material import FacetStateArray, MaterialParams, sigma_bc, \
     sigma_bs, sigma_bt
+
+STATE_FIELDS = ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction")
 
 
 def frame(facets, k) -> np.ndarray:
@@ -132,9 +135,9 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     # pi/2 there so the envelope denominator stays away from zero
     bound_t = sigma_bt(e_max, np.where(frac, omega, np.pi / 2), lengths,
                        params)
-    t_eff = np.minimum(E0 * e_eff, bound_t)
+    # the elastic law E0 e where the boundary does not bind
     with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(e_eff > 0.0, t_eff / e_eff, 0.0)
+        scale = np.where(bound_t < E0 * e_eff, bound_t / e_eff, E0)
     tf_n = scale * e_n
     tf_m = a * scale * e_m
     tf_l = a * scale * e_l
@@ -184,3 +187,30 @@ def force_rounding(ops, q, t) -> np.ndarray:
     abs_b = abs(ops.B)
     e = (abs_b @ np.abs(np.asarray(q, float))).reshape(-1, 3)
     return abs_b.T @ (ops.weights[:, None] * (D * e + np.abs(t))).ravel()
+
+
+def internal_forces_all_rows(q, ops, states: dict, cert):
+    """The pass of `assembly.internal_forces` at q from the committed state
+    arrays `states` (a dict of full arrays) under the certificate `cert`,
+    with full copies: the states of the evaluated facets gathered, the law
+    run on them, and a copy of every committed array with their rows
+    replaced.  Returns (f_int, trial arrays as a dict)."""
+    q = np.asarray(q, float)
+    f_int = ops.K @ q
+    trial = {f: a.copy() for f, a in states.items()}
+    rows = np.arange(len(ops.lengths)) if cert.rows is None else cert.rows
+    if not len(rows):
+        return f_int, trial
+    rows3 = (3 * rows[:, None] + np.arange(3)).ravel()
+    e = ops.strains(q)[rows]
+    e_v = ops.facet_volumetric(q)
+    e_v = (lambda hot, at=e_v: at(rows[hot])) if callable(e_v) \
+        else e_v[rows]
+    sub = FacetStateArray(*(states[f][rows] for f in STATE_FIELDS))
+    t, new = material.facet_update(sub, e, e_v, ops.lengths[rows],
+                                   ops.params)
+    f_int += ops.B[rows3].T @ (np.repeat(ops.weights[rows], 3)
+                               * (t - e * ops.D).ravel())
+    for f in STATE_FIELDS:
+        trial[f][rows] = getattr(new, f)
+    return f_int, trial

@@ -365,7 +365,7 @@ class TestCertificate:
         # shares their committed fields and inherits the certificate
         ops = SystemOperators(block, params)
         states = FacetStateArray.virgin(block.n_facets)
-        q = uniform_strain_vector(block, 4e-5 * np.diag([1.0, 0.0, 0.0]))
+        q = uniform_strain_vector(block, 5e-5 * np.diag([1.0, 0.0, 0.0]))
         _, trial = internal_forces(q, ops, states)
         cert = states.certificate
         c = cert.certified

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,7 +28,10 @@ from ldpm.integrators import (
     newmark_params,
     perturb,
 )
-from ldpm.material import MaterialParams, elastic_tractions, facet_update
+from ldpm.material import MaterialParams, active_floors, \
+    elastic_tractions, facet_update
+
+from oracles import STATE_FIELDS, internal_forces_all_rows
 
 
 @pytest.fixture
@@ -350,6 +355,90 @@ class TestElasticOnDemand:
             solver.step()
             self.assert_committed(solver, ops, strains_first=i % 2 == 0)
         assert np.any(solver.strains != 0.0)
+
+
+def pulled_explicit(params, steps=160, strain=2e-4):
+    """Explicit solver on a small block whose top is pulled along z to the
+    mean strain `strain` in `steps` steps, past the tension floor."""
+    mesh = build_block_specimen((40.0, 40.0, 40.0), (1, 1, 2), seed=3)
+    z = mesh.positions[:, 2]
+    kinematic = {6 * n + 2: (0.0, 0.0) for n in np.nonzero(z == 0.0)[0]}
+    kinematic.update({c: (0.0, 0.0) for c in (0, 1, 3, 4, 5)})
+    top = np.nonzero(z == z.max())[0]
+    ops = SystemOperators(mesh, params)
+    mass = assemble_lumped_mass(mesh)
+    fixed = sorted([*kinematic, *(6 * top + 2)])
+    dt = 0.5 * critical_timestep(mesh, params, mass, fixed)
+    kinematic.update({6 * n + 2: (strain * z.max() / (steps * dt), 0.0)
+                      for n in top})
+    program = LoadProgram(mesh.n_dofs, kinematic)
+    return ops, ExplicitIntegrator(ops, program, mass, dt)
+
+
+def full_arrays(states) -> dict:
+    """The state arrays of `states`, read from a shallow copy, so that
+    compact states stay compact."""
+    merged = copy.copy(states)
+    return {f: getattr(merged, f).copy() for f in STATE_FIELDS}
+
+
+def assert_same_states(states, want: dict):
+    got = full_arrays(states)
+    for f in STATE_FIELDS:
+        assert np.array_equal(got[f], want[f]) and \
+            np.array_equal(np.signbit(got[f]), np.signbit(want[f])), f
+
+
+class TestCompactTrials:
+    """Trials that hold only the evaluated rows on shared committed arrays
+    equal, bit for bit, the pass that copies every state array."""
+
+    def test_explicit_passes_and_perturb(self, params):
+        ops, solver = pulled_explicit(params)
+        chained = 0
+        for i in range(161):
+            committed = solver.states
+            held = committed.certificate
+            before = full_arrays(committed)
+            if i < 160:
+                solver.step()
+            else:
+                solver.perturb(1e-4, np.random.default_rng(4))
+            cert = solver.states.certificate
+            f, want = internal_forces_all_rows(solver.q, ops, before, cert)
+            assert np.array_equal(solver.f_int, f)
+            assert_same_states(solver.states, want)
+            assert_same_states(committed, before)
+            chained += held is cert and len(cert.rows) > 0
+        # passes from compact committed states, with some facets softened
+        assert chained >= 10
+        assert np.any(solver.states.e_max >= active_floors(params)[0])
+
+    def test_newton_passes_from_one_committed_state(self, params):
+        ops, solver = pulled_explicit(params)
+        for _ in range(150):
+            solver.step()
+        committed = solver.states
+        before = full_arrays(committed)
+        rng = np.random.default_rng(8)
+        trials = []
+        # tiny moves keep the certificate; the last pull leaves its budgets
+        # and rebuilds it on the committed states
+        for size in (1e-9, 1e-8, 1e-9, 1e-3):
+            q = solver.q + rng.normal(scale=size, size=len(solver.q))
+            f, trial = internal_forces(q, ops, committed)
+            f_want, want = internal_forces_all_rows(q, ops, before,
+                                                    trial.certificate)
+            assert np.array_equal(f, f_want)
+            trials.append((trial, want))
+        assert trials[0][0].certificate is trials[2][0].certificate
+        assert trials[-1][0].certificate is not trials[0][0].certificate
+        assert trials[0][0].certificate.rows is not None
+        # the trials stay independent of each other and of the committed
+        # states
+        for trial, want in trials:
+            assert_same_states(trial, want)
+        assert_same_states(committed, before)
 
 
 class TestCommittedTractions:

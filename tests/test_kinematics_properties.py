@@ -190,19 +190,29 @@ def test_certified_facets_answer_the_linear_law(mesh, path, confined, seed,
     # every node moves by its budgets, times (1 - 1e-9) at the edge; the
     # translations of a node with an infinite budget stay small.  The
     # facet closest to its bound gets the motion that raises its strain
-    # fastest
+    # fastest.  The translations are clipped to a range symmetric about 0
+    # per component, so that their midrange is 0, and a common translation
+    # of up to 100 times the largest budget is added: `covers` measures
+    # the translations from their midrange, and B annihilates it
     reach = 1.0 - 1e-9 if edge else rng.random()
-    b = np.minimum(np.repeat(np.column_stack([cert.b_u, cert.b_theta]), 3,
-                             axis=1), 1e-4 * size).ravel()
-    dq = reach * b * rng.choice([-1.0, 1.0], size=b.shape)
+    b = np.minimum(np.column_stack([np.repeat(cert.b_u[:, None], 3, 1),
+                                    np.repeat(cert.b_theta[:, None], 3, 1)]),
+                   1e-4 * size)
+    dq = (reach * b * rng.choice([-1.0, 1.0], size=b.shape)).ravel()
     e_ref = ops.strains(q_ref)
     slack = ops.slack(e_ref)
     if np.any(c):
-        rows = (abs(ops.B) @ b).reshape(-1, 3)
+        rows = (abs(ops.B) @ b.ravel()).reshape(-1, 3)
         k = np.flatnonzero(c)[np.argmax(rows.max(axis=1)[c] / slack[c])]
         row = ops.B[3 * k + np.argmax(rows[k])]
-        dq[row.indices] = reach * b[row.indices] * np.sign(row.data)
-    q = q_ref + dq
+        dq[row.indices] = reach * b.ravel()[row.indices] * np.sign(row.data)
+    du = dq.reshape(-1, 6)[:, :3]
+    half = np.maximum(np.minimum(du.max(axis=0), -du.min(axis=0)), 0.0)
+    np.clip(du, -half, half, out=du)
+    shift = np.zeros((mesh.n_nodes, 6))
+    shift[:, :3] = 100.0 * rng.uniform(-1.0, 1.0, size=3) * b[:, :3].max()
+    shift = shift.ravel()
+    q = q_ref + dq + shift
     assert cert.covers(q)
     f, trial = internal_forces(q, ops, states)
     assert trial.certificate is cert
@@ -212,13 +222,12 @@ def test_certified_facets_answer_the_linear_law(mesh, path, confined, seed,
     e = ops.strains(q)
     assert np.all(np.abs(e - e_ref).max(axis=1)[c] < slack[c])
 
-    # the all-facet law: the elastic law on the certified facets, their
-    # history untouched (e_max only below the floor); the evaluated
-    # facets bit for bit
+    # the all-facet law: the elastic law D e itself on the certified
+    # facets, their history untouched (e_max only below the floor); the
+    # evaluated facets bit for bit
     t_all, want = facet_update(states, e, ops.facet_volumetric(q),
                                ops.lengths, params)
-    d_e = elastic_tractions(e, params)
-    assert np.all(np.abs(t_all[c] - d_e[c]) <= 1e-15 * np.abs(d_e[c]))
+    assert np.array_equal(t_all[c], elastic_tractions(e, params)[c])
     for name in ("e_p_m", "e_p_l", "e_n_res"):
         assert np.array_equal(getattr(want, name)[c], getattr(states, name)[c])
         assert np.array_equal(getattr(trial, name)[c],
@@ -230,6 +239,32 @@ def test_certified_facets_answer_the_linear_law(mesh, path, confined, seed,
     assert np.all(np.abs(f - ops.gather_forces(t_all))
                   <= 1e-12 * force_rounding(ops, q, t_all))
 
-    # a NaN anywhere leaves the budgets and stops the pass
-    q[rng.integers(mesh.n_dofs)] = np.nan
-    assert not cert.covers(q)
+    if np.any(c):
+        # a motion of the translations alone, or of the rotations alone,
+        # of the facet closest to its bound that moves its strain by twice
+        # its slack leaves the budgets, with the common translation too
+        for part in (slice(0, 3), slice(3, 6)):
+            cols = np.isin(row.indices % 6, np.arange(6)[part])
+            at, w = row.indices[cols], row.data[cols]
+            out = q_ref + shift
+            out[at] += 2.0 * slack[k] / np.abs(w).sum() * np.sign(w)
+            assert np.abs(ops.strains(out)[k] - e_ref[k]).max() > slack[k]
+            assert not cert.covers(out)
+
+    # a common rotation counts against the rotation budgets in full: it
+    # covers inside the smallest one and leaves it just beyond
+    spin = cert.b_theta.min()
+    if np.isfinite(spin):
+        axis = rng.integers(3)
+        for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+            turn = q_ref.reshape(-1, 6) + shift.reshape(-1, 6)
+            turn[:, 3 + axis] += rng.choice([-1.0, 1.0]) * scale * spin
+            assert cert.covers(turn.ravel()) is inside
+
+    # a NaN or an infinity in a translation or a rotation leaves the
+    # budgets and stops the pass
+    for bad in (np.nan, np.inf, -np.inf):
+        for dof in (0, 3):
+            q_bad = q.copy()
+            q_bad[6 * rng.integers(mesh.n_nodes) + dof + rng.integers(3)] = bad
+            assert not cert.covers(q_bad)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,15 +26,77 @@ def params():
     return MaterialParams()
 
 
+def _ordered(x: float) -> int:
+    """The rank of the double x among the doubles (either zero is 0)."""
+    (i,) = struct.unpack("<q", struct.pack("<d", x))
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def _unordered(k: int) -> float:
+    """The double of rank k (`_ordered`)."""
+    i = k if k >= 0 else -k - (1 << 63)
+    return struct.unpack("<d", struct.pack("<q", i))[0]
+
+
+def _piece(state, x, direction, params):
+    """(traction, trial state, piece) of one committed 60 mm facet at the
+    strain x * direction.  The piece names the smooth part of the law the
+    strain lies on: the branch (e_N > 0), whether the traction differs
+    from D e, and which history fields the evaluation changes."""
+    e = (x * direction).reshape(1, 3)
+    t, new = facet_update(state, e, 0.0, 60.0, params)
+    piece = (bool(e[0, 0] > 0.0),
+             bool(np.any(t != elastic_tractions(e, params))),
+             *(bool(np.any(getattr(new, f) != getattr(state, f)))
+               for f in ("e_max", "e_p_m", "e_p_l", "e_n_res")))
+    return t[0], new, piece
+
+
 def radial_loop_work(params, direction, amps):
     """Work per unit volume of a fixed-direction strain path through the
-    amplitudes `amps`, 200 steps per leg, on a 60 mm facet."""
-    amp = np.concatenate([np.linspace(amps[i], amps[i + 1], 200)
-                          for i in range(len(amps) - 1)])
-    path = amp[:, None] * direction[None, :]
-    trace, _ = ramp_update(params, path, length=60.0)
-    t_mid = 0.5 * (trace[1:] + trace[:-1])
-    return np.sum(t_mid * np.diff(path, axis=0))
+    amplitudes `amps`, on a 60 mm facet, by the trapezoidal rule over 200
+    committed steps per leg.  A step across a kink of the law (the
+    branches at e_N = 0+ and 0-, the elastic limit, a bound or a history
+    field that starts or stops acting) is split at the kink, found by
+    bisection to two adjacent amplitudes, so that no step straddles one:
+    the rule is then exact on every linear piece of the law.  The piece a
+    step starts on is probed 2^-20 of the step past its start, where a
+    history field that the step moves has moved by more than rounding."""
+    state = FacetStateArray.virgin(1)
+    x = amps[0]
+    t, state, piece = _piece(state, x, direction, params)
+    work = 0.0
+    for a, b in zip(amps[:-1], amps[1:]):
+        for y in np.linspace(a, b, 201)[1:]:
+            for _ in range(8):
+                t_y, new, at_y = _piece(state, y, direction, params)
+                if at_y == piece:
+                    break
+                probe = x + (y - x) * 2.0 ** -20
+                first = _piece(state, probe, direction, params)[2]
+                if at_y == first:
+                    break
+                # lo on the piece the step starts on, hi past its end, by
+                # bisection over the ordered doubles
+                lo, hi = _ordered(probe), _ordered(y)
+                while abs(hi - lo) > 1:
+                    mid = (lo + hi) // 2
+                    if _piece(state, _unordered(mid), direction,
+                              params)[2] == first:
+                        lo = mid
+                    else:
+                        hi = mid
+                lo, hi = _unordered(lo), _unordered(hi)
+                t_lo, state_lo, _ = _piece(state, lo, direction, params)
+                work += 0.5 * (t + t_lo) @ ((lo - x) * direction)
+                t_hi, state, piece = _piece(state_lo, hi, direction, params)
+                work += 0.5 * (t_lo + t_hi) @ ((hi - lo) * direction)
+                x, t = hi, t_hi
+            else:
+                t_y, new, at_y = _piece(state, y, direction, params)
+            work += 0.5 * (t + t_y) @ ((y - x) * direction)
+            x, t, state, piece = y, t_y, new, at_y
+    return work
 
 
 def ramp_update(params, path, e_v=0.0, length=100.0):
