@@ -45,24 +45,38 @@ def _skew(c):
                      np.stack([-c[:, 1], c[:, 0], z], axis=1)], axis=1)
 
 
-def _facet_blocks(facets, idx=slice(None)) -> np.ndarray:
-    """(n, 3, 12) strain operators B_k of the facets `idx`, acting on
+def _facet_blocks(facets) -> np.ndarray:
+    """(nf, 3, 12) strain operators B_k of every facet, acting on
     (u_I, theta_I, u_J, theta_J)."""
-    Pt = facets.axes[idx] / facets.edge_length[idx][:, None, None]
-    return np.concatenate([-Pt, Pt @ _skew(facets.c_i[idx]), Pt,
-                           -Pt @ _skew(facets.c_j[idx])], axis=2)
+    Pt = facets.axes / facets.edge_length[:, None, None]
+    return np.concatenate([-Pt, Pt @ _skew(facets.c_i), Pt,
+                           -Pt @ _skew(facets.c_j)], axis=2)
 
 
 def build_strain_operator(mesh: Mesh) -> sp.csr_matrix:
     """Stacked strain operator B (3 nf x n_dofs) with B q = all facet
-    strains, flattened facet-major."""
+    strains, flattened facet-major.
+
+    Every row holds 12 entries, sorted by column: the 6 DoFs of the
+    facet's lower node, then those of its higher node, so that a facet's
+    3 rows are 36 consecutive entries of B.data (read by `_row_norms`,
+    `Certificate` and `critical_timestep`).  B is written in CSR directly:
+    the block B_k, with the halves of I and J swapped where node_i >
+    node_j."""
     f, nf = mesh.facets, mesh.n_facets
     blocks = _facet_blocks(f)
-    dofs = 6 * np.column_stack([f.node_i, f.node_j])[:, :, None] + np.arange(6)
-    rows = np.broadcast_to(np.arange(3 * nf).reshape(nf, 3, 1), blocks.shape)
-    cols = np.broadcast_to(dofs.reshape(nf, 1, 12), blocks.shape)
-    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(3 * nf, mesh.n_dofs))
+    swap = f.node_i > f.node_j
+    blocks[swap] = np.roll(blocks[swap], 6, axis=2)
+    ends = np.sort(np.column_stack([f.node_i, f.node_j]), axis=1)
+    index = np.int32 if max(36 * nf, mesh.n_dofs) <= np.iinfo(np.int32).max \
+        else np.int64
+    cols = (6 * ends[:, None, :, None] + np.arange(6)).astype(index)
+    B = sp.csr_matrix(
+        (blocks.ravel(), np.broadcast_to(cols, (nf, 3, 2, 6)).ravel(),
+         np.arange(0, 36 * nf + 1, 12, dtype=index)),
+        shape=(3 * nf, mesh.n_dofs))
+    B.has_sorted_indices = True
+    return B
 
 
 def assemble_lumped_mass(mesh: Mesh) -> np.ndarray:
@@ -157,21 +171,25 @@ def inversion_guard(mesh: Mesh) -> float:
 _ROW_CHUNK = 12288
 
 
-def _row_norms(B: sp.csr_matrix):
-    """(c_u, c_theta): per facet, the largest 1-norm of its three rows of
-    B over the translation and over the rotation columns.
-
-    Every row of B holds 12 entries, sorted by column: the 3 translations
-    and 3 rotations of the facet's lower node, then those of its higher
-    node, so the norms are read from B.data in place."""
+def _facet_rows(B: sp.csr_matrix) -> np.ndarray:
+    """B.data as (nf, 3, 12): the three rows of each facet, in the layout
+    of `build_strain_operator` (12 entries a row, sorted by column)."""
     if not B.has_sorted_indices or B.nnz != 12 * B.shape[0]:
         raise ValueError("strain operator without 12 sorted entries a row")
+    return B.data.reshape(-1, 3, 12)
+
+
+def _row_norms(B: sp.csr_matrix):
+    """(c_u, c_theta): per facet, the largest 1-norm of its three rows of
+    B over the translation and over the rotation columns, read from B.data
+    in place (`_facet_rows`): the 3 translations and 3 rotations of the
+    facet's lower node, then those of its higher node."""
+    rows = _facet_rows(B).reshape(-1, 12)
     rot = np.arange(12) % 6 >= 3
     columns = np.column_stack([~rot, rot]).astype(float)
     c = np.empty((B.shape[0], 2))
     for lo in range(0, B.shape[0], _ROW_CHUNK):
-        hi = min(B.shape[0], lo + _ROW_CHUNK)
-        c[lo:hi] = np.abs(B.data[12 * lo:12 * hi]).reshape(-1, 12) @ columns
+        c[lo:lo + _ROW_CHUNK] = np.abs(rows[lo:lo + _ROW_CHUNK]) @ columns
     c = c.reshape(-1, 3, 2).max(axis=1)
     return c[:, 0], c[:, 1]
 
@@ -370,7 +388,8 @@ class Certificate:
             self.weights3, self.lengths = ops._weights3, ops.lengths
         elif len(self.rows):
             # a facet's 3 rows of B are 36 consecutive entries
-            # (`_row_norms`), so B_E is sliced from B's arrays directly
+            # (`build_strain_operator`), so B_E is sliced from B's arrays
+            # directly
             rows, n3 = self.rows, 3 * len(self.rows)
             self.B = sp.csr_matrix(
                 (ops.B.data.reshape(-1, 36)[rows].ravel(),
@@ -469,24 +488,35 @@ def crack_openings(mesh: Mesh, strains, tractions,
     return np.column_stack([w_n, w_m, w_l, w])
 
 
-# elements per stacked eigenvalue batch of critical_timestep (24 x 24
-# matrices: 1024 of them are 4.7 MB)
-_DT_CHUNK = 1024
+# elements per chunk of critical_timestep.  A chunk's working set is its
+# element matrices, 256 x (6 p)^2 doubles (1.2 MB for tets, p = 4), those
+# of one kept-DoF count again, scaled for eigvalsh, and per slot the Ke of
+# up to 256 facets (12 x 12 doubles each) with their flat indices into the
+# element matrices (0.3 MB each).  What it leaves to the allocator adds
+# to the peak set later by a factorization of K: on a 73,728-facet prism
+# the static run peaks at 207 MB resident with 256, 214 MB with 1024.
+_DT_CHUNK = 256
 
 
 def critical_timestep(mesh: Mesh, params: MaterialParams,
-                      mass: np.ndarray | None = None,
-                      fixed=()) -> float:
+                      mass: np.ndarray | None = None, fixed=(),
+                      B: sp.csr_matrix | None = None) -> float:
     """Largest stable explicit step 2/omega_max, with omega_max the largest
     element eigenfrequency (the element bound of Irons & Treharne, 1971).
     Elements are tetrahedra (the facets whose parent is the tet, on the
     nodes those facets touch) when present, otherwise single facets (12
     DoFs).  Element masses are local shares so that they sum to the global
     lumped mass.  The DoF indices `fixed` (the prescribed DoFs of the load
-    program) drop out of every element.
+    program) drop out of every element.  The facet blocks are read from the
+    strain operator `B` (`build_strain_operator`, built here when not
+    given), whose first 6 columns of a facet are those of its lower node.
     """
     if mass is None:
         mass = assemble_lumped_mass(mesh)
+    if B is None:
+        B = build_strain_operator(mesh)
+    blocks = _facet_rows(B)
+    weights = facet_weights(mesh)
     fixed_mask = np.zeros(mesh.n_dofs, dtype=bool)
     fixed_mask[np.asarray(fixed, dtype=int)] = True
     f = mesh.facets
@@ -501,25 +531,29 @@ def critical_timestep(mesh: Mesh, params: MaterialParams,
         grouped = grouped[np.argsort(f.parent_tet[grouped], kind="stable")]
         tet_ids, elem = np.unique(f.parent_tet[grouped], return_inverse=True)
         nodes = np.sort(mesh.tets[tet_ids], axis=1)
-        local = np.column_stack([
-            np.argmax(nodes[elem] == ends[:, None], axis=1)
-            for ends in (f.node_i[grouped], f.node_j[grouped])])
+        ends = np.sort(np.column_stack([f.node_i[grouped],
+                                        f.node_j[grouped]]), axis=1)
+        local = np.column_stack([np.argmax(nodes[elem] == ends[:, k, None],
+                                           axis=1) for k in (0, 1)])
         touched = np.zeros(nodes.shape, dtype=bool)
         touched[elem[:, None], local] = True
         rho = mesh.density * 1.0e-12
         m_node = np.where(touched, rho * mesh.tet_volumes[tet_ids, None] / 4.0,
                           0.0)
-        omega_max = _max_element_omega(f, grouped, elem, local, nodes, m_node,
-                                       mesh.particle_diameters, fixed_mask,
-                                       params)
+        omega_max = _max_element_omega(blocks, weights, grouped, elem, local,
+                                       nodes, m_node, mesh.particle_diameters,
+                                       fixed_mask, params)
     orphans = np.nonzero(~in_tet)[0]
     if len(orphans):
+        # an orphan element keeps its nodes in the order (I, J), so B's
+        # lower-node half goes to local node 1 where node_i > node_j
         nodes = np.column_stack([f.node_i[orphans], f.node_j[orphans]])
         incident = np.bincount(nodes.ravel(), minlength=mesh.n_nodes)
         m_node = mass[6 * nodes] / incident[nodes]
+        swap = nodes[:, 0] > nodes[:, 1]
         omega_max = max(omega_max, _max_element_omega(
-            f, orphans, np.arange(len(orphans)),
-            np.tile([0, 1], (len(orphans), 1)), nodes, m_node,
+            blocks, weights, orphans, np.arange(len(orphans)),
+            np.column_stack([swap, ~swap]).astype(int), nodes, m_node,
             mesh.particle_diameters, fixed_mask, params))
 
     if omega_max <= 0:
@@ -527,18 +561,23 @@ def critical_timestep(mesh: Mesh, params: MaterialParams,
     return 2.0 / omega_max
 
 
-def _max_element_omega(facets, fids, elem, local, nodes, m_node, dp, fixed,
-                       params) -> float:
+def _max_element_omega(blocks, weights, fids, elem, local, nodes, m_node, dp,
+                       fixed, params) -> float:
     """Largest sqrt-eigenvalue of M^-1 K over elements built from facets.
 
-    fids/elem/local: the facets, their element and the local index of their
-    two nodes, grouped by element in facet order; nodes/m_node: (ne, p)
-    global node and translational mass per local node.  Each element keeps
-    its free, massive DoFs in local order.
+    blocks/weights: every facet's (3, 12) rows of B and its A l;
+    fids/elem/local: the facets, their element and the local index of
+    their lower and higher node, grouped by element in facet order;
+    nodes/m_node: (ne, p) global node and translational mass per local
+    node.  Each element keeps its free, massive DoFs in local order.
     """
     ne, p = nodes.shape
+    n = 6 * p
     D = np.array([1.0, params.alpha, params.alpha]) * params.E0
-    ldofs = (6 * local[:, :, None] + np.arange(6)).reshape(-1, 12)
+    # flat offsets in an element matrix of a facet on local nodes (a, b)
+    dofs = 6 * np.arange(p)[:, None] + np.arange(6)
+    pair = np.concatenate(np.broadcast_arrays(dofs[:, None], dofs[None]), 2)
+    offset = pair[:, :, :, None] * n + pair[:, :, None, :]
     slot = np.arange(len(fids)) - np.searchsorted(elem, elem)
     M = np.repeat(m_node, 6, axis=1)
     M[:, 3::6] = M[:, 4::6] = M[:, 5::6] = m_node * dp[nodes] ** 2 / 10.0
@@ -550,23 +589,31 @@ def _max_element_omega(facets, fids, elem, local, nodes, m_node, dp, fixed,
         if lo == hi:
             continue
         e0 = c * _DT_CHUNK
-        blocks = _facet_blocks(facets, fids[lo:hi])
-        w = (facets.projected_area * facets.edge_length)[fids[lo:hi]]
-        Ke = (w[:, None, None] * blocks.transpose(0, 2, 1)) \
-            @ (D[:, None] * blocks)
-        K = np.zeros((min(ne, e0 + _DT_CHUNK) - e0, 6 * p, 6 * p))
-        el, dofs, sl = elem[lo:hi] - e0, ldofs[lo:hi], slot[lo:hi]
+        K = np.zeros((min(ne, e0 + _DT_CHUNK) - e0, n, n))
+        flat = K.reshape(-1)
+        # slot by slot, so that no element appears twice in one scatter
+        # and every entry sums its facets in facet order
+        sl = slot[lo:hi]
         for s in range(sl.max() + 1):
-            at = sl == s
-            K[el[at, None, None], dofs[at, :, None], dofs[at, None, :]] += \
-                Ke[at]
+            at = lo + np.flatnonzero(sl == s)
+            b = blocks[fids[at]]
+            Ke = (weights[fids[at], None, None] * b.transpose(0, 2, 1)) \
+                @ (D[:, None] * b)
+            flat[(elem[at, None, None] - e0) * n * n
+                 + offset[local[at, 0], local[at, 1]]] += Ke
         Mc, kc = M[e0:e0 + len(K)], keep[e0:e0 + len(K)]
         counts = kc.sum(axis=1)
         for k in np.unique(counts[counts > 0]):
             rows = np.nonzero(counts == k)[0]
-            idx = np.argsort(~kc[rows], axis=1, kind="stable")[:, :k]
-            Ks = K[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
-            inv_sqrt = 1.0 / np.sqrt(np.take_along_axis(Mc[rows], idx, 1))
-            A = inv_sqrt[:, :, None] * Ks * inv_sqrt[:, None, :]
+            if k == n:
+                # every DoF kept: no gather
+                A = K if len(rows) == len(K) else K[rows]
+                inv_sqrt = 1.0 / np.sqrt(Mc[rows])
+            else:
+                idx = np.argsort(~kc[rows], axis=1, kind="stable")[:, :k]
+                A = K[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
+                inv_sqrt = 1.0 / np.sqrt(np.take_along_axis(Mc[rows], idx, 1))
+            A *= inv_sqrt[:, :, None]
+            A *= inv_sqrt[:, None, :]
             omega_sq = max(omega_sq, float(np.linalg.eigvalsh(A)[:, -1].max()))
     return float(np.sqrt(omega_sq))

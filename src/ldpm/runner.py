@@ -103,9 +103,16 @@ def build_solver(cfg: RunConfig, mesh: Mesh, ops: SystemOperators,
     """Construct the configured solver plus the resolved time step."""
     mass = assemble_lumped_mass(mesh)
     dt = cfg.dt
-    if dt is None or cfg.solver == "explicit":
+    if not len(program.free):
+        # with every DoF prescribed no step is unstable and none is estimated
+        if dt is None:
+            raise RunError("solver.dt_crit_factor needs a free DoF to "
+                           "estimate the critical time step; every DoF is "
+                           "prescribed, so set solver.dt")
+        dt_crit = np.inf
+    elif dt is None or cfg.solver == "explicit":
         dt_crit = critical_timestep(mesh, ops.params, mass,
-                                    fixed=program.prescribed)
+                                    fixed=program.prescribed, B=ops.B)
     if dt is None:
         dt = cfg.dt_crit_factor * dt_crit
     elif cfg.solver == "explicit":

@@ -1,11 +1,13 @@
 """Reference implementations that the optimized kernels are checked
 against.  The kinematics and the element time-step bound loop over single
 facets and elements in plain numpy, the way they are written on paper; the
-facet law evaluates every boundary on every facet; the pass of the internal
-forces copies every state array.  None of them is optimized."""
+strain operator is assembled from COO triplets; the facet law evaluates
+every boundary on every facet; the pass of the internal forces copies
+every state array.  None of them is optimized."""
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from ldpm import material
 from ldpm.material import FacetStateArray, MaterialParams, sigma_bc, \
@@ -42,6 +44,23 @@ def facet_blocks(facets, k):
     Pt = frame(facets, k).T / facets.edge_length[k]
     return (-Pt, Pt @ _skew(facets.c_i[k]), Pt,
             -Pt @ _skew(facets.c_j[k]))
+
+
+def strain_operator_coo(mesh) -> sp.csr_matrix:
+    """The stacked strain operator B from COO triplets: each facet's
+    blocks (u_I, theta_I, u_J, theta_J) on the columns of I and J, in that
+    order, converted to CSR by scipy (which sorts every row's columns)."""
+    f, nf = mesh.facets, mesh.n_facets
+    Pt = f.axes / f.edge_length[:, None, None]
+    skew_i, skew_j = (np.array([_skew(c) for c in cs]) for cs in (f.c_i,
+                                                                  f.c_j))
+    blocks = np.concatenate([-Pt, Pt @ skew_i, Pt, -Pt @ skew_j], axis=2)
+    dofs = 6 * np.column_stack([f.node_i, f.node_j])[:, :, None] \
+        + np.arange(6)
+    rows = np.broadcast_to(np.arange(3 * nf).reshape(nf, 3, 1), blocks.shape)
+    cols = np.broadcast_to(dofs.reshape(nf, 1, 12), blocks.shape)
+    return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(3 * nf, mesh.n_dofs))
 
 
 def critical_timestep(mesh, params, mass, fixed=()) -> float:

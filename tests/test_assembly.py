@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -49,6 +52,11 @@ def single_tet():
 @pytest.fixture
 def block():
     return build_block_specimen((30.0, 30.0, 30.0), (2, 2, 2), seed=6)
+
+
+@pytest.fixture
+def chain():
+    return build_fixture("two-particle-chain", n=4, d_p=15.0)
 
 
 def rigid_motion_vector(mesh, u0, omega):
@@ -133,6 +141,20 @@ class TestFacetOperator:
         for k in (0, 5, 17, block.n_facets - 1):
             assert_allclose(e[k], facet_strain(q, block.facets, k),
                             atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["block", "single_tet", "single_facet",
+                                      "chain"])
+    def test_equals_the_coo_assembly_bit_for_bit(self, name, request):
+        mesh = request.getfixturevalue(name)
+        if name == "block":
+            f = mesh.facets
+            assert (f.node_i > f.node_j).any() and (f.node_i < f.node_j).any()
+        B = build_strain_operator(mesh)
+        want = oracles.strain_operator_coo(mesh)
+        assert B.shape == want.shape and B.has_sorted_indices
+        for a in ("indptr", "indices", "data"):
+            got, ref = getattr(B, a), getattr(want, a)
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 class TestVolumetricStrain:
@@ -515,17 +537,86 @@ class TestCriticalTimestep:
         fixed = resolve_constraints(mesh, ["fix zmin all",
                                            "velocity zmax uz -5 ramp=0.001",
                                            "fix center-zmax ux,uy"]).prescribed
+        # some elements keep only part of their DoFs
+        held = np.isin(6 * mesh.tets[:, :, None] + np.arange(6), fixed)
+        held = held.reshape(len(mesh.tets), -1).sum(axis=1)
+        assert ((held > 0) & (held < 24)).any()
         mass = assemble_lumped_mass(mesh)
         dt = critical_timestep(mesh, params, fixed=fixed)
         assert dt == oracles.critical_timestep(mesh, params, mass, fixed)
         assert dt != critical_timestep(mesh, params)
 
-    def test_orphan_chain_matches_element_loop(self, params):
-        chain = build_fixture("two-particle-chain", n=4, d_p=15.0)
+    def test_orphan_chain_matches_element_loop(self, chain, params):
         mass = assemble_lumped_mass(chain)
         for fixed in ((), range(6)):
             dt = critical_timestep(chain, params, fixed=fixed)
             assert dt == oracles.critical_timestep(chain, params, mass, fixed)
+
+    @pytest.mark.parametrize("orphaned", ["third", "all", "reversed"])
+    def test_orphans_of_both_orientations_match_element_loop(
+            self, block, params, orphaned):
+        # every third facet or every facet loses its parent tet, the others
+        # staying in tet elements, or the facets with node_i > node_j are
+        # kept alone, as orphans
+        f = block.facets
+        parent = f.parent_tet.copy()
+        parent[::3 if orphaned == "third" else 1] = -1
+        f = dataclasses.replace(f, parent_tet=parent)
+        if orphaned == "reversed":
+            rows = f.node_i > f.node_j
+            f = dataclasses.replace(f, **{a.name: getattr(f, a.name)[rows]
+                                          for a in dataclasses.fields(f)})
+        mesh = Mesh(block.positions, block.particle_diameters, f,
+                    block.tets, block.tet_volumes, block.cell_volumes)
+        orphans = f.parent_tet < 0
+        assert (orphans & (f.node_i > f.node_j)).any()
+        assert (orphans & (f.node_i < f.node_j)).any() \
+            == (orphaned != "reversed")
+        mass = assemble_lumped_mass(mesh)
+        fixed = resolve_constraints(mesh, ["fix zmin all",
+                                           "fix zmax uz"]).prescribed
+        for held in ((), fixed):
+            dt = critical_timestep(mesh, params, fixed=held)
+            assert dt == oracles.critical_timestep(mesh, params, mass, held)
+
+    def test_strain_operator_passed_in(self, block, params):
+        fixed = resolve_constraints(block, ["fix zmin all"]).prescribed
+        mass = assemble_lumped_mass(block)
+        for held in ((), fixed):
+            dt = critical_timestep(block, params, mass, held)
+            for B in (build_strain_operator(block),
+                      SystemOperators(block, params).B):
+                assert critical_timestep(block, params, mass, held, B) == dt
+            assert dt == oracles.critical_timestep(block, params, mass, held)
+
+    def test_refuses_a_strain_operator_of_another_layout(self, single_facet,
+                                                         params):
+        B = build_strain_operator(single_facet)
+        B.eliminate_zeros()
+        with pytest.raises(ValueError, match="12 sorted entries"):
+            critical_timestep(single_facet, params, B=B)
+
+
+# peak allocation of the set-up of B and of the time step, per byte of
+# B.data, on the 9216-facet block of the test below: measured 3.3; a COO
+# assembly of B with every element matrix of a 1024-element chunk formed
+# at once reads 12.2, and one np.add.at over a whole 256-element chunk 7.1
+SETUP_PEAK_PER_B_BYTE = 4.5
+
+
+def test_setup_peak_allocation_is_bounded_by_the_strain_operator(params):
+    mesh = build_block_specimen((60.0, 60.0, 120.0), (4, 4, 8), seed=3)
+    mass = assemble_lumped_mass(mesh)
+    fixed = resolve_constraints(mesh, ["fix zmin all"]).prescribed
+    tracemalloc.start()
+    try:
+        B = build_strain_operator(mesh)
+        critical_timestep(mesh, params, mass, fixed, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SETUP_PEAK_PER_B_BYTE * B.data.nbytes, \
+        peak / B.data.nbytes
 
 
 def test_facet_weights(single_facet):

@@ -363,6 +363,38 @@ constraints =
         assert "lt=50" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def all_prescribed(solver, step):
+        text = MINIMAL.replace("kind = static", f"kind = {solver}") \
+            .replace("dt = 0.0005", step) \
+            .replace("fix node:0 all\n    fix node:1 uy,uz,rx,ry,rz\n"
+                     "    velocity node:1 ux 1", "fix all all")
+        assert "fix all all" in text and step in text
+        return text
+
+    @pytest.mark.parametrize("solver", ["explicit", "static"])
+    def test_every_dof_prescribed_dt_crit_factor_exit_2(self, tmp_path,
+                                                        capsys, solver):
+        path = write_text(tmp_path / "c.ini",
+                          self.all_prescribed(solver, "dt_crit_factor = 0.5"))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver.dt_crit_factor needs a free "
+                              "DoF") and err.count("\n") == 1, err
+        assert "set solver.dt" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["explicit", "static"])
+    def test_every_dof_prescribed_with_dt_runs(self, tmp_path, capsys,
+                                               solver):
+        path = write_text(tmp_path / "c.ini",
+                          self.all_prescribed(solver, "dt = 0.0005"))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert (out / "steps.csv").exists()
+
     @pytest.mark.parametrize("line", [
         "Hc0_over_E0 = -0.1", "Hc1_over_E0 = -0.1", "kappa_c2 = -1",
         "kappa_c3 = 0", "mu_inf = -0.1", "mu_0 = 0.1\nmu_inf = 0.2",

@@ -38,18 +38,62 @@ def _unordered(k: int) -> float:
     return struct.unpack("<d", struct.pack("<q", i))[0]
 
 
+_FIELDS = ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction")
+
+
+def _pieces(state, xs, direction, params):
+    """(tractions, trial states, pieces) of one committed 60 mm facet at
+    the strains x * direction of every amplitude x of `xs`, from one
+    `facet_update` call on `state` repeated once per amplitude: the law is
+    elementwise, so each row is that of a call on its amplitude alone.  A
+    piece names the smooth part of the law the strain lies on: the branch
+    (e_N > 0), whether the traction differs from D e, and which history
+    fields the evaluation changes."""
+    x = np.asarray(xs, float)
+    many = FacetStateArray(*(np.repeat(getattr(state, f), len(x), axis=0)
+                             for f in _FIELDS))
+    e = x[:, None] * direction
+    t, new = facet_update(many, e, 0.0, 60.0, params)
+    bound = np.any(t != elastic_tractions(e, params), axis=1)
+    moved = [getattr(new, f) != getattr(many, f) for f in _FIELDS[:4]]
+    pieces = [(bool(e[k, 0] > 0.0), bool(bound[k]),
+               *(bool(m[k]) for m in moved)) for k in range(len(x))]
+    return t, new, pieces
+
+
 def _piece(state, x, direction, params):
-    """(traction, trial state, piece) of one committed 60 mm facet at the
-    strain x * direction.  The piece names the smooth part of the law the
-    strain lies on: the branch (e_N > 0), whether the traction differs
-    from D e, and which history fields the evaluation changes."""
-    e = (x * direction).reshape(1, 3)
-    t, new = facet_update(state, e, 0.0, 60.0, params)
-    piece = (bool(e[0, 0] > 0.0),
-             bool(np.any(t != elastic_tractions(e, params))),
-             *(bool(np.any(getattr(new, f) != getattr(state, f)))
-               for f in ("e_max", "e_p_m", "e_p_l", "e_n_res")))
+    """(traction, trial state, piece) at the one amplitude x (`_pieces`)."""
+    t, new, (piece,) = _pieces(state, [x], direction, params)
     return t[0], new, piece
+
+
+# bisection levels whose midpoints `_kink` evaluates in one call
+_KINK_LEVELS = 6
+
+
+def _kink(state, lo, hi, first, direction, params):
+    """Bisection over the ordered doubles from the ranks lo, on the piece
+    `first`, and hi, past it, to two adjacent ranks.  The midpoints of the
+    next `_KINK_LEVELS` levels of the bisection are evaluated in one call
+    (`_pieces`), and the walk down those levels then takes the steps that
+    one probe a call would take."""
+    while abs(hi - lo) > 1:
+        tree, level = {}, [(lo, hi)]
+        for _ in range(_KINK_LEVELS):
+            level = [(a, b) for a, b in level if abs(b - a) > 1]
+            for a, b in level:
+                tree[a, b] = (a + b) // 2
+            level = [c for a, b in level
+                     for c in ((tree[a, b], b), (a, tree[a, b]))]
+        mids = list(tree.values())
+        piece = dict(zip(mids, _pieces(state, [_unordered(m) for m in mids],
+                                       direction, params)[2]))
+        while (lo, hi) in tree:
+            if piece[tree[lo, hi]] == first:
+                lo = tree[lo, hi]
+            else:
+                hi = tree[lo, hi]
+    return lo, hi
 
 
 def radial_loop_work(params, direction, amps):
@@ -78,15 +122,9 @@ def radial_loop_work(params, direction, amps):
                     break
                 # lo on the piece the step starts on, hi past its end, by
                 # bisection over the ordered doubles
-                lo, hi = _ordered(probe), _ordered(y)
-                while abs(hi - lo) > 1:
-                    mid = (lo + hi) // 2
-                    if _piece(state, _unordered(mid), direction,
-                              params)[2] == first:
-                        lo = mid
-                    else:
-                        hi = mid
-                lo, hi = _unordered(lo), _unordered(hi)
+                lo, hi = map(_unordered, _kink(state, _ordered(probe),
+                                               _ordered(y), first,
+                                               direction, params))
                 t_lo, state_lo, _ = _piece(state, lo, direction, params)
                 work += 0.5 * (t + t_lo) @ ((lo - x) * direction)
                 t_hi, state, piece = _piece(state_lo, hi, direction, params)
