@@ -363,17 +363,22 @@ class Certificate:
     The other facets are evaluated: `rows` (None when that is every
     facet), with, unless there are none, their rows `B` of the strain
     operator (B itself for every facet), its transpose `BT`, `weights3`
-    and `lengths`.
+    and `lengths`.  `strains`, when given, are those of every facet at q
+    (B q as (nf, 3)); otherwise they are formed here where needed.
     """
 
-    def __init__(self, q, ops: SystemOperators, states: FacetStateArray):
+    def __init__(self, q, ops: SystemOperators, states: FacetStateArray,
+                 strains=None):
         p = ops.params
         self.ops = ops
         # (6, n): one row per DoF component, so that `covers` reduces along
         # contiguous rows
         self.q_ref = q.reshape(-1, 6).T.copy()
         # every strain is 0 at q = 0, with no need of B q
-        slack = ops.slack(ops.strains(q)) if q.any() else ops.zero_slack
+        if not q.any():
+            slack = ops.zero_slack
+        else:
+            slack = ops.slack(ops.strains(q) if strains is None else strains)
         virgin = (states.e_max < active_floors(p)[0]) \
             & (states.e_p_m == 0.0) & (states.e_p_l == 0.0) \
             & (states.e_n_res == 0.0) & (states.traction[:, 0] >= -p.sigma_c0)
@@ -389,12 +394,13 @@ class Certificate:
         elif len(self.rows):
             # a facet's 3 rows of B are 36 consecutive entries
             # (`build_strain_operator`), so B_E is sliced from B's arrays
-            # directly
-            rows, n3 = self.rows, 3 * len(self.rows)
+            # directly, with B's index dtype so that scipy keeps the arrays
+            rows, n3, B = self.rows, 3 * len(self.rows), ops.B
             self.B = sp.csr_matrix(
-                (ops.B.data.reshape(-1, 36)[rows].ravel(),
-                 ops.B.indices.reshape(-1, 36)[rows].ravel(),
-                 np.arange(0, 12 * n3 + 1, 12)), shape=(n3, ops.B.shape[1]))
+                (np.take(B.data.reshape(-1, 36), rows, axis=0).ravel(),
+                 np.take(B.indices.reshape(-1, 36), rows, axis=0).ravel(),
+                 np.arange(0, 12 * n3 + 1, 12, dtype=B.indptr.dtype)),
+                shape=(n3, B.shape[1]))
             self.BT = self.B.T
             self.weights3 = np.repeat(ops.weights[rows], 3)
             self.lengths = ops.lengths[rows]
@@ -424,25 +430,31 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     Otherwise f_int = K q + B_E^T W_E (t_E - D e_E) over the facets E that
     the certificate memoized on `states` does not prove linear (see
     `Certificate`); it is rebuilt at q, and memoized on `states`, when q
-    leaves its budgets.  Only E is evaluated: e_E = B_E q and the facet law
-    from the committed states of E, which compact committed states hold
-    as they are.  The trial states are compact: E's new rows on the full
-    states the committed ones share (`FacetStateArray.with_rows`); they
-    inherit the certificate.
+    leaves its budgets.  Only E is evaluated: e_E = B_E q (on a rebuild,
+    E's rows of the B q it forms) and the facet law from the committed
+    states of E, which compact committed states hold as they are.  The
+    trial states are compact: E's new rows on the full states the committed
+    ones share (`FacetStateArray.with_rows`); they inherit the certificate.
     """
     q = np.asarray(q, float)
     if ops.elastic_only:
         return ops.K @ q, states
-    cert = states.certificate
+    cert, e = states.certificate, None
     if cert is None or cert.ops is not ops or not cert.covers(q):
-        cert = states.certificate = Certificate(q, ops, states)
+        # a rebuild forms every strain at q (no B q at q = 0, where they
+        # are 0), and E takes its own from them: row by row the bits of B_E q
+        e = ops.strains(q) if q.any() else None
+        cert = states.certificate = Certificate(q, ops, states, e)
     f_int = ops.K @ q
     rows = cert.rows
     if rows is not None and not len(rows):
         trial = copy.copy(states)
         trial.certificate = cert
         return f_int, trial
-    e = (cert.B @ q).reshape(-1, 3)
+    if e is None:
+        e = (cert.B @ q).reshape(-1, 3)
+    elif rows is not None:
+        e = np.take(e, rows, axis=0)
     e_v = ops.facet_volumetric(q)
     if rows is None:
         t, trial = facet_update(states, e, e_v, ops.lengths, ops.params)

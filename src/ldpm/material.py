@@ -179,10 +179,14 @@ def sigma0(omega, params: MaterialParams):
     equals sigma_t at omega = pi/2 and sigma_t rst / sqrt(alpha) at 0.
     """
     omega = np.asarray(omega, float)
-    s, c = np.sin(omega), np.cos(omega)
-    val = 2.0 * params.sigma_t / (
-        s + np.sqrt(s ** 2 + 4.0 * params.alpha * c ** 2 / params.rst ** 2))
+    val = _sigma0(np.sin(omega), np.cos(omega), params)
     return float(val) if val.ndim == 0 else val
+
+
+def _sigma0(s, c, params: MaterialParams):
+    """`sigma0` from s = sin omega and c = cos omega."""
+    return 2.0 * params.sigma_t / (
+        s + np.sqrt(s ** 2 + 4.0 * params.alpha * c ** 2 / params.rst ** 2))
 
 
 def check_snap_back(length, params: MaterialParams) -> None:
@@ -197,36 +201,55 @@ def check_snap_back(length, params: MaterialParams) -> None:
 def H0(omega, length, params: MaterialParams):
     """Mixed-mode softening modulus, a power interpolation between the
     pure-shear modulus H_s/alpha and the pure-tension modulus
-    H_t = 2 E_0 / (l_t/l - 1)."""
+    H_t = 2 E_0 / (l_t/l - 1); a negative omega counts as 0."""
     check_snap_back(np.asarray(length, float), params)
-    return _H0(omega, length, params)
+    return _H0(np.clip(np.asarray(omega, float), 0.0, None), length, params)
 
 
 def _H0(omega, length, params: MaterialParams):
-    """`H0` without the snap-back check, for callers that made it."""
+    """`H0` at omega in [0, pi/2], without the snap-back check, for callers
+    that made it."""
     length = np.asarray(length, float)
     h_t = 2.0 * params.E0 / (params.lt / length - 1.0)
     h_s = params.r_s * params.E0
-    omega = np.asarray(omega, float)
     val = h_s / params.alpha + (h_t - h_s / params.alpha) * \
-        (2.0 * np.clip(omega, 0.0, None) / np.pi) ** params.nt
+        (2.0 * omega / np.pi) ** params.nt
     return float(val) if val.ndim == 0 else val
 
 
 def sigma_bt(e_max, omega, length, params: MaterialParams):
     """Tensile/mixed-mode boundary: exponential decay of the strength limit
     once the max effective strain passes its elastic limit."""
-    check_snap_back(np.asarray(length, float), params)
-    return _sigma_bt(e_max, omega, length, params)
+    return _sigma_bt(e_max, sigma0(omega, params), H0(omega, length, params),
+                     params)
 
 
-def _sigma_bt(e_max, omega, length, params: MaterialParams):
-    """`sigma_bt` without the snap-back check, for callers that made it."""
-    s0 = sigma0(omega, params)
-    h0 = _H0(omega, length, params)
+def _sigma_bt(e_max, s0, h0, params: MaterialParams):
+    """`sigma_bt` from the strength limit s0 and the softening modulus h0
+    of its direction."""
     e0 = s0 / params.E0
     val = s0 * np.exp(-h0 * np.maximum(np.asarray(e_max, float) - e0, 0.0) / s0)
     return float(val) if np.ndim(val) == 0 else val
+
+
+# the largest double: `_sigma0_strains` clamps an overflowed e_eff to it
+_MAX = np.finfo(float).max
+
+
+def _sigma0_strains(e_n, r, e_eff, params: MaterialParams):
+    """`sigma0` at omega = arctan2(e_N, r) of strains with e_N > 0, r =
+    sqrt(shear2) and e_eff = sqrt(e_N^2 + shear2), without trigonometry:
+    sin omega = e_N / e_eff and cos omega = r / e_eff.
+
+    e_eff is at least e_N unless e_N^2 underflows, and finite unless e_N^2
+    or shear2 overflows, so the clamp below changes no other e_eff.  Where
+    e_eff underflows to 0 it gives (sin, cos) = (1, 0) and sigma_t, the
+    value at omega = pi/2.  Where it overflows, sigma0 stays finite, and
+    `sigma_bt` at e_max = inf is 0 (NaN where H0 = 0), as with the sigma0
+    of omega.
+    """
+    d = np.minimum(np.maximum(e_eff, e_n), _MAX)
+    return _sigma0(e_n / d, r / d, params)
 
 
 def r_dv(e_d, e_v, params: MaterialParams):
@@ -324,14 +347,18 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
 
     The elastic expressions are evaluated on every facet; each boundary
     only on the facets that can reach it, found against a lower bound of
-    the boundary (see `active_floors`).  Below it the elastic value is the
-    one the boundary would let through, so the result is bit for bit that
-    of evaluating every boundary on every facet.
+    the boundary (see `active_floors`), and not at all when there are
+    none.  Below it the elastic value is the one the boundary would let
+    through, so the result is bit for bit that of evaluating every boundary
+    on every facet.  The envelope takes the sine and cosine of its
+    direction from the strains (`_sigma0_strains`).  A history field that
+    no facet changes is the committed array itself: nothing writes into
+    states after they are built.
 
     e_v is the per-facet volumetric strain, an array or a scalar, or a
     function returning it for an index array of facets; the function is
     called once, with the facets that reach the compressive boundary (the
-    only ones that read e_v).
+    only ones that read e_v), and not when there are none.
     """
     e = np.asarray(strains, float)
     if not np.all(np.isfinite(e)):
@@ -350,13 +377,17 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     shear2 = a * (e_m * e_m + e_l * e_l)
     e_eff = np.sqrt(e_n * e_n + shear2)
     e_max = np.where(frac, np.maximum(state.e_max, e_eff), state.e_max)
-    hot = np.flatnonzero(frac & (e_max >= floor_t))
-    omega = np.where(e_eff[hot] == 0.0, np.pi / 2,
-                     np.arctan2(e_n[hot], np.sqrt(shear2[hot])))
-    bound_t = _sigma_bt(e_max[hot], omega, lengths[hot], params)
-    soft = bound_t < E0 * e_eff[hot]       # so e_eff > 0 there
     scale = np.full(len(e_n), E0)
-    scale[hot[soft]] = bound_t[soft] / e_eff[hot[soft]]
+    hot = np.flatnonzero(frac & (e_max >= floor_t))
+    if len(hot):
+        e_n_h, r, e_eff_h = e_n[hot], np.sqrt(shear2[hot]), e_eff[hot]
+        # omega = arctan2(e_N, r) lies in [0, pi/2]: H0 needs no clip
+        bound_t = _sigma_bt(e_max[hot], _sigma0_strains(e_n_h, r, e_eff_h,
+                                                        params),
+                            _H0(np.arctan2(e_n_h, r), lengths[hot], params),
+                            params)
+        soft = bound_t < E0 * e_eff_h      # so e_eff > 0 there
+        scale[hot[soft]] = bound_t[soft] / e_eff_h[soft]
 
     # compression branch: incrementally elastic from the residual strain,
     # clamped by the compressive boundary where the trial traction reaches
@@ -364,37 +395,45 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     # traction has exceeded the plateau (inert for Ed = E0)
     e_nc = np.where(-state.traction[:, 0] <= params.sigma_c0, E0, params.Ed)
     trial = e_nc * (e_n - state.e_n_res)
-    bound_c = np.full(len(e_n), params.sigma_c0)
-    hot = np.flatnonzero(comp & (trial <= -params.sigma_c0))
-    e_v = e_v(hot) if callable(e_v) \
-        else np.broadcast_to(np.asarray(e_v, float), e_n.shape)[hot]
-    bound_c[hot] = sigma_bc(e_n[hot] - e_v, e_v, params)
     # an array lower bound, as in the full evaluation: np.clip with a
     # scalar one returns -0.0 for a trial of -0.0, with an array one +0.0
-    tc_n = np.clip(trial, -bound_c, 0.0)
-    e_n_res = np.where(comp & (trial != tc_n), e_n - tc_n / e_nc,
-                       state.e_n_res)
+    low = np.full(len(e_n), -params.sigma_c0)
+    hot = np.flatnonzero(comp & (trial <= -params.sigma_c0))
+    if len(hot):
+        e_v = e_v(hot) if callable(e_v) \
+            else np.broadcast_to(np.asarray(e_v, float), e_n.shape)[hot]
+        low[hot] = -sigma_bc(e_n[hot] - e_v, e_v, params)
+    tc_n = np.clip(trial, low, 0.0)
+    e_n_res = state.e_n_res
+    moved = np.flatnonzero(comp & (trial != tc_n))
+    if len(moved):
+        e_n_res = e_n_res.copy()
+        e_n_res[moved] = e_n[moved] - tc_n[moved] / e_nc[moved]
 
     # friction: radial return onto the shear boundary where the trial
     # traction reaches the cohesion
     tm = a * E0 * (e_m - state.e_p_m)
     tl = a * E0 * (e_l - state.e_p_l)
-    hot = np.flatnonzero(comp & (tm * tm + tl * tl >= floor_s2))
-    tau = np.hypot(tm[hot], tl[hot])
-    limit = sigma_bs(tc_n[hot], params)
-    slip = tau > limit
-    y = hot[slip]
-    scale_s = limit[slip] / tau[slip]      # tau > limit >= sigma_s > 0
-    tc_m, tc_l = tm[y] * scale_s, tl[y] * scale_s
-    e_p_m, e_p_l = state.e_p_m.copy(), state.e_p_l.copy()
-    e_p_m[y] += (tm[y] - tc_m) / (a * E0)
-    e_p_l[y] += (tl[y] - tc_l) / (a * E0)
-    tm[y], tl[y] = tc_m, tc_l
+    e_p_m, e_p_l = state.e_p_m, state.e_p_l
+    y = np.flatnonzero(comp & (tm * tm + tl * tl >= floor_s2))
+    if len(y):
+        tau = np.hypot(tm[y], tl[y])
+        limit = sigma_bs(tc_n[y], params)
+        slip = tau > limit
+        y, tau, limit = y[slip], tau[slip], limit[slip]
+    if len(y):
+        scale_s = limit / tau              # tau > limit >= sigma_s > 0
+        tc_m, tc_l = tm[y] * scale_s, tl[y] * scale_s
+        e_p_m, e_p_l = e_p_m.copy(), e_p_l.copy()
+        e_p_m[y] += (tm[y] - tc_m) / (a * E0)
+        e_p_l[y] += (tl[y] - tc_l) / (a * E0)
+        tm[y], tl[y] = tc_m, tc_l
 
     t = np.empty_like(e)
     t[:, 0] = np.where(frac, scale * e_n, tc_n)
-    t[:, 1] = np.where(frac, a * scale * e_m, tm)
-    t[:, 2] = np.where(frac, a * scale * e_l, tl)
+    scale *= a
+    t[:, 1] = np.where(frac, scale * e_m, tm)
+    t[:, 2] = np.where(frac, scale * e_l, tl)
     new = FacetStateArray(
         e_max=e_max, e_p_m=e_p_m, e_p_l=e_p_l, e_n_res=e_n_res, traction=t)
     return t, new

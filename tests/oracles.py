@@ -10,8 +10,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from ldpm import material
-from ldpm.material import FacetStateArray, MaterialParams, sigma_bc, \
-    sigma_bs, sigma_bt
+from ldpm.material import H0, FacetStateArray, MaterialParams, sigma_bc, \
+    sigma_bs
 
 STATE_FIELDS = ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction")
 
@@ -147,13 +147,23 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     # than boolean gathers when most facets are active)
     shear2 = a * (e_m * e_m + e_l * e_l)
     e_eff = np.sqrt(e_n * e_n + shear2)
-    omega = np.where(e_eff == 0.0, np.pi / 2,
-                     np.arctan2(e_n, np.sqrt(shear2)))
     e_max = np.where(frac, np.maximum(state.e_max, e_eff), state.e_max)
-    # the tension bound is discarded on compression facets; evaluate it at
-    # pi/2 there so the envelope denominator stays away from zero
-    bound_t = sigma_bt(e_max, np.where(frac, omega, np.pi / 2), lengths,
-                       params)
+    # the envelope at omega = arctan2(e_N, sqrt(shear2)) from sin omega =
+    # e_N / e_eff and cos omega = sqrt(shear2) / e_eff, e_eff clamped to
+    # [e_N, the largest double] where it under- or overflowed; the tension
+    # bound is discarded on compression facets, so evaluate it at pi/2
+    # there, where the envelope denominator stays away from zero
+    r = np.sqrt(shear2)
+    d = np.minimum(np.maximum(e_eff, e_n), np.finfo(float).max)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sin_w = np.where(frac, e_n / d, 1.0)
+        cos_w = np.where(frac, r / d, 0.0)
+    s0 = 2.0 * params.sigma_t / (sin_w + np.sqrt(
+        sin_w ** 2 + 4.0 * params.alpha * cos_w ** 2 / params.rst ** 2))
+    omega = np.where(frac, np.arctan2(e_n, r), np.pi / 2)
+    h0 = H0(omega, lengths, params)
+    with np.errstate(invalid="ignore"):
+        bound_t = s0 * np.exp(-h0 * np.maximum(e_max - s0 / E0, 0.0) / s0)
     # the elastic law E0 e where the boundary does not bind
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(bound_t < E0 * e_eff, bound_t / e_eff, E0)

@@ -28,7 +28,7 @@ from ldpm.integrators import (
     newmark_params,
     perturb,
 )
-from ldpm.material import MaterialParams, active_floors, \
+from ldpm.material import FacetStateArray, MaterialParams, active_floors, \
     elastic_tractions, facet_update
 
 from oracles import STATE_FIELDS, internal_forces_all_rows
@@ -439,6 +439,35 @@ class TestCompactTrials:
         for trial, want in trials:
             assert_same_states(trial, want)
         assert_same_states(committed, before)
+
+
+    def test_rebuild_passes_equal_the_full_copy_pass(self, params):
+        # a rebuild takes the strains of the facets it evaluates from the
+        # B q it forms for its slack, not from a second product B_E q
+        ops, solver = pulled_explicit(params)
+        sizes = []
+        for i in range(160):
+            solver.step()
+            if i % 8 == 7:
+                states = copy.copy(solver.states)
+                if i == 159:
+                    # no facet virgin: the rebuild evaluates every facet
+                    states = FacetStateArray(*(
+                        full_arrays(states)[f] + (f == "e_p_l") * 1e-12
+                        for f in STATE_FIELDS))
+                states.certificate = None          # rebuilt at q
+                before = full_arrays(states)
+                f, trial = internal_forces(solver.q, ops, states)
+                cert = trial.certificate
+                assert states.certificate is cert
+                f_want, want = internal_forces_all_rows(solver.q, ops,
+                                                        before, cert)
+                assert np.array_equal(f, f_want)
+                assert_same_states(trial, want)
+                assert_same_states(states, before)
+                sizes.append(ops.mesh.n_facets if cert.rows is None
+                             else len(cert.rows))
+        assert 0 < sizes[-2] < ops.mesh.n_facets == sizes[-1]
 
 
 class TestCommittedTractions:

@@ -3,15 +3,20 @@ only on the facets that can reach it, and must return tractions and trial
 states bit for bit equal to the all-facet oracle, on random parameters,
 committed states and strains that sit on zeros, subnormals and within a few
 ulp of the floors and the boundaries.  Its results must also stay inside
-the three boundaries and never lower the fracture history."""
+the three boundaries and never lower the fracture history.  The envelope
+formed from the strains' own sine and cosine stays within 8 eps of
+sigma0(arctan2(e_N, sqrt(shear2))), and where e_eff overflows the law keeps
+the tractions and states it gave with sigma0 of that angle."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ldpm import material
 from ldpm.material import FLOOR_MARGIN, FacetStateArray, MaterialParams, \
-    active_floors, facet_update, sigma0, sigma_bc, sigma_bs, sigma_bt
+    active_floors, elastic_tractions, facet_update, sigma0, sigma_bc, \
+    sigma_bs, sigma_bt
 
 import oracles
 
@@ -210,3 +215,122 @@ def test_e_max_never_decreases(case):
     state, e, e_v, lengths, p = case
     _, new = facet_update(state, e, e_v, lengths, p)
     assert np.all(new.e_max >= state.e_max)
+
+
+EPS = np.finfo(float).eps
+# strain components whose squares are normal doubles, so that e_eff is
+# formed to rounding; e_N > 0 also down to the subnormals, beside a shear
+# part of that range (pure shear)
+normal_st = st.floats(1e-150, 1e150)
+shear_st = st.just(0.0) | normal_st | normal_st.map(lambda x: -x)
+
+
+@given(params_st, normal_st | st.sampled_from([5e-324, 1e-310, 1e-200]),
+       shear_st, shear_st)
+def test_trig_free_sigma0_matches_sigma0_of_omega(p, e_n, e_m, e_l):
+    shear2 = p.alpha * (e_m * e_m + e_l * e_l)
+    r = np.sqrt(shear2)
+    assume(max(e_n, r) >= 1e-150)
+    e_eff = np.sqrt(e_n * e_n + shear2)
+    got = material._sigma0_strains(np.array([e_n]), np.array([r]),
+                                   np.array([e_eff]), p)[0]
+    want = sigma0(np.arctan2(e_n, r), p)
+    assert abs(got - want) <= 8 * EPS * want
+
+
+def test_trig_free_sigma0_over_random_directions():
+    p = MaterialParams()
+    rng = np.random.default_rng(11)
+    n = 200_000
+    e = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8.0, 2.0, (n, 1))
+    e[:, 0] = np.abs(e[:, 0])
+    shear2 = p.alpha * (e[:, 1] ** 2 + e[:, 2] ** 2)
+    r, e_eff = np.sqrt(shear2), np.sqrt(e[:, 0] ** 2 + shear2)
+    got = material._sigma0_strains(e[:, 0], r, e_eff, p)
+    want = sigma0(np.arctan2(e[:, 0], r), p)
+    assert np.max(np.abs(got - want) / want) <= 8 * EPS
+
+
+@pytest.mark.parametrize("r_s", [0.0, 0.2])
+def test_overflowing_e_eff_keeps_its_tractions_and_states(r_s):
+    # e_N^2 or shear2 overflows: e_max becomes inf, and the envelope decays
+    # to 0 (t = 0), or to NaN where H0 = 0 (t = D e: omega = 0 at r_s = 0);
+    # the overflow itself warns, as in the diverging runs of the kit
+    p = MaterialParams(r_s=r_s)
+    e = np.array([[1e200, 0.0, 0.0], [1e200, 1e100, -1e100],
+                  [1e-3, -1e200, 0.0], [2e154, 2e154, 0.0],
+                  [1e-4, 2e-5, -1e-5], [5e-324, 0.0, 0.0]])
+    state = FacetStateArray.virgin(len(e))
+    state.e_max[4:] = np.inf, 1.0
+    state.e_p_m[:] = 1e-5
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, new = facet_update(state, e, 0.0, 50.0, p)
+    d = elastic_tractions(e, p)
+    # rows 2 and 3 overflow shear2 alone or with e_N^2; the last is elastic
+    want = np.vstack([0.0 * e[:2],
+                      d[2:4] if r_s == 0.0 else 0.0 * e[2:4],
+                      0.0 * e[4:5], d[5:]])
+    assert np.array_equal(t, want) and \
+        np.array_equal(np.signbit(t), np.signbit(want))
+    assert np.array_equal(new.e_max, [np.inf] * 5 + [1.0])
+    for f in ("e_p_m", "e_p_l", "e_n_res"):
+        assert getattr(new, f) is getattr(state, f)
+
+
+def test_tension_only_facets_never_call_the_compressive_boundaries(
+        monkeypatch):
+    # tension facets below, on and past the envelope, some softened
+    p = MaterialParams()
+    rng = np.random.default_rng(3)
+    e = np.abs(rng.normal(size=(40, 3))) * [2e-4, 1e-4, 1e-4]
+    e[::2, 1:] *= -1.0
+    state = FacetStateArray.virgin(40)
+    state.e_max[:] = rng.uniform(0.0, 4e-4, 40)
+    state.e_p_m[:] = rng.normal(scale=1e-5, size=40)
+    t0, new0 = oracles.facet_update(state, e, 0.0, 50.0, p)
+
+    def refuse(*args, **kw):
+        raise AssertionError("boundary evaluated on an empty active set")
+    monkeypatch.setattr(material, "sigma_bc", refuse)
+    monkeypatch.setattr(material, "sigma_bs", refuse)
+    t1, new1 = facet_update(state, e, refuse, 50.0, p)
+    assert np.any(t1 != elastic_tractions(e, p))
+    for a, b in [(t1, t0)] + [(getattr(new1, f), getattr(new0, f))
+                              for f in FIELDS]:
+        assert np.array_equal(a, b) and \
+            np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_trials_share_unchanged_history_and_leave_it_alone():
+    # a chain of trials from committed states with plastic and residual
+    # strains: trials that slip or collapse nowhere share those arrays,
+    # the others copy them, and no trial changes the states it came from
+    p = MaterialParams()
+    n = 6
+    committed = FacetStateArray.virgin(n)
+    committed.e_p_m[:] = np.linspace(-1e-4, 1e-4, n)
+    committed.e_p_l[:] = 2e-5
+    committed.e_n_res[:] = -np.linspace(0.0, 1e-3, n)
+    committed.traction[:, 0] = -np.linspace(0.0, 1.5 * p.sigma_c0, n)
+    before = committed.copy()
+    quiet = np.column_stack([np.full(n, 1e-6), committed.e_p_m,
+                             committed.e_p_l])
+    slips = np.column_stack([np.full(n, -1e-6), committed.e_p_m + 1e-3,
+                             committed.e_p_l])
+    collapses = np.column_stack([np.full(n, -0.02), committed.e_p_m,
+                                 committed.e_p_l])
+    chain, states = [], committed
+    for e in (quiet, slips, quiet, collapses, quiet):
+        _, trial = assert_matches_oracle(states, e, -0.01, 50.0, p)
+        chain.append((states, states.copy(), trial))
+        states = trial
+    _, first = assert_matches_oracle(committed, quiet, 0.0, 50.0, p)
+    assert all(getattr(first, f) is getattr(committed, f)
+               for f in ("e_p_m", "e_p_l", "e_n_res"))
+    assert chain[1][2].e_p_m is not chain[1][0].e_p_m
+    assert chain[3][2].e_n_res is not chain[3][0].e_n_res
+    for origin, copied, _ in chain:
+        for f in FIELDS:
+            assert np.array_equal(getattr(origin, f), getattr(copied, f)), f
+    for f in FIELDS:
+        assert np.array_equal(getattr(committed, f), getattr(before, f)), f
