@@ -504,9 +504,9 @@ def crack_openings(mesh: Mesh, strains, tractions,
 # element matrices, 256 x (6 p)^2 doubles (1.2 MB for tets, p = 4), those
 # of one kept-DoF count again, scaled for eigvalsh, and per slot the Ke of
 # up to 256 facets (12 x 12 doubles each) with their flat indices into the
-# element matrices (0.3 MB each).  What it leaves to the allocator adds
-# to the peak set later by a factorization of K: on a 73,728-facet prism
-# the static run peaks at 207 MB resident with 256, 214 MB with 1024.
+# element matrices (0.3 MB each).  The chunk does not set the peak: on a
+# 73,728-facet prism the static run peaks at 197 MB resident with 256 and
+# with 1024 alike (2 CPUs, numpy 2.4.6, scipy 1.17.1).
 _DT_CHUNK = 256
 
 

@@ -187,8 +187,9 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     tau = np.hypot(tm, tl)
     limit = sigma_bs(tc_n, params)
     yielding = ~frac & (tau > limit)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale_s = np.where(yielding, limit / np.where(tau > 0, tau, 1.0), 1.0)
+    # divide only where the facet yields: elsewhere tau may be subnormal
+    scale_s = np.divide(limit, tau, out=np.ones_like(tau),
+                        where=yielding & (tau > 0))
     tc_m = tm * scale_s
     tc_l = tl * scale_s
 

@@ -323,6 +323,20 @@ constraints =
         assert err == "solver failure: step 0: non-finite residual\n"
         assert not out.exists()
 
+    def test_under_constrained_static_run_exit_3(self, tmp_path, capsys):
+        # only ux of node 1 is prescribed: the free stiffness block has
+        # the facet's rigid-body modes and cannot be factorized
+        text = MINIMAL.replace(
+            "    fix node:0 all\n    fix node:1 uy,uz,rx,ry,rz\n", "")
+        path = write_text(tmp_path / "c.ini", text)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_SOLVER
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "solver failure: singular effective matrix")
+        assert not out.exists()
+
     @pytest.mark.parametrize("solver,message", [
         ("kind = explicit\ndt_crit_factor = 0.5\ntotal_time = 1e-4",
          "non-finite state"),
