@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .geometry import Mesh, tet_volume
 from .material import FLOOR_MARGIN, MaterialParams, FacetStateArray, \
-    SnapBackError, active_floors, facet_update, elastic_tractions
+    active_floors, check_snap_back, facet_update, elastic_tractions
 
 
 class AssemblyError(Exception):
@@ -101,8 +101,7 @@ def assemble_stiffness(mesh: Mesh, params: MaterialParams,
     if B is None:
         B = build_strain_operator(mesh)
     w = facet_weights(mesh)
-    d = np.repeat(w, 3) * np.tile(
-        np.array([1.0, params.alpha, params.alpha]) * params.E0, mesh.n_facets)
+    d = np.repeat(w, 3) * np.tile(params.D, mesh.n_facets)
     K = (B.T @ sp.diags(d) @ B).tocsr()
     return ((K + K.T) * 0.5).tocsr()
 
@@ -204,10 +203,8 @@ class SystemOperators:
     def __init__(self, mesh: Mesh, params: MaterialParams,
                  elastic_only: bool = False):
         lengths = mesh.facets.edge_length
-        if not elastic_only and np.any(lengths >= params.lt):
-            raise SnapBackError(
-                f"edge length {float(lengths.max())!r} mm >= characteristic "
-                f"length lt={params.lt}: softening would snap back")
+        if not elastic_only:
+            check_snap_back(lengths, params)
         self.mesh = mesh
         self.params = params
         self.elastic_only = elastic_only
@@ -219,19 +216,12 @@ class SystemOperators:
         self._weights3 = np.repeat(self.weights, 3)
         self.lengths = lengths
         self.parent_tet = mesh.facets.parent_tet
-        self._has_parent = self.parent_tet >= 0
         self.inversion_guard = inversion_guard(mesh)
         self.K = assemble_stiffness(mesh, params, self.B)
         if not elastic_only:
             # set-up constants of the certificates
-            self.D = np.array([1.0, params.alpha, params.alpha]) * params.E0
+            self.D = params.D
             self.c_u, self.c_theta = _row_norms(self.B)
-            ends = np.concatenate([mesh.facets.node_i, mesh.facets.node_j])
-            order = np.argsort(ends, kind="stable")
-            self._end_facet = order % mesh.n_facets
-            self._node_start = np.flatnonzero(np.diff(ends[order],
-                                                      prepend=-1))
-            self._node_id = ends[order][self._node_start]
             self.zero_slack = float(self.slack(np.zeros((1, 3)))[0])
 
     def strains(self, q) -> np.ndarray:
@@ -247,7 +237,7 @@ class SystemOperators:
         e_eff = np.sqrt(e_n * e_n + p.alpha * (e_m * e_m + e_l * e_l))
         tension = np.maximum(-e_n, (floor_t - e_eff)
                              / np.sqrt(1.0 + 2.0 * p.alpha))
-        g = p.alpha * p.E0
+        g = p.D[1]
         shear = np.maximum(e_n, (np.sqrt(floor_s2) - g * np.hypot(e_m, e_l))
                            / (g * np.sqrt(2.0)))
         compression = e_n + p.sigma_c0 / p.E0
@@ -258,30 +248,25 @@ class SystemOperators:
         """Per node, the least of the per-facet `values` over the facets
         that end at it; inf at a node no facet ends at."""
         out = np.full(self.mesh.n_nodes, np.inf)
-        out[self._node_id] = np.minimum.reduceat(values[self._end_facet],
-                                                 self._node_start)
+        np.minimum.at(out, self.mesh.facets.node_i, values)
+        np.minimum.at(out, self.mesh.facets.node_j, values)
         return out
 
     def facet_volumetric(self, q):
-        """Per-facet e_V at q for `facet_update`, 0 on orphan facets, once
-        no tet has inverted.
+        """e_V at q for `facet_update`, once no tet has inverted: the
+        function `volumetric_at` bound to q, which evaluates only the facets
+        asked for (0 on orphan facets).
 
         While sqrt(3) max|u| over the nodal translation components stays
         below `inversion_guard`, no tet can have inverted and no volume is
-        computed: the result is the function `volumetric_at` bound to q,
-        which evaluates only the facets asked for.  Otherwise every tet
-        volume is evaluated, an inverted tet raises AssemblyError, and the
-        result is the (nf,) array.
+        computed here.  Otherwise every tet volume is evaluated first, and
+        an inverted tet raises AssemblyError.
         """
         q = np.asarray(q, float)
         u = q.reshape(-1, 6)[:, :3]
-        if np.sqrt(3.0) * np.abs(u).max() < self.inversion_guard:
-            return partial(self.volumetric_at, q)
-        e_v = np.zeros(self.mesh.n_facets)
-        if len(self.mesh.tets):
-            tet_ev = volumetric_strain(q, self.mesh)
-            e_v[self._has_parent] = tet_ev[self.parent_tet[self._has_parent]]
-        return e_v
+        if not np.sqrt(3.0) * np.abs(u).max() < self.inversion_guard:
+            volumetric_strain(q, self.mesh)
+        return partial(self.volumetric_at, q)
 
     def volumetric_at(self, q, facets) -> np.ndarray:
         """e_V at q of the facets `facets` from their parent tets alone,
@@ -360,11 +345,11 @@ class Certificate:
     budgets.  A NaN or an infinity in q fails `covers`: one in du makes
     tau NaN or infinite, and every comparison with a NaN is false.
 
-    The other facets are evaluated: `rows` (None when that is every
-    facet), with, unless there are none, their rows `B` of the strain
-    operator (B itself for every facet), its transpose `BT`, `weights3`
-    and `lengths`.  `strains`, when given, are those of every facet at q
-    (B q as (nf, 3)); otherwise they are formed here where needed.
+    The other facets are evaluated: the index array `rows`, possibly
+    empty, with their rows `B` of the strain operator (a zero-row matrix
+    for none), its transpose `BT`, `weights3` and `lengths`.  `strains`,
+    when given, are those of every facet at q (B q as (nf, 3)); otherwise
+    they are formed here where needed.
     """
 
     def __init__(self, q, ops: SystemOperators, states: FacetStateArray,
@@ -387,23 +372,19 @@ class Certificate:
         with np.errstate(divide="ignore"):
             self.b_u = ops.node_min(half / ops.c_u)
             self.b_theta = ops.node_min(half / ops.c_theta)
-        self.rows = np.flatnonzero(~self.certified)
-        if len(self.rows) == len(self.certified):
-            self.rows, self.B, self.BT = None, ops.B, ops.BT
-            self.weights3, self.lengths = ops._weights3, ops.lengths
-        elif len(self.rows):
-            # a facet's 3 rows of B are 36 consecutive entries
-            # (`build_strain_operator`), so B_E is sliced from B's arrays
-            # directly, with B's index dtype so that scipy keeps the arrays
-            rows, n3, B = self.rows, 3 * len(self.rows), ops.B
-            self.B = sp.csr_matrix(
-                (np.take(B.data.reshape(-1, 36), rows, axis=0).ravel(),
-                 np.take(B.indices.reshape(-1, 36), rows, axis=0).ravel(),
-                 np.arange(0, 12 * n3 + 1, 12, dtype=B.indptr.dtype)),
-                shape=(n3, B.shape[1]))
-            self.BT = self.B.T
-            self.weights3 = np.repeat(ops.weights[rows], 3)
-            self.lengths = ops.lengths[rows]
+        self.rows = rows = np.flatnonzero(~self.certified)
+        # a facet's 3 rows of B are 36 consecutive entries
+        # (`build_strain_operator`), so B_E is sliced from B's arrays
+        # directly, with B's index dtype so that scipy keeps the arrays
+        n3, B = 3 * len(rows), ops.B
+        self.B = sp.csr_matrix(
+            (np.take(B.data.reshape(-1, 36), rows, axis=0).ravel(),
+             np.take(B.indices.reshape(-1, 36), rows, axis=0).ravel(),
+             np.arange(0, 12 * n3 + 1, 12, dtype=B.indptr.dtype)),
+            shape=(n3, B.shape[1]))
+        self.BT = self.B.T
+        self.weights3 = np.repeat(ops.weights[rows], 3)
+        self.lengths = ops.lengths[rows]
 
     def covers(self, q) -> bool:
         """Whether every node is inside its budgets: its translation since
@@ -431,10 +412,12 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     the certificate memoized on `states` does not prove linear (see
     `Certificate`); it is rebuilt at q, and memoized on `states`, when q
     leaves its budgets.  Only E is evaluated: e_E = B_E q (on a rebuild,
-    E's rows of the B q it forms) and the facet law from the committed
-    states of E, which compact committed states hold as they are.  The
-    trial states are compact: E's new rows on the full states the committed
-    ones share (`FacetStateArray.with_rows`); they inherit the certificate.
+    E's rows of the B q it forms), the facet law from the committed states
+    of E, which compact committed states hold as they are, and e_V on
+    those of E that reach the compressive boundary (`facet_volumetric`).
+    With E empty, f_int is K q.  The trial states are compact: E's new rows
+    on the full states the committed ones share
+    (`FacetStateArray.with_rows`); they inherit the certificate.
     """
     q = np.asarray(q, float)
     if ops.elastic_only:
@@ -447,23 +430,17 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
         cert = states.certificate = Certificate(q, ops, states, e)
     f_int = ops.K @ q
     rows = cert.rows
-    if rows is not None and not len(rows):
+    if not len(rows):
         trial = copy.copy(states)
         trial.certificate = cert
         return f_int, trial
-    if e is None:
-        e = (cert.B @ q).reshape(-1, 3)
-    elif rows is not None:
-        e = np.take(e, rows, axis=0)
-    e_v = ops.facet_volumetric(q)
-    if rows is None:
-        t, trial = facet_update(states, e, e_v, ops.lengths, ops.params)
-    else:
-        base, sub = states.split(rows)
-        e_v = (lambda hot, at=e_v: at(rows[hot])) if callable(e_v) \
-            else e_v[rows]
-        t, sub = facet_update(sub, e, e_v, cert.lengths, ops.params)
-        trial = FacetStateArray.with_rows(base, rows, sub)
+    e = (cert.B @ q).reshape(-1, 3) if e is None \
+        else np.take(e, rows, axis=0)
+    at = ops.facet_volumetric(q)
+    base, sub = states.split(rows)
+    t, sub = facet_update(sub, e, lambda hot: at(rows[hot]), cert.lengths,
+                          ops.params)
+    trial = FacetStateArray.with_rows(base, rows, sub)
     f_int += cert.BT @ (cert.weights3 * (t - e * ops.D).ravel())
     trial.certificate = cert
     return f_int, trial
@@ -478,7 +455,7 @@ def facet_tractions(q, ops: SystemOperators,
     if ops.elastic_only:
         return elastic_tractions(ops.strains(q), ops.params)
     cert = states.certificate
-    if cert is None or cert.rows is None:
+    if cert is None:
         return states.traction
     t = elastic_tractions(ops.strains(q), ops.params)
     if len(cert.rows):
@@ -493,9 +470,10 @@ def crack_openings(mesh: Mesh, strains, tractions,
     e = np.asarray(strains, float)
     t = np.asarray(tractions, float)
     l = mesh.facets.edge_length
-    w_n = l * np.maximum(0.0, e[:, 0] - t[:, 0] / params.E0)
-    w_m = l * (e[:, 1] - t[:, 1] / (params.alpha * params.E0))
-    w_l = l * (e[:, 2] - t[:, 2] / (params.alpha * params.E0))
+    d = e - t / params.D
+    w_n = l * np.maximum(0.0, d[:, 0])
+    w_m = l * d[:, 1]
+    w_l = l * d[:, 2]
     w = np.sqrt(w_n ** 2 + w_m ** 2 + w_l ** 2)
     return np.column_stack([w_n, w_m, w_l, w])
 
@@ -585,7 +563,7 @@ def _max_element_omega(blocks, weights, fids, elem, local, nodes, m_node, dp,
     """
     ne, p = nodes.shape
     n = 6 * p
-    D = np.array([1.0, params.alpha, params.alpha]) * params.E0
+    D = params.D
     # flat offsets in an element matrix of a facet on local nodes (a, b)
     dofs = 6 * np.arange(p)[:, None] + np.arange(6)
     pair = np.concatenate(np.broadcast_arrays(dofs[:, None], dofs[None]), 2)

@@ -85,6 +85,11 @@ class MaterialParams:
     def Ed(self) -> float:
         return self.Ed_over_E0 * self.E0
 
+    @property
+    def D(self) -> np.ndarray:
+        """Elastic moduli of (e_N, e_M, e_L): E0 (1, alpha, alpha)."""
+        return np.array([1.0, self.alpha, self.alpha]) * self.E0
+
     def with_overrides(self, **kw) -> "MaterialParams":
         return replace(self, **kw)
 
@@ -441,6 +446,4 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
 
 def elastic_tractions(strains, params: MaterialParams):
     """Pure elastic law t = E_0 diag(1, alpha, alpha) e."""
-    e = np.asarray(strains, float)
-    d = np.array([1.0, params.alpha, params.alpha]) * params.E0
-    return e * d
+    return np.asarray(strains, float) * params.D

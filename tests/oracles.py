@@ -228,17 +228,15 @@ def internal_forces_all_rows(q, ops, states: dict, cert):
     q = np.asarray(q, float)
     f_int = ops.K @ q
     trial = {f: a.copy() for f, a in states.items()}
-    rows = np.arange(len(ops.lengths)) if cert.rows is None else cert.rows
+    rows = cert.rows
     if not len(rows):
         return f_int, trial
     rows3 = (3 * rows[:, None] + np.arange(3)).ravel()
     e = ops.strains(q)[rows]
-    e_v = ops.facet_volumetric(q)
-    e_v = (lambda hot, at=e_v: at(rows[hot])) if callable(e_v) \
-        else e_v[rows]
+    at = ops.facet_volumetric(q)
     sub = FacetStateArray(*(states[f][rows] for f in STATE_FIELDS))
-    t, new = material.facet_update(sub, e, e_v, ops.lengths[rows],
-                                   ops.params)
+    t, new = material.facet_update(sub, e, lambda hot: at(rows[hot]),
+                                   ops.lengths[rows], ops.params)
     f_int += ops.B[rows3].T @ (np.repeat(ops.weights[rows], 3)
                                * (t - e * ops.D).ravel())
     for f in STATE_FIELDS:

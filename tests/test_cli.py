@@ -57,6 +57,15 @@ constraints =
 monitor = node:1 ux
 """
 
+# a free DoF between a fixed and a pulled node, with one increment-checked
+# iteration a step: none of the 10 static steps converges
+UNCONVERGED = MINIMAL.replace(
+    "fixture = single-facet", "fixture = two-particle-chain n=2").replace(
+    "kind = static", "kind = static\ncriteria = increment\nmax_iter = 1"
+).replace("""    fix node:1 uy,uz,rx,ry,rz
+    velocity node:1 ux 1""", """    fix nodes:1,2 uy,uz,rx,ry,rz
+    velocity node:2 ux 1""")
+
 
 class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
@@ -259,6 +268,17 @@ class TestCliRun:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+
+    def test_steps_accepted_without_convergence(self, tmp_path, capsys):
+        path = write_text(tmp_path / "c.ini", UNCONVERGED)
+        rec = run(parse_config(path), write_outputs=False)
+        assert rec.n_not_converged == int((~rec.converged).sum()) == 10
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_OK
+        summary = (out / "summary.txt").read_text(encoding="utf-8")
+        assert "\nsteps_not_converged: 10\n" in summary
+        assert capsys.readouterr().err == \
+            "warning: 10 steps accepted without convergence\n"
 
     def test_bad_config_exit_2(self, tmp_path, capsys):
         path = write_text(tmp_path / "c.ini",
@@ -509,6 +529,41 @@ constraints =
         pytest.param(MINIMAL.replace("fixture = single-facet",
                                      "path = {tmp}/broken.mesh"),
                      id="invalid-mesh"),
+        pytest.param(MINIMAL.replace("monitor = node:1 ux",
+                                     "monitor = node:1"), id="monitor-token"),
+        pytest.param(MINIMAL.replace("monitor = node:1 ux",
+                                     "monitor = node:1 ux,uy"),
+                     id="monitor-dof"),
+        pytest.param(MINIMAL.replace("total_time = 0.005",
+                                     "total_time = 0.0002"),
+                     id="total_time-short"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = prism"), id="specimen-size"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = cone 10x10x20"),
+                     id="specimen-shape"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = prism 10x10x20 div"),
+                     id="specimen-option-form"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = prism 10x10x20 colour=red"),
+                     id="specimen-option"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = prism 10x10x20 waist=0.5"),
+                     id="prism-waist"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = dogbone 10x10x20 "
+                                     "notch_depth=0.5"),
+                     id="dogbone-notch_depth"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = notched 10x10x20 "
+                                     "waist=0.5"),
+                     id="notched-waist"),
+        pytest.param(MINIMAL.replace("velocity node:1 ux 1",
+                                     "velocity node:1 ux 1 0.001"),
+                     id="velocity-ramp-token"),
+        pytest.param(MINIMAL + "\n[perturbation]\neta = -1e-5\n",
+                     id="eta"),
     ])
     def test_config_mistake_exit_2(self, tmp_path, capsys, text):
         broken_single_tet(tmp_path / "broken.mesh")
