@@ -119,7 +119,7 @@ def volumetric_strain(q, mesh: Mesh, tets=None) -> np.ndarray:
         return np.zeros(0)
     disp = np.asarray(q, float).reshape(-1, 6)[:, :3]
     p = (mesh.positions + disp)[mesh.tets[ids]]
-    v = np.linalg.det(p[:, 1:] - p[:, :1]) / 6.0
+    v = tet_volume(p[:, 0], p[:, 1], p[:, 2], p[:, 3])
     if np.any(v <= 0):
         raise AssemblyError(f"inverted tetrahedra {ids[v <= 0].tolist()[:10]}")
     v0 = mesh.tet_volumes[ids]

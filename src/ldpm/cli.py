@@ -2,7 +2,7 @@
 
 Subcommands:
     run <config>                          execute a config file
-    bench <preset> [--mesh FILE] [--scale S] [--solver KIND] [--out DIR]
+    bench <preset> [--mesh FILE] [--solver KIND] [--out DIR]
     compare <dump>... --reference LABEL [--cap MM] [--csv FILE]
     validate <mesh>                       check mesh invariants
     fixture <kind> -o FILE                write a verification fixture mesh
@@ -45,7 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("preset", choices=PRESET_NAMES)
     p_bench.add_argument("--mesh", help="facet-data file replacing the "
                                         "built-in specimen")
-    p_bench.add_argument("--scale", type=float, default=1.0)
     p_bench.add_argument("--solver", choices=SOLVER_KINDS)
     p_bench.add_argument("--out", help="override the output directory")
 
@@ -103,7 +102,7 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     def load():
-        cfg = preset_config(args.preset, scale=args.scale, solver=args.solver)
+        cfg = preset_config(args.preset, solver=args.solver)
         if args.mesh:
             cfg.specimen = cfg.fixture = None
             cfg.mesh_path = args.mesh

@@ -145,6 +145,10 @@ class RunConfig:
             raise ConfigError("mesh: exactly one of path/fixture/specimen")
         for d in self.constraints:
             parse_directive(d)
+        tok = self.monitor.split()
+        if self.monitor and (len(tok) != 2 or tok[1] not in DOF_NAMES):
+            raise ConfigError(f"load.monitor needs '<selector> <dof>' with "
+                              f"one dof of {DOF_NAMES}, got {self.monitor!r}")
         self.solver_params()
         return self
 

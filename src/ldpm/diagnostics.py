@@ -82,9 +82,6 @@ class Spectrum:
     amplitudes: np.ndarray
     peaks: list = field(default_factory=list)  # (frequency, amplitude)
 
-    def peak_frequencies(self) -> np.ndarray:
-        return np.array([p[0] for p in self.peaks])
-
 
 def fft_peaks(series, dt: float, n_peaks: int = 5) -> Spectrum:
     """Magnitude spectrum of the mean-removed, Hann-windowed series with the

@@ -18,7 +18,7 @@ linear (its certificates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,9 +89,6 @@ class MaterialParams:
     def D(self) -> np.ndarray:
         """Elastic moduli of (e_N, e_M, e_L): E0 (1, alpha, alpha)."""
         return np.array([1.0, self.alpha, self.alpha]) * self.E0
-
-    def with_overrides(self, **kw) -> "MaterialParams":
-        return replace(self, **kw)
 
 
 _FIELDS = ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction")
@@ -231,9 +228,15 @@ def sigma_bt(e_max, omega, length, params: MaterialParams):
 
 def _sigma_bt(e_max, s0, h0, params: MaterialParams):
     """`sigma_bt` from the strength limit s0 and the softening modulus h0
-    of its direction."""
-    e0 = s0 / params.E0
-    val = s0 * np.exp(-h0 * np.maximum(np.asarray(e_max, float) - e0, 0.0) / s0)
+    of its direction.  A zero modulus does not soften: its exponent is 0,
+    also at e_max = inf, where h0 x would be NaN, and at s0 = 0 (e_eff
+    overflowed in shear)."""
+    h0 = np.asarray(h0, float)
+    x = np.maximum(np.asarray(e_max, float) - s0 / params.E0, 0.0)
+    expo = np.zeros(np.broadcast(h0, x, s0).shape)
+    np.multiply(-h0, x, out=expo, where=h0 != 0.0)
+    np.divide(expo, s0, out=expo, where=h0 != 0.0)
+    val = s0 * np.exp(expo)
     return float(val) if np.ndim(val) == 0 else val
 
 
@@ -250,8 +253,9 @@ def _sigma0_strains(e_n, r, e_eff, params: MaterialParams):
     or shear2 overflows, so the clamp below changes no other e_eff.  Where
     e_eff underflows to 0 it gives (sin, cos) = (1, 0) and sigma_t, the
     value at omega = pi/2.  Where it overflows, sigma0 stays finite, and
-    `sigma_bt` at e_max = inf is 0 (NaN where H0 = 0), as with the sigma0
-    of omega.
+    `sigma_bt` at e_max = inf is 0, or sigma0 where H0 = 0; either bound
+    over e_eff = inf gives the facet zero traction, as with the sigma0 of
+    omega.
     """
     d = np.minimum(np.maximum(e_eff, e_n), _MAX)
     return _sigma0(e_n / d, r / d, params)

@@ -30,7 +30,7 @@ from . import diagnostics
 from .assembly import SystemOperators, assemble_lumped_mass, \
     crack_openings, critical_timestep, volumetric_strain
 from .config import ConfigError, RunConfig, parse_directive, write_config
-from .geometry import Mesh, select_nodes
+from .geometry import DOF_NAMES, Mesh, select_nodes
 from .integrators import ExplicitIntegrator, GeneralizedAlphaIntegrator, \
     LoadProgram, StaticSolver
 
@@ -132,16 +132,12 @@ def build_solver(cfg: RunConfig, mesh: Mesh, ops: SystemOperators,
 
 
 def _monitor_dofs(cfg: RunConfig, mesh: Mesh):
+    """The DoFs of `[load] monitor`, whose form `validate` checked."""
     if not cfg.monitor:
         return None
-    tok = cfg.monitor.split()
-    if len(tok) != 2:
-        raise ConfigError(f"monitor needs '<selector> <dof>', got {cfg.monitor!r}")
-    from .geometry import DOF_NAMES
-    if tok[1] not in DOF_NAMES:
-        raise ConfigError(f"unknown monitor dof {tok[1]!r}")
-    comp = DOF_NAMES.index(tok[1])
-    nodes = select_nodes(mesh, tok[0])
+    selector, dof = cfg.monitor.split()
+    comp = DOF_NAMES.index(dof)
+    nodes = select_nodes(mesh, selector)
     return np.array([6 * n + comp for n in nodes], dtype=int)
 
 

@@ -162,8 +162,13 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
         sin_w ** 2 + 4.0 * params.alpha * cos_w ** 2 / params.rst ** 2))
     omega = np.where(frac, np.arctan2(e_n, r), np.pi / 2)
     h0 = H0(omega, lengths, params)
-    with np.errstate(invalid="ignore"):
-        bound_t = s0 * np.exp(-h0 * np.maximum(e_max - s0 / E0, 0.0) / s0)
+    # a zero modulus does not soften: no exponent where h0 = 0, also at
+    # e_max = inf or s0 = 0
+    soft = h0 != 0.0
+    expo = np.zeros_like(e_max)
+    np.multiply(-h0, np.maximum(e_max - s0 / E0, 0.0), out=expo, where=soft)
+    np.divide(expo, s0, out=expo, where=soft)
+    bound_t = s0 * np.exp(expo)
     # the elastic law E0 e where the boundary does not bind
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = np.where(bound_t < E0 * e_eff, bound_t / e_eff, E0)

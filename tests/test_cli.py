@@ -152,6 +152,14 @@ class TestValidate:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("monitor", ["node:1", "node:1 ux,uy"])
+    def test_malformed_monitor_refused_by_the_parser(self, monitor,
+                                                     tmp_path):
+        # before any mesh or operator is built
+        text = MINIMAL.replace("monitor = node:1 ux", f"monitor = {monitor}")
+        with pytest.raises(ConfigError, match="load.monitor"):
+            parse_config(write_text(tmp_path / "c.ini", text))
+
 
 class TestDirectives:
     def test_fix(self):
@@ -198,6 +206,27 @@ class TestRoundTrip:
         write_config(cfg, path)
         back = parse_config(path)
         assert dataclasses.asdict(back) == dataclasses.asdict(cfg)
+
+
+class TestPresets:
+    def test_each_call_is_independent(self):
+        # mutated the way the benchmark workloads adjust a preset
+        cfg = preset_config("dog-bone")
+        fresh = dataclasses.asdict(cfg)
+        cfg.constraints = tuple(d.replace("uz 1 ", "uz 10 ")
+                                for d in cfg.constraints)
+        cfg.specimen = cfg.specimen.replace("seed=7", "seed=8")
+        cfg.total_time = 0.0011
+        cfg.material["E0"] = 1.0
+        again = preset_config("dog-bone")
+        assert again is not cfg and again.material is not cfg.material
+        assert dataclasses.asdict(again) == fresh
+
+    def test_unknown_name_lists_every_preset(self):
+        with pytest.raises(ConfigError) as err:
+            preset_config("tensile-coupon")
+        assert all(name in str(err.value) for name in PRESET_NAMES)
+        assert len(PRESET_NAMES) == 6
 
 
 class TestResolveConstraints:
@@ -785,3 +814,8 @@ class TestCliBench:
     def test_bench_unknown_preset(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "tensile-coupon"])
+
+    def test_bench_has_no_scale_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "dog-bone", "--scale", "2"])
+        assert exc.value.code == EXIT_VALIDATION
