@@ -213,7 +213,7 @@ class SystemOperators:
         self.BT = self.B.T
         self.weights = facet_weights(mesh)
         # A_k l_k per strain component, matching the flattened tractions
-        self._weights3 = np.repeat(self.weights, 3)
+        self.weights3 = np.repeat(self.weights, 3)
         self.lengths = lengths
         self.parent_tet = mesh.facets.parent_tet
         self.inversion_guard = inversion_guard(mesh)
@@ -279,8 +279,11 @@ class SystemOperators:
             e_v[has] = volumetric_strain(q, self.mesh, ids)[at]
         return e_v
 
-    def gather_forces(self, tractions) -> np.ndarray:
-        return self.BT @ (self._weights3 * np.ravel(tractions))
+    def gather_forces(self, tractions, cert=None) -> np.ndarray:
+        """B^T W t: the nodal forces of the per-facet `tractions` of every
+        facet, or of the facets the Certificate `cert` evaluates."""
+        on = self if cert is None else cert
+        return on.BT @ (on.weights3 * np.ravel(tractions))
 
 
 # the certified facets are the virgin ones whose slack at the reference
@@ -441,7 +444,7 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     t, sub = facet_update(sub, e, lambda hot: at(rows[hot]), cert.lengths,
                           ops.params)
     trial = FacetStateArray.with_rows(base, rows, sub)
-    f_int += cert.BT @ (cert.weights3 * (t - e * ops.D).ravel())
+    f_int += ops.gather_forces(t - e * ops.D, cert)
     trial.certificate = cert
     return f_int, trial
 

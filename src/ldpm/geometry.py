@@ -339,8 +339,11 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
     on invariant violations its one-line message gives their count and the
     first of them, and its `report` all of them."""
     node_ids, nodes, tets, facets, facet_lines = [], [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise MeshError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     def perr(lineno, msg):
         raise MeshError(f"{path}:{lineno}: {msg}")
@@ -395,6 +398,8 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
         raise MeshError(f"{path}: tet {bad_tets[0]} references a missing node")
     tet_vols = tet_volume(*pos[tets_arr].transpose(1, 0, 2))
 
+    if not facets:
+        raise MeshError(f"{path}: no facet lines")
     if len({len(row) for row in facets}) > 1:
         raise MeshError(f"{path}: the parent tet column must be on every "
                         "facet line or on none")

@@ -22,6 +22,7 @@ import scipy.sparse as sp
 # `spla.splu` is the patch point of perfbench's probe, which times the
 # factorization and the solves of the factor it returns
 from . import banded as spla
+from . import diagnostics
 from .assembly import AssemblyError, SystemOperators, facet_tractions, \
     internal_forces
 from .material import FacetStateArray
@@ -248,13 +249,11 @@ def perturb(q, free_idx, eta: float, rng: np.random.Generator) -> np.ndarray:
 
 class _SolverBase:
     """State shared by all solvers: DoF vectors, facet history, load
-    program, and the last committed evaluation: internal and external
-    forces (for energy work) and reactions.  `mass` is the per-DoF
-    diagonal mass, None for the quasi-static solver.
-
-    step() and perturb() bind new q and f_int arrays rather than writing
-    into the committed ones, so a caller may keep the previous arrays
-    without copying them."""
+    program, the last committed evaluation (internal forces, external
+    forces f_ext and f_ext_total = f_ext + reactions, and reactions) and
+    the energy `ledger` that step() and perturb() book their work in; its
+    W_kin is left to the caller.  `mass` is the per-DoF diagonal mass,
+    None for the quasi-static solver."""
 
     def __init__(self, ops: SystemOperators, program: LoadProgram,
                  mass: np.ndarray | None):
@@ -271,6 +270,9 @@ class _SolverBase:
         self.f_int = np.zeros(n)
         self.f_ext = program.external_force(self.t)
         self.reaction_forces = np.zeros(n)
+        self.f_ext_total = self.reaction_forces + self.f_ext
+        self.ledger = diagnostics.EnergyLedger()
+        self._held = None
 
     @property
     def strains(self) -> np.ndarray:
@@ -294,12 +296,36 @@ class _SolverBase:
         f = f_int[pres] if self.mass is None \
             else self.mass[pres] * self.a[pres] + f_int[pres]
         self.reaction_forces[pres] = f - f_ext[pres]
+        self.f_ext_total = self.reaction_forces + f_ext
+
+    def _book_step(self, q0, f_int0, f_ext0) -> None:
+        """Book the work from a step's start arrays q0, f_int0, f_ext0 (the
+        step binds new ones) to its commit, then release a held force."""
+        dq = self.q - q0
+        diagnostics.accumulate_work(self.ledger, f_ext0, self.f_ext_total,
+                                    f_int0, self.f_int, dq)
+        if self._held is not None:
+            diagnostics.book_release(self.ledger, self._held, dq)
+            self._held = None
 
     def perturb(self, eta: float, rng: np.random.Generator) -> None:
         """Add a uniform(-eta/2, eta/2) draw to every free DoF, then
-        evaluate and commit forces, facet states and reactions there."""
+        evaluate and commit forces, facet states and reactions there.  Books
+        the work over the jump; the out-of-balance force left, inertia
+        included, is held until the next step releases it."""
+        q0, f_int0 = self.q, self.f_int
         self.q = perturb(self.q, self.program.free, eta, rng)
         self._refresh()
+        diagnostics.book_perturbation(self.ledger, f_int0, self.f_int,
+                                      self.q - q0)
+        self._held = self.f_int - self.f_ext_total
+        if self.mass is not None:
+            self._held += self.mass * self.a
+
+    def kinetic_energy(self) -> float:
+        """1/2 v^T M v at the committed state; 0 without inertia."""
+        return 0.0 if self.mass is None \
+            else diagnostics.kinetic_energy(self.v, self.mass)
 
     def reaction_sum(self) -> np.ndarray:
         """Resultant of reactions over the driven translational DoFs,
@@ -344,6 +370,7 @@ class ExplicitIntegrator(_SolverBase):
 
     def step(self) -> StepReport:
         p, dt = self.program, self.dt
+        q0, f_int0, f_ext0 = self.q, self.f_int, self.f_ext_total
         if self.step_index:
             self._v_half = self._v_half + dt * self.a
         q_new = self.q + dt * self._v_half
@@ -361,6 +388,7 @@ class ExplicitIntegrator(_SolverBase):
         self.step_index += 1
         self.v = self._v_half + 0.5 * dt * self.a
         self.v[p.prescribed] = p.velocity(self.t)
+        self._book_step(q0, f_int0, f_ext0)
         return StepReport(self.t, 0, True)
 
 
@@ -379,7 +407,6 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         self.ga = ga
         self.conv = conv
         self.dt = dt
-        self.energy_ref = 0.0  # external/internal/kinetic scale, set by runner
         free = program.free
         K_eff = ops.K
         if mass is not None:
@@ -408,11 +435,17 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         self._commit(*internal_forces(self.q, self.ops, self.states),
                      self.program.external_force(self.t))
 
+    @property
+    def energy_ref(self) -> float:
+        """Energy-criterion scale: |W_ext| plus the kinetic energy."""
+        return abs(self.ledger.w_ext) + self.kinetic_energy()
+
     def step(self) -> StepReport:
         p, ga, dt, mass = self.program, self.ga, self.dt, self.mass
         af, am = ga.alpha_f, ga.alpha_m
         free = p.free
-        q0, a0 = self.q, self.a
+        q0, a0, f_int0, f_ext0 = self.q, self.a, self.f_int, self.f_ext_total
+        energy_ref = self.energy_ref
         t1 = self.t + dt
 
         q_new = q0.copy()
@@ -445,10 +478,10 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             dq = np.zeros_like(q_new)
             dq[free] = self._factor.solve(-r_full[free])
             q_new += dq
-            e_ref = self.energy_ref
+            e_ref = energy_ref
             if mass is not None:
                 v_new, a_new = self._newmark(q_new, t1)
-                e_ref = max(e_ref, 0.5 * float(np.dot(mass * v_new, v_new)))
+                e_ref = max(e_ref, diagnostics.kinetic_energy(v_new, mass))
             iterations += 1
             # one set of facet arrays at a time keeps the peak memory down
             del last
@@ -469,6 +502,7 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             last = internal_forces(q_new, self.ops, self.states)
         self.q, self.v, self.a, self.t = q_new, v_new, a_new, t1
         self._commit(*last, f_ext)
+        self._book_step(q0, f_int0, f_ext0)
         self.step_index += 1
         return StepReport(self.t, iterations, converged, values)
 

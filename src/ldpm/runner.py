@@ -1,8 +1,8 @@
 """Config-driven simulation execution.
 
 Turns a RunConfig into a mesh + load program + solver, marches the solver to
-the final time while accumulating the energy ledger, and writes the output
-files:
+the final time under the perturbation schedule, records rows of its state and
+energy ledger, and writes the output files:
 
     steps.csv              time,iterations,converged,reaction_x,reaction_y,
                            reaction_z,W_kin,W_int,W_ext,balance_err_pct
@@ -132,12 +132,16 @@ def build_solver(cfg: RunConfig, mesh: Mesh, ops: SystemOperators,
 
 
 def _monitor_dofs(cfg: RunConfig, mesh: Mesh):
-    """The DoFs of `[load] monitor`, whose form `validate` checked."""
+    """The DoFs of `[load] monitor`, whose form `validate` checked; a
+    selector that matches no node is a ConfigError."""
     if not cfg.monitor:
         return None
     selector, dof = cfg.monitor.split()
     comp = DOF_NAMES.index(dof)
     nodes = select_nodes(mesh, selector)
+    if not nodes:
+        raise ConfigError(f"load.monitor {cfg.monitor!r}: the selector "
+                          "matches no node")
     return np.array([6 * n + comp for n in nodes], dtype=int)
 
 
@@ -164,77 +168,42 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
     params = cfg.material_params()
     ops = SystemOperators(mesh, params, cfg.elastic_only)
     program = resolve_constraints(mesh, cfg.constraints)
+    monitor = _monitor_dofs(cfg, mesh)
     solver, dt = build_solver(cfg, mesh, ops, program)
     n_steps = int(round(cfg.total_time / dt))
     if n_steps < 1:
         raise RunError("total_time shorter than one step")
-    monitor = _monitor_dofs(cfg, mesh)
 
-    ledger = diagnostics.EnergyLedger()
+    # the solver books the work; the kinetic energy is set at recorded rows
+    ledger = solver.ledger
     rng = np.random.default_rng(cfg.seed)
     next_perturb = cfg.interval if cfg.eta > 0 else np.inf
 
     times, iters, conv_flags = [], [], []
     reactions, w_kin, w_int, w_ext, balance, mon = [], [], [], [], [], []
 
-    def ext_vec():
-        return solver.reaction_forces + solver.f_ext
-
-    def kinetic():
-        return 0.0 if solver.mass is None \
-            else diagnostics.kinetic_energy(solver.v, solver.mass)
-
     def record(report_iters, report_conv):
         times.append(solver.t)
         iters.append(report_iters)
         conv_flags.append(report_conv)
         reactions.append(solver.reaction_sum())
-        k = kinetic()
-        ledger.w_kin = k
-        w_kin.append(k)
+        ledger.w_kin = solver.kinetic_energy()
+        w_kin.append(ledger.w_kin)
         w_int.append(ledger.w_int)
         w_ext.append(ledger.w_ext)
         balance.append(diagnostics.energy_balance_error(ledger))
-        if monitor is not None:
-            mon.append(float(np.mean(solver.q[monitor])))
-        else:
-            mon.append(0.0)
+        mon.append(0.0 if monitor is None
+                   else float(np.mean(solver.q[monitor])))
 
     record(0, True)
-    held = None
     n_not_converged = 0
-    # external forces at solver.t, reactions included; a step's end value
-    # starts the next step unless a perturbation commits new reactions.
-    # The solver binds new q and f_int arrays, so the previous ones are
-    # kept without copies.
-    f_ext = ext_vec()
     for step in range(n_steps):
-        q_prev, f_int_prev, f_ext_prev = solver.q, solver.f_int, f_ext
         report = solver.step()
         if not report.converged:
             n_not_converged += 1
-        f_ext = ext_vec()
-        diagnostics.accumulate_work(ledger, f_ext_prev, f_ext,
-                                    f_int_prev, solver.f_int,
-                                    solver.q - q_prev)
-        if held is not None:
-            diagnostics.book_release(ledger, held, solver.q - q_prev)
-            held = None
         if solver.t >= next_perturb - 0.5 * dt:
-            q_prev, f_int_prev = solver.q, solver.f_int
             solver.perturb(cfg.eta, rng)
-            diagnostics.book_perturbation(ledger, f_int_prev, solver.f_int,
-                                          solver.q - q_prev)
-            # out-of-balance force at the perturbed state (zero on the
-            # prescribed DoFs, whose reactions balance it)
-            f_ext = ext_vec()
-            held = solver.f_int - f_ext
-            if solver.mass is not None:
-                held += solver.mass * solver.a
             next_perturb += cfg.interval
-        # the scale of the next step's energy criterion, from this step
-        if hasattr(solver, "energy_ref"):
-            solver.energy_ref = abs(ledger.w_ext) + kinetic()
         if (step + 1) % cfg.stride == 0 or step == n_steps - 1:
             record(report.iterations, report.converged)
 

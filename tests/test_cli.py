@@ -621,6 +621,22 @@ constraints =
             and err.count("\n") == 1, err
         assert blocker.read_text(encoding="utf-8") == ""
 
+    def test_monitor_matching_no_node_exit_2_before_any_step(
+            self, tmp_path, capsys, monkeypatch):
+        # an empty selection would record the mean of no displacement
+        path = write_text(tmp_path / "c.ini", MINIMAL.replace(
+            "monitor = node:1 ux", "monitor = xmin&xmax ux"))
+
+        def no_step(*args):
+            raise AssertionError("a step ran before the monitor check")
+
+        monkeypatch.setattr(StaticSolver, "step", no_step)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: load.monitor 'xmin&xmax " \
+            "ux': the selector matches no node\n"
+        assert not out.exists()
+
     def test_output_write_failure_exit_2(self, tmp_path, capsys,
                                          monkeypatch):
         # a directory that passes the check but cannot be written to (a
@@ -741,6 +757,25 @@ class TestCliFixtureValidate:
     def test_validate_corrupt_file(self, tmp_path, capsys):
         path = write_text(tmp_path / "bad.mesh", "not a mesh at all\n")
         assert main(["validate", str(path)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("data,message", [
+        pytest.param(b"NODES 1\n0 0.0 0.0 0.0 1.0 \xff\n",
+                     "not UTF-8 text (invalid start byte)",
+                     id="not-utf8"),
+        pytest.param(b"NODES 1\n0 0.0 0.0 0.0 1.0\n", "no facet lines",
+                     id="no-facets")])
+    def test_unusable_mesh_file_one_line_exit_2(self, tmp_path, capsys,
+                                                data, message):
+        path = tmp_path / "m.mesh"
+        path.write_bytes(data)
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"invalid: {path}: {message}\n"
+        config = write_text(tmp_path / "c.ini", MINIMAL.replace(
+            "fixture = single-facet", f"path = {path}"))
+        out = tmp_path / "out"
+        assert main(["run", config, "--out", str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
     def test_validate_prints_every_violation_of_one_pass(
             self, tmp_path, capsys, monkeypatch):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ldpm import diagnostics
 from ldpm.assembly import SystemOperators, assemble_lumped_mass
 from ldpm.diagnostics import (
     EnergyLedger,
@@ -17,7 +20,7 @@ from ldpm.integrators import ConvergenceSpec, ExplicitIntegrator, \
     LoadProgram, StaticSolver
 from ldpm.material import MaterialParams
 from ldpm.presets import preset_config
-from ldpm.runner import run
+from ldpm.runner import build_solver, resolve_constraints, run
 
 
 @pytest.fixture
@@ -122,6 +125,58 @@ class TestPerturbationWork:
             late = rec.times >= 0.0015     # past the start-up transient
             peak[eta] = rec.balance_err[late].max()
         assert peak[1e-5] < 1.02 * peak[0.0]
+
+
+class TestSolverLedger:
+    @pytest.mark.parametrize("name,kind,total_time", [
+        ("dog-bone", None, 1e-4), ("unconfined-free", "genalpha", 2e-3)])
+    def test_hand_driven_ledger_matches_run(self, name, kind, total_time):
+        # the solver books every step and perturbation itself, so driving
+        # it by hand through run()'s schedule books run()'s work
+        cfg = preset_config(name, solver=kind)
+        cfg.total_time, cfg.stride = total_time, 1
+        cfg.eta, cfg.interval = 1e-5, total_time / 10
+        rec = run(cfg, write_outputs=False)
+        mesh = cfg.build_mesh()
+        ops = SystemOperators(mesh, cfg.material_params(), cfg.elastic_only)
+        solver, dt = build_solver(cfg, mesh, ops,
+                                  resolve_constraints(mesh, cfg.constraints))
+        rng = np.random.default_rng(cfg.seed)
+        next_perturb = cfg.interval
+        w_int, w_ext = [0.0], [0.0]
+        for _ in range(len(rec.times) - 1):
+            solver.step()
+            if solver.t >= next_perturb - 0.5 * dt:
+                solver.perturb(cfg.eta, rng)
+                next_perturb += cfg.interval
+            w_int.append(solver.ledger.w_int)
+            w_ext.append(solver.ledger.w_ext)
+        assert next_perturb > 5 * cfg.interval
+        assert np.array(w_int).tobytes() == rec.w_int.tobytes()
+        assert np.array(w_ext).tobytes() == rec.w_ext.tobytes()
+        if kind is not None:
+            # the energy criterion's scale comes from the solver's ledger
+            assert solver.energy_ref == abs(rec.w_ext[-1]) + rec.w_kin[-1] \
+                > 0.0
+
+    def test_explicit_kinetic_energy_once_per_recorded_row(
+            self, monkeypatch):
+        calls = []
+        kinetic = diagnostics.kinetic_energy
+
+        def counted(velocity, mass):
+            calls.append(1)
+            return kinetic(velocity, mass)
+
+        monkeypatch.setattr(diagnostics, "kinetic_energy", counted)
+        cfg = preset_config("dog-bone")
+        cfg.total_time, cfg.stride = 1e-4, 7
+        cfg.eta, cfg.interval = 1e-5, 1e-5
+        rec = run(cfg, write_outputs=False)
+        steps = int(round(cfg.total_time / rec.dt))
+        assert steps > 3 * cfg.stride
+        assert len(calls) == len(rec.times) == 1 + math.ceil(steps
+                                                             / cfg.stride)
 
 
 class TestEnergyBalanceError:
