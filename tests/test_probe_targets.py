@@ -1,6 +1,7 @@
 """The benchmark's per-layer probe (perfbench/probe.py) patches program
 names by string.  A rename in the program would silently drop a per-layer
-metric, so these checks resolve every name the probe patches."""
+metric, so these checks resolve every name the probe patches and check
+that short runs call each one."""
 
 import functools
 import importlib.util
