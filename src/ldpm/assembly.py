@@ -95,15 +95,67 @@ def assemble_lumped_mass(mesh: Mesh) -> np.ndarray:
     return values
 
 
+# node pairs per batched product of assemble_stiffness: a chunk's rows of B
+# and their weighted copy take 2 x 128 x 9 x 36 doubles (0.66 MB) at the
+# prism's 9 facets a pair
+_K_CHUNK = 128
+
+
 def assemble_stiffness(mesh: Mesh, params: MaterialParams,
                        B: sp.csr_matrix | None = None) -> sp.csr_matrix:
-    """Elastic stiffness K = sum_k A_k l_k B_k^T E B_k (symmetric PSD)."""
+    """Elastic stiffness K = sum_k A_k l_k B_k^T D B_k: symmetric PSD, in
+    canonical CSR, exactly symmetric and without explicit zeros.
+
+    The facets of a node pair (lower node a, higher node b) share the 12
+    columns of their rows of B (`build_strain_operator`), so the pair adds
+    one 12 x 12 block X^T (W D X), X its facets' rows stacked in facet
+    order: one batched product per chunk of pairs with the same facet
+    count.  K's (a, b) block is the pair's upper off-diagonal block and
+    (b, a) its transpose; a node's diagonal block sums the pairs' diagonal
+    blocks at the node, and its upper triangle is mirrored onto the lower.
+    The blocks, in row and column order, form a block-sparse matrix that
+    scipy converts to CSR.  The sums are plain products, no square roots,
+    so that an elastic static step leaves an exactly zero residual where
+    the factor solves exactly."""
     if B is None:
         B = build_strain_operator(mesh)
-    w = facet_weights(mesh)
-    d = np.repeat(w, 3) * np.tile(params.D, mesh.n_facets)
-    K = (B.T @ sp.diags(d) @ B).tocsr()
-    return ((K + K.T) * 0.5).tocsr()
+    rows = _facet_rows(B)
+    wd = facet_weights(mesh)[:, None] * params.D
+    f, nn = mesh.facets, mesh.n_nodes
+    lo = np.minimum(f.node_i, f.node_j).astype(np.int64)
+    key = lo * nn + np.maximum(f.node_i, f.node_j)
+    order = np.argsort(key, kind="stable")
+    pair, start, count = np.unique(key[order], return_index=True,
+                                   return_counts=True)
+    a, b = pair // nn, pair % nn
+    # the 6 x 6 blocks of K: every node's diagonal block, then the (a, b)
+    # and the (b, a) block of every pair, each at its place by row and column
+    row = np.concatenate([np.arange(nn), a, b])
+    col = np.concatenate([np.arange(nn), b, a])
+    by = np.lexsort((col, row))
+    at = np.empty(len(by), dtype=np.intp)
+    at[by] = np.arange(len(by))
+    blocks = np.empty((len(by), 6, 6))
+    diag = np.zeros((nn, 6, 6))
+    for m in np.unique(count):
+        of_m = np.flatnonzero(count == m)
+        for sel in np.array_split(of_m, -(-len(of_m) // _K_CHUNK)):
+            ids = order[start[sel, None] + np.arange(m)]
+            X = rows[ids].reshape(len(sel), 3 * m, 12)
+            P = X.transpose(0, 2, 1) \
+                @ (wd[ids].reshape(len(sel), 3 * m, 1) * X)
+            np.add.at(diag, a[sel], P[:, :6, :6])
+            np.add.at(diag, b[sel], P[:, 6:, 6:])
+            upper = P[:, :6, 6:]
+            blocks[at[nn + sel]] = upper
+            blocks[at[nn + len(pair) + sel]] = upper.transpose(0, 2, 1)
+    blocks[at[:nn]] = np.triu(diag) + np.triu(diag, 1).transpose(0, 2, 1)
+    K = sp.bsr_matrix(
+        (blocks, col[by], np.concatenate([[0], np.cumsum(
+            np.bincount(row, minlength=nn))])),
+        shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
+    K.eliminate_zeros()
+    return K
 
 
 def facet_weights(mesh: Mesh) -> np.ndarray:
@@ -482,13 +534,15 @@ def crack_openings(mesh: Mesh, strains, tractions,
 
 
 # elements per chunk of critical_timestep.  A chunk's working set is its
-# element matrices, 256 x (6 p)^2 doubles (1.2 MB for tets, p = 4), those
-# of one kept-DoF count again, scaled for eigvalsh, and per slot the Ke of
-# up to 256 facets (12 x 12 doubles each) with their flat indices into the
-# element matrices (0.3 MB each).  The chunk does not set the peak: on a
-# 73,728-facet prism the static run peaks at 197 MB resident with 256 and
-# with 1024 alike (2 CPUs, numpy 2.4.6, scipy 1.17.1).
-_DT_CHUNK = 256
+# stacked facet rows X, 128 x 36 x 24 doubles for tets of 12 facets (0.9 MB),
+# their weighted copy, and its element matrices and the shifted copy that
+# the certificate factors, 128 x 24 x 24 doubles each (0.6 MB)
+_DT_CHUNK = 128
+# elements whose eigenvalues seed omega_max: those with the largest diagonal
+# entry of M^-1/2 K M^-1/2, a lower bound of their largest eigenvalue
+_DT_SEEDS = 8
+# relative margin of the certificate below omega_max^2 (critical_timestep)
+_DT_MARGIN = 1e-10
 
 
 def critical_timestep(mesh: Mesh, params: MaterialParams,
@@ -503,6 +557,28 @@ def critical_timestep(mesh: Mesh, params: MaterialParams,
     program) drop out of every element.  The facet blocks are read from the
     strain operator `B` (`build_strain_operator`, built here when not
     given), whose first 6 columns of a facet are those of its lower node.
+
+    An element's matrix is A = S X^T (W D X) S: X stacks its facets' rows
+    of B in facet order on the element's DoFs, W D holds each row's A l D,
+    and S = M^-1/2 on the element's free, massive DoFs, 0 on the others;
+    one batched product per chunk of `_DT_CHUNK` elements.  omega_max^2
+    starts as the largest eigenvalue (`eigvalsh`) of the `_DT_SEEDS`
+    elements of largest diagonal entry of A, a lower bound of their
+    largest eigenvalue.  Every other chunk is certified by one batched
+    Cholesky factorization of tau I - A, tau = omega_max^2 (1 -
+    `_DT_MARGIN`); only a chunk whose factorization fails is evaluated by
+    `eigvalsh`, which may raise omega_max.
+
+    The result equals the largest `eigvalsh` of every element.  A Cholesky
+    factorization that completes is exact for tau I - A + E with |E| of
+    order n eps (tau + |A|) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 10), so lambda_max(A) < tau + O(n eps tau); and
+    `eigvalsh` is backward stable too (Golub & Van Loan, Matrix
+    Computations, ch. 8), so its value for that element is within O(n eps
+    |A|) of lambda_max(A).  At n <= 24 DoFs both terms, and the rounding of
+    tau I - A and of A's two triangles, are below 1e-13 tau, far inside the
+    margin of 1e-10: a certified element's `eigvalsh` value lies below the
+    omega_max^2 it was certified against.
     """
     if mass is None:
         mass = assemble_lumped_mass(mesh)
@@ -562,51 +638,74 @@ def _max_element_omega(blocks, weights, fids, elem, local, nodes, m_node, dp,
     fids/elem/local: the facets, their element and the local index of
     their lower and higher node, grouped by element in facet order;
     nodes/m_node: (ne, p) global node and translational mass per local
-    node.  Each element keeps its free, massive DoFs in local order.
+    node.  An element keeps its free, massive DoFs: S = M^-1/2 there and 0
+    on the others, and A_e = S X^T (W D X) S with X its facets' rows
+    stacked in facet order (`critical_timestep`).
     """
     ne, p = nodes.shape
     n = 6 * p
-    D = params.D
-    # flat offsets in an element matrix of a facet on local nodes (a, b)
-    dofs = 6 * np.arange(p)[:, None] + np.arange(6)
-    pair = np.concatenate(np.broadcast_arrays(dofs[:, None], dofs[None]), 2)
-    offset = pair[:, :, :, None] * n + pair[:, :, None, :]
+    wd = weights[fids, None] * params.D
     slot = np.arange(len(fids)) - np.searchsorted(elem, elem)
+    m = slot.max() + 1
+    first = np.searchsorted(elem, np.arange(ne + 1))
     M = np.repeat(m_node, 6, axis=1)
     M[:, 3::6] = M[:, 4::6] = M[:, 5::6] = m_node * dp[nodes] ** 2 / 10.0
     keep = ~fixed[(6 * nodes[:, :, None] + np.arange(6)).reshape(ne, -1)] \
         & ~(M <= 0)
-    omega_sq = 0.0
-    bounds = np.searchsorted(elem, np.arange(0, ne + _DT_CHUNK, _DT_CHUNK))
-    for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if lo == hi:
+    S = np.zeros((ne, n))
+    S[keep] = 1.0 / np.sqrt(M[keep])
+    # the element columns of the 12 entries of a facet row on local nodes
+    # (a, b), and their flat offsets in the facet's 3 rows of X
+    dofs = 6 * np.arange(p)[:, None] + np.arange(6)
+    column = np.concatenate(np.broadcast_arrays(dofs[:, None], dofs[None]), 2)
+    offset = n * np.arange(3)[:, None] + column[:, :, None, :]
+
+    def matrices(ids):
+        # the facets `at` of the elements `ids`, element by element
+        count = first[ids + 1] - first[ids]
+        at = np.repeat(first[ids] - np.cumsum(count) + count, count) \
+            + np.arange(count.sum())
+        row = np.repeat(m * np.arange(len(ids)), count) + slot[at]
+        X = np.zeros((len(ids), 3 * m, n))
+        X.reshape(-1)[3 * n * row[:, None, None]
+                      + offset[local[at, 0], local[at, 1]]] = blocks[fids[at]]
+        W = np.zeros((len(ids) * m, 3))
+        W[row] = wd[at]
+        A = X.transpose(0, 2, 1) @ (W.reshape(len(ids), 3 * m, 1) * X)
+        A *= S[ids, :, None]
+        A *= S[ids, None, :]
+        return A
+
+    def largest(A) -> float:
+        return float(np.linalg.eigvalsh(A)[:, -1].max())
+
+    # the running maximum starts from the elements of largest diagonal
+    diag = np.empty((ne, n))
+    for e0 in range(0, ne, _DT_CHUNK):
+        e1 = min(ne, e0 + _DT_CHUNK)
+        at = slice(first[e0], first[e1])
+        b = blocks[fids[at]]
+        diag[e0:e1] = np.bincount(
+            (n * (elem[at, None] - e0)
+             + column[local[at, 0], local[at, 1]]).ravel(),
+            np.einsum("fr,frc,frc->fc", wd[at], b, b).ravel(),
+            minlength=(e1 - e0) * n).reshape(-1, n)
+    diag *= S * S
+    seeds = np.argsort(-diag.max(axis=1), kind="stable")[:_DT_SEEDS]
+    omega_sq = max(0.0, largest(matrices(seeds)))
+    seeded = np.zeros(ne, dtype=bool)
+    seeded[seeds] = True
+    for e0 in range(0, ne, _DT_CHUNK):
+        ids = np.arange(e0, min(ne, e0 + _DT_CHUNK))
+        ids = ids[~seeded[ids]]
+        if not len(ids):
             continue
-        e0 = c * _DT_CHUNK
-        K = np.zeros((min(ne, e0 + _DT_CHUNK) - e0, n, n))
-        flat = K.reshape(-1)
-        # slot by slot, so that no element appears twice in one scatter
-        # and every entry sums its facets in facet order
-        sl = slot[lo:hi]
-        for s in range(sl.max() + 1):
-            at = lo + np.flatnonzero(sl == s)
-            b = blocks[fids[at]]
-            Ke = (weights[fids[at], None, None] * b.transpose(0, 2, 1)) \
-                @ (D[:, None] * b)
-            flat[(elem[at, None, None] - e0) * n * n
-                 + offset[local[at, 0], local[at, 1]]] += Ke
-        Mc, kc = M[e0:e0 + len(K)], keep[e0:e0 + len(K)]
-        counts = kc.sum(axis=1)
-        for k in np.unique(counts[counts > 0]):
-            rows = np.nonzero(counts == k)[0]
-            if k == n:
-                # every DoF kept: no gather
-                A = K if len(rows) == len(K) else K[rows]
-                inv_sqrt = 1.0 / np.sqrt(Mc[rows])
-            else:
-                idx = np.argsort(~kc[rows], axis=1, kind="stable")[:, :k]
-                A = K[rows[:, None, None], idx[:, :, None], idx[:, None, :]]
-                inv_sqrt = 1.0 / np.sqrt(np.take_along_axis(Mc[rows], idx, 1))
-            A *= inv_sqrt[:, :, None]
-            A *= inv_sqrt[:, None, :]
-            omega_sq = max(omega_sq, float(np.linalg.eigvalsh(A)[:, -1].max()))
+        A = matrices(ids)
+        # certified: every eigenvalue below tau (critical_timestep)
+        C = np.negative(A)
+        C.reshape(len(ids), -1)[:, ::n + 1] += omega_sq * (1.0 - _DT_MARGIN)
+        try:
+            np.linalg.cholesky(C)
+        except np.linalg.LinAlgError:
+            omega_sq = max(omega_sq, largest(A))
     return float(np.sqrt(omega_sq))

@@ -413,7 +413,9 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             c_m = (1.0 - ga.alpha_m) / (ga.beta * dt * dt)
             K_eff = (1.0 - ga.alpha_f) * K_eff + sp.diags(c_m * mass)
         try:
-            self._factor = spla.splu(K_eff[free][:, free])
+            f = ops.mesh.facets
+            self._factor = spla.splu(K_eff[free][:, free], spla.node_order(
+                f.node_i, f.node_j, ops.mesh.n_nodes, free))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"singular effective matrix: {exc}")
 

@@ -6,7 +6,6 @@ every boundary on every facet; the pass of the internal forces copies
 every state array.  None of them is optimized."""
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from ldpm import material
@@ -67,7 +66,10 @@ def critical_timestep(mesh, params, mass, fixed=()) -> float:
     """Element-by-element bound 2/omega_max: tets group the facets whose
     parent they are, every other facet is an element of its own whose node
     masses are shares of the lumped `mass` split over the orphan facets
-    meeting at the node."""
+    meeting at the node.  Every element is evaluated: its facets' rows
+    stacked in facet order as X, K = X^T (W D X), A = S K S with S =
+    M^-1/2 on its free, massive DoFs and 0 on the others, and the largest
+    eigenvalue of A by `np.linalg.eigvalsh`."""
     f = mesh.facets
     fixed = {int(dof) for dof in fixed}
     rho = mesh.density * 1.0e-12
@@ -100,28 +102,28 @@ def critical_timestep(mesh, params, mass, fixed=()) -> float:
     for ks, nodes, m_node in elements:
         local = {n: i for i, n in enumerate(nodes)}
         nd = 6 * len(nodes)
-        K = np.zeros((nd, nd))
-        for k in ks:
-            blocks = facet_blocks(f, k)
+        # the element's facet rows stacked in facet order, each facet's
+        # blocks on the columns of its nodes, and their weights A l D
+        X = np.zeros((3 * len(ks), nd))
+        wd = np.zeros(3 * len(ks))
+        for r, k in enumerate(ks):
             owners = (f.node_i[k], f.node_i[k], f.node_j[k], f.node_j[k])
             offs = (0, 3, 0, 3)
-            w = f.projected_area[k] * f.edge_length[k]
-            for ba, na, oa in zip(blocks, owners, offs):
-                ia = 6 * local[na] + oa
-                for bb, nb, ob in zip(blocks, owners, offs):
-                    ib = 6 * local[nb] + ob
-                    K[ia:ia + 3, ib:ib + 3] += w * ba.T @ (D[:, None] * bb)
+            for blk, n, o in zip(facet_blocks(f, k), owners, offs):
+                X[3 * r:3 * r + 3, 6 * local[n] + o:6 * local[n] + o + 3] = blk
+            wd[3 * r:3 * r + 3] = f.projected_area[k] * f.edge_length[k] * D
+        K = X.T @ (wd[:, None] * X)
         M = np.zeros(nd)
         for i, (n, m) in enumerate(zip(nodes, m_node)):
             M[6 * i:6 * i + 3] = m
             M[6 * i + 3:6 * i + 6] = m * dp[n] ** 2 / 10.0
-        keep = [6 * i + c for i, n in enumerate(nodes) for c in range(6)
-                if 6 * n + c not in fixed and M[6 * i + c] > 0]
-        if not keep:
-            continue
-        inv_sqrt = 1.0 / np.sqrt(M[keep])
-        A = inv_sqrt[:, None] * K[np.ix_(keep, keep)] * inv_sqrt[None, :]
-        lam = max(0.0, float(scipy.linalg.eigvalsh(A)[-1]))
+        # M^-1/2 on the free, massive DoFs, 0 on the others
+        s = np.zeros(nd)
+        for i in range(nd):
+            if 6 * nodes[i // 6] + i % 6 not in fixed and M[i] > 0:
+                s[i] = 1.0 / np.sqrt(M[i])
+        A = K * s[:, None] * s[None, :]
+        lam = max(0.0, float(np.linalg.eigvalsh(A)[-1]))
         omega_max = max(omega_max, float(np.sqrt(lam)))
     return 2.0 / omega_max
 

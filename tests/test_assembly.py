@@ -1,9 +1,12 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from ldpm import assembly
@@ -29,6 +32,7 @@ from ldpm.geometry import (
 from ldpm.integrators import ExplicitIntegrator, LoadProgram
 from ldpm.material import FacetStateArray, MaterialParams, \
     SnapBackError, facet_update
+from ldpm.presets import preset_config
 from ldpm.runner import resolve_constraints
 
 import oracles
@@ -445,6 +449,32 @@ class TestStiffness:
         energy = 0.5 * np.sum(ops.weights[:, None] * e ** 2 * d)
         assert 0.5 * q @ (ops.K @ q) == pytest.approx(energy, rel=1e-10)
 
+    # jittered meshes: on a regular tet some entries cancel to rounding, so
+    # which of them come out exactly zero depends on the order of the sums
+    @pytest.mark.parametrize("name", ["chain", "block", "dog_bone"])
+    def test_pair_blocks_give_the_strain_operator_product(self, name,
+                                                          request, params):
+        mesh = preset_config("dog-bone").build_mesh() if name == "dog_bone" \
+            else request.getfixturevalue(name)
+        K = assemble_stiffness(mesh, params)
+        # canonical CSR: every row's columns strictly increasing
+        starts = np.zeros(len(K.indices), dtype=bool)
+        starts[K.indptr[:-1][np.diff(K.indptr) > 0]] = True
+        assert K.has_canonical_format
+        assert (np.diff(K.indices) > 0)[~starts[1:]].all()
+        assert (K != K.T).nnz == 0
+        # the values and the pattern of the product B^T diag(d) B without
+        # its exact zeros
+        B = build_strain_operator(mesh)
+        d = np.repeat(facet_weights(mesh), 3) * np.tile(params.D,
+                                                        mesh.n_facets)
+        ref = (B.T @ sp.diags(d) @ B).tocsr()
+        ref.eliminate_zeros()
+        ref.sort_indices()
+        assert np.array_equal(K.indptr, ref.indptr)
+        assert np.array_equal(K.indices, ref.indices)
+        assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
+
 
 class TestLumpedMass:
     def test_single_tet_share(self, single_tet):
@@ -600,6 +630,26 @@ class TestCriticalTimestep:
         with pytest.raises(ValueError, match="12 sorted entries"):
             critical_timestep(single_facet, params, B=B)
 
+    @given(div=st.tuples(st.integers(1, 2), st.integers(1, 2),
+                         st.integers(1, 2)),
+           seed=st.integers(0, 99),
+           chunk=st.sampled_from([1, 3, assembly._DT_CHUNK]),
+           data=st.data())
+    def test_certified_bound_equals_every_element(self, div, seed, chunk,
+                                                  data):
+        # one seed element, so that most chunks stand on the certificate,
+        # and chunks of 1 and 3 elements, so that some fall back to eigvalsh:
+        # the step still equals the largest eigenvalue of every element
+        mesh = build_block_specimen((20.0, 20.0, 20.0), div, seed=seed)
+        params = MaterialParams()
+        fixed = data.draw(st.lists(st.integers(0, mesh.n_dofs - 1),
+                                   max_size=mesh.n_dofs // 2, unique=True))
+        mass = assemble_lumped_mass(mesh)
+        with mock.patch.object(assembly, "_DT_CHUNK", chunk), \
+                mock.patch.object(assembly, "_DT_SEEDS", 1):
+            dt = critical_timestep(mesh, params, mass, fixed)
+        assert dt == oracles.critical_timestep(mesh, params, mass, fixed)
+
 
 # peak allocation of the set-up of B and of the time step, per byte of
 # B.data, on the 9216-facet block of the test below: measured 3.3; a COO
@@ -621,6 +671,25 @@ def test_setup_peak_allocation_is_bounded_by_the_strain_operator(params):
         tracemalloc.stop()
     assert peak <= SETUP_PEAK_PER_B_BYTE * B.data.nbytes, \
         peak / B.data.nbytes
+
+
+# peak allocation of SystemOperators per byte of B.data on the 9216-facet
+# block of the test above: measured 2.75 with the stiffness written from one
+# 12 x 12 block per node pair; the product B^T diag(d) B and its
+# symmetrization read 5.22
+OPERATORS_PEAK_PER_B_BYTE = 3.5
+
+
+def test_operators_peak_allocation_is_bounded_by_the_strain_operator(params):
+    mesh = build_block_specimen((60.0, 60.0, 120.0), (4, 4, 8), seed=3)
+    tracemalloc.start()
+    try:
+        ops = SystemOperators(mesh, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= OPERATORS_PEAK_PER_B_BYTE * ops.B.data.nbytes, \
+        peak / ops.B.data.nbytes
 
 
 def test_facet_weights(single_facet):
