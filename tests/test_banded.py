@@ -88,10 +88,9 @@ def test_singular_matrix_raises(A, data):
         splu(sp.csr_matrix(A))
 
 
-
 def free_stiffness(cfg):
-    """K_ff of a run config (the matrix its static solver factors) with
-    the node order of the solver, its mesh and its free DoFs."""
+    """K_ff of a run config, the matrix its static solver factors, and the
+    node order of its free DoFs."""
     mesh = cfg.build_mesh()
     ops = SystemOperators(mesh, cfg.material_params(), elastic_only=True)
     free = resolve_constraints(mesh, cfg.constraints).free
@@ -101,6 +100,7 @@ def free_stiffness(cfg):
 
 
 def block_config():
+    # the 9216-facet block of the set-up memory tests
     cfg = preset_config("unconfined-free", solver="static")
     cfg.specimen = "prism 60.0x60.0x120.0 div=4x4x8 seed=3"
     return cfg
