@@ -18,6 +18,8 @@ nodal displacements since the configuration it was built at, which facets
 stay linear; only the others are evaluated (`B_E q`, the facet law and the
 gather `B_E^T W_E (t_E - D e_E)`).  The tractions of the certified facets
 are computed on demand (`facet_tractions`).
+
+Every sparse matrix-vector product of the kit goes through `matvec`.
 """
 
 from __future__ import annotations
@@ -35,6 +37,37 @@ from .material import FLOOR_MARGIN, MaterialParams, FacetStateArray, \
 
 class AssemblyError(Exception):
     pass
+
+
+def _load_kernels() -> dict:
+    """scipy's private matvec kernels by sparse format; none when they
+    cannot be imported."""
+    try:
+        from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+    except ImportError:
+        return {}
+    return {"csr": csr_matvec, "csc": csc_matvec}
+
+
+_KERNELS = _load_kernels()
+_FLOAT = np.dtype(np.float64)
+
+
+def matvec(A, x) -> np.ndarray:
+    """A @ x for a CSR or CSC matrix A.  With float64 values and a float64
+    vector x, x goes straight to the kernel that scipy's `@` calls, into a
+    zeroed output as `@` does, so the bits equal A @ x without the dispatch
+    around it.  Anything else, and every product when the kernels cannot be
+    imported, is A @ x."""
+    kernel = _KERNELS.get(A.format)
+    data = A.data
+    n_row, n_col = A.shape
+    if kernel is None or type(x) is not np.ndarray or x.dtype is not _FLOAT \
+            or data.dtype is not _FLOAT or x.shape != (n_col,):
+        return A @ x
+    y = np.zeros(n_row)
+    kernel(n_row, n_col, A.indptr, A.indices, data, x, y)
+    return y
 
 
 def _skew(c):
@@ -277,7 +310,7 @@ class SystemOperators:
             self.zero_slack = float(self.slack(np.zeros((1, 3)))[0])
 
     def strains(self, q) -> np.ndarray:
-        return (self.B @ np.asarray(q, float)).reshape(-1, 3)
+        return matvec(self.B, np.asarray(q, float)).reshape(-1, 3)
 
     def slack(self, e) -> np.ndarray:
         """Per facet, a lower bound on the inf-norm distance from the
@@ -335,7 +368,7 @@ class SystemOperators:
         """B^T W t: the nodal forces of the per-facet `tractions` of every
         facet, or of the facets the Certificate `cert` evaluates."""
         on = self if cert is None else cert
-        return on.BT @ (on.weights3 * np.ravel(tractions))
+        return matvec(on.BT, on.weights3 * np.ravel(tractions))
 
 
 # the certified facets are the virgin ones whose slack at the reference
@@ -476,20 +509,20 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     """
     q = np.asarray(q, float)
     if ops.elastic_only:
-        return ops.K @ q, states
+        return matvec(ops.K, q), states
     cert, e = states.certificate, None
     if cert is None or cert.ops is not ops or not cert.covers(q):
         # a rebuild forms every strain at q (no B q at q = 0, where they
         # are 0), and E takes its own from them: row by row the bits of B_E q
         e = ops.strains(q) if q.any() else None
         cert = states.certificate = Certificate(q, ops, states, e)
-    f_int = ops.K @ q
+    f_int = matvec(ops.K, q)
     rows = cert.rows
     if not len(rows):
         trial = copy.copy(states)
         trial.certificate = cert
         return f_int, trial
-    e = (cert.B @ q).reshape(-1, 3) if e is None \
+    e = matvec(cert.B, q).reshape(-1, 3) if e is None \
         else np.take(e, rows, axis=0)
     at = ops.facet_volumetric(q)
     base, sub = states.split(rows)
@@ -501,19 +534,19 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     return f_int, trial
 
 
-def facet_tractions(q, ops: SystemOperators,
-                    states: FacetStateArray) -> np.ndarray:
+def facet_tractions(q, ops: SystemOperators, states: FacetStateArray,
+                    strains=None) -> np.ndarray:
     """(nf, 3) tractions of the committed `states` at their q: those of
     the law on the facets their certificate evaluated, and the elastic law
     of the strains at q on the facets it certified and on elastic
-    operators."""
-    if ops.elastic_only:
-        return elastic_tractions(ops.strains(q), ops.params)
-    cert = states.certificate
-    if cert is None:
+    operators.  `strains`, when given, are those at q (`ops.strains(q)`),
+    which are then not formed again."""
+    cert = None if ops.elastic_only else states.certificate
+    if not ops.elastic_only and cert is None:
         return states.traction
-    t = elastic_tractions(ops.strains(q), ops.params)
-    if len(cert.rows):
+    t = elastic_tractions(ops.strains(q) if strains is None else strains,
+                          ops.params)
+    if cert is not None and len(cert.rows):
         t[cert.rows] = states.split(cert.rows)[1].traction
     return t
 

@@ -31,15 +31,16 @@ def kinetic_energy(velocity, mass) -> float:
 
 
 def accumulate_work(ledger: EnergyLedger, f_ext_start, f_ext_end,
-                    f_int_start, f_int_end, dq) -> EnergyLedger:
+                    f_int_start, f_int_end, dq, out=None) -> EnergyLedger:
     """Trapezoidal work increment over one step; exact for forces linear in
     the displacement.  The external forces passed here must include the
-    reactions on prescribed DoFs."""
+    reactions on prescribed DoFs.  `out`, when given, is a float array of
+    dq's shape that takes the force sums in turn."""
     dq = np.asarray(dq, float)
-    ledger.w_ext += 0.5 * float(np.dot(np.asarray(f_ext_start, float)
-                                       + np.asarray(f_ext_end, float), dq))
-    ledger.w_int += 0.5 * float(np.dot(np.asarray(f_int_start, float)
-                                       + np.asarray(f_int_end, float), dq))
+    ledger.w_ext += 0.5 * float(
+        np.add(f_ext_start, f_ext_end, out=out, dtype=float).dot(dq))
+    ledger.w_int += 0.5 * float(
+        np.add(f_int_start, f_int_end, out=out, dtype=float).dot(dq))
     return ledger
 
 

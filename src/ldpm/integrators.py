@@ -164,7 +164,8 @@ class LoadProgram:
     are constant, and so is the external force after the last point of
     every force history.  Those values are computed once, at
     construction; the velocity and acceleration are then returned as
-    shared read-only arrays.
+    shared read-only arrays, and so is the displacement when every
+    prescribed velocity is +0.
     """
 
     def __init__(self, n_dofs: int, kinematic: dict, forces=()):
@@ -180,8 +181,11 @@ class LoadProgram:
         self._ramp_end = self._ramp.max() if self._ramped.any() else -np.inf
         self._half_ramp = self._ramp / 2.0
         self._vel.flags.writeable = False
-        self._accel_end = np.zeros(len(self._vel))
-        self._accel_end.flags.writeable = False
+        self._zeros = np.zeros(len(self._vel))
+        self._zeros.flags.writeable = False
+        # with every velocity +0 the displacement past the ramps is +0 too
+        self._moving = bool(np.any(self._vel != 0.0)
+                            or np.any(np.signbit(self._vel)))
         free = np.ones(n_dofs, dtype=bool)
         free[self.prescribed] = False
         self.free = np.nonzero(free)[0]
@@ -201,6 +205,8 @@ class LoadProgram:
 
     def displacement(self, t: float) -> np.ndarray:
         if t > self._ramp_end:
+            if not self._moving:
+                return self._zeros
             return self._vel * (t - self._half_ramp)
         return np.where(self._ramped & (t <= self._ramp),
                         self._vel * t * t / (2.0 * self._ramp_div),
@@ -216,7 +222,7 @@ class LoadProgram:
 
     def acceleration(self, t: float) -> np.ndarray:
         if t > self._ramp_end:
-            return self._accel_end
+            return self._zeros
         return np.where(self._ramped & (t <= self._ramp),
                         self._vel / self._ramp_div, 0.0)
 
@@ -261,11 +267,11 @@ class _SolverBase:
         self.program = program
         self.mass = mass
         n = ops.mesh.n_dofs
+        self.t = 0.0
+        self.step_index = 0
         self.q = np.zeros(n)
         self.v = np.zeros(n)
         self.a = np.zeros(n)
-        self.t = 0.0
-        self.step_index = 0
         self.states = FacetStateArray.virgin(ops.mesh.n_facets)
         self.f_int = np.zeros(n)
         self.f_ext = program.external_force(self.t)
@@ -298,12 +304,14 @@ class _SolverBase:
         self.reaction_forces[pres] = f - f_ext[pres]
         self.f_ext_total = self.reaction_forces + f_ext
 
-    def _book_step(self, q0, f_int0, f_ext0) -> None:
+    def _book_step(self, q0, f_int0, f_ext0, dq=None, out=None) -> None:
         """Book the work from a step's start arrays q0, f_int0, f_ext0 (the
-        step binds new ones) to its commit, then release a held force."""
-        dq = self.q - q0
+        step binds new ones) to its commit, then release a held force.
+        `dq` and `out`, when given, are n-arrays that take the step's
+        increment and the force sums of the work."""
+        dq = np.subtract(self.q, q0, out=dq)
         diagnostics.accumulate_work(self.ledger, f_ext0, self.f_ext_total,
-                                    f_int0, self.f_int, dq)
+                                    f_int0, self.f_int, dq, out=out)
         if self._held is not None:
             diagnostics.book_release(self.ledger, self._held, dq)
             self._held = None
@@ -340,6 +348,11 @@ class ExplicitIntegrator(_SolverBase):
     """Central difference with half-stepped velocities and a diagonal mass
     matrix; facet states commit every step.  After every step() the public
     state (q, v, a, forces, reactions) is consistent at the current time.
+
+    Every step binds new arrays to q, a, f_int, f_ext and f_ext_total, so an
+    array read before a step keeps its values; reaction_forces is updated
+    in place.  v is formed when it is first read after a step, from the
+    half-step velocity and a, so steps that nobody reads it at skip it.
     """
 
     def __init__(self, ops, program, mass: np.ndarray, dt: float):
@@ -351,44 +364,79 @@ class ExplicitIntegrator(_SolverBase):
                                 f"{bad.tolist()[:10]}; explicit integration "
                                 "impossible")
         self.dt = dt
-        self._minv = np.zeros(ops.mesh.n_dofs)
+        n = ops.mesh.n_dofs
+        self._minv = np.zeros(n)
         self._minv[free] = 1.0 / mass[free]
+        # scratch of step(): the products with dt and the work's force sums,
+        # and the increment dq
+        self._tmp, self._dq = np.empty(n), np.empty(n)
+        # the prescribed DoFs' m a and the acceleration array it was formed
+        # from (`_refresh`)
+        self._accel_p = self._inertia_p = None
         self.program.apply(self.q, self.v, self.a, 0.0)
         self._refresh()
         # second-order startup: v_{+1/2} = v_0 + dt/2 a_0
         self._v_half = self.v + 0.5 * dt * self.a
 
+    @property
+    def v(self) -> np.ndarray:
+        """Velocity at the current step: v_{+1/2} + dt/2 a, and the load
+        program's on the prescribed DoFs, formed at the first read."""
+        if self._v_at != self.step_index:
+            p = self.program
+            v = self._v_half + 0.5 * self.dt * self.a
+            v[p.prescribed] = p.velocity(self.t)
+            self._v, self._v_at = v, self.step_index
+        return self._v
+
+    @v.setter
+    def v(self, value) -> None:
+        self._v, self._v_at = value, self.step_index
+
+    def perturb(self, eta: float, rng: np.random.Generator) -> None:
+        # v is formed before the jump replaces the acceleration of its step
+        self.v = self.v
+        super().perturb(eta, rng)
+
     def _refresh(self):
-        """Evaluate and commit forces/acceleration/reactions at (t, q)."""
-        p = self.program
-        f_int, trial = internal_forces(self.q, self.ops, self.states)
-        f_ext = p.external_force(self.t)
-        accel = (f_ext - f_int) * self._minv
-        accel[p.prescribed] = p.acceleration(self.t)
-        self.a = accel
-        self._commit(f_int, trial, f_ext)
+        """Evaluate and commit forces, acceleration and reactions at (t, q).
+        The reactions reuse m a on the prescribed DoFs while the load
+        program returns the same acceleration array."""
+        p, q, t = self.program, self.q, self.t
+        pres = p.prescribed
+        f_int, trial = internal_forces(q, self.ops, self.states)
+        f_ext = p.external_force(t)
+        a = np.subtract(f_ext, f_int)
+        a *= self._minv
+        accel = p.acceleration(t)
+        a[pres] = accel
+        if accel is not self._accel_p:
+            self._accel_p, self._inertia_p = accel, self.mass[pres] * accel
+        self.a, self.states, self.f_int, self.f_ext = a, trial, f_int, f_ext
+        self.reaction_forces[pres] = (self._inertia_p + f_int[pres]) \
+            - f_ext[pres]
+        self.f_ext_total = self.reaction_forces + f_ext
 
     def step(self) -> StepReport:
-        p, dt = self.program, self.dt
+        p, dt, tmp = self.program, self.dt, self._tmp
         q0, f_int0, f_ext0 = self.q, self.f_int, self.f_ext_total
+        v_half = self._v_half
         if self.step_index:
-            self._v_half = self._v_half + dt * self.a
-        q_new = self.q + dt * self._v_half
+            v_half += np.multiply(self.a, dt, out=tmp)
+        q = q0 + np.multiply(v_half, dt, out=tmp)
         # the facet law needs finite strains; K q is scanned with q below
-        if not self.ops.elastic_only and not np.all(np.isfinite(q_new)):
+        if not self.ops.elastic_only and not np.all(np.isfinite(q)):
             raise DivergenceError(self.step_index)
         self.t += dt
-        self.q = q_new
-        self.q[p.prescribed] = p.displacement(self.t)
+        q[p.prescribed] = p.displacement(self.t)
+        self.q = q
         self._refresh()
         # one scan of q and f_int: an entry that is not finite in either
         # makes their dot product non-finite
-        if not math.isfinite(np.dot(self.q, self.f_int)):
+        if not math.isfinite(q.dot(self.f_int)):
             raise DivergenceError(self.step_index)
         self.step_index += 1
-        self.v = self._v_half + 0.5 * dt * self.a
-        self.v[p.prescribed] = p.velocity(self.t)
-        self._book_step(q0, f_int0, f_ext0)
+        self._book_step(q0, f_int0, f_ext0, self._dq, tmp)
         return StepReport(self.t, 0, True)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import diagnostics
 from .assembly import SystemOperators, assemble_lumped_mass, \
-    crack_openings, critical_timestep, volumetric_strain
+    crack_openings, critical_timestep, facet_tractions, volumetric_strain
 from .config import ConfigError, RunConfig, parse_directive, write_config
 from .geometry import DOF_NAMES, Mesh, select_nodes
 from .integrators import ExplicitIntegrator, GeneralizedAlphaIntegrator, \
@@ -197,17 +197,22 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
 
     record(0, True)
     n_not_converged = 0
+    solver_step, stride, last = solver.step, cfg.stride, n_steps - 1
+    perturb_at = next_perturb - 0.5 * dt
     for step in range(n_steps):
-        report = solver.step()
+        report = solver_step()
         if not report.converged:
             n_not_converged += 1
-        if solver.t >= next_perturb - 0.5 * dt:
+        if solver.t >= perturb_at:
             solver.perturb(cfg.eta, rng)
             next_perturb += cfg.interval
-        if (step + 1) % cfg.stride == 0 or step == n_steps - 1:
+            perturb_at = next_perturb - 0.5 * dt
+        if (step + 1) % stride == 0 or step == last:
             record(report.iterations, report.converged)
 
-    cracks = crack_openings(mesh, solver.strains, solver.tractions, params)
+    strains = solver.strains
+    cracks = crack_openings(mesh, strains, facet_tractions(
+        solver.q, ops, solver.states, strains), params)
     vol = volumetric_strain(solver.q, mesh) if len(mesh.tets) \
         else np.zeros(0)
 
@@ -235,6 +240,20 @@ def _r(v) -> str:
     return repr(float(v))
 
 
+# rows per block of `_write_rows`: a block's Python values and text stay
+# small beside the record
+_WRITE_ROWS = 1024
+
+
+def _write_rows(fh, row: str, *columns) -> None:
+    """Write one line per entry of the equally long `columns`, `row % values`
+    of the Python values (`tolist`) of a block of rows at a time.  `%r`
+    writes a float as `_r` does."""
+    for lo in range(0, len(columns[0]), _WRITE_ROWS):
+        block = (c[lo:lo + _WRITE_ROWS].tolist() for c in columns)
+        fh.write("".join([row % values for values in zip(*block)]))
+
+
 def write_run_outputs(rec: RunRecord) -> Path:
     out = Path(rec.config.directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,40 +262,33 @@ def write_run_outputs(rec: RunRecord) -> Path:
     with open(out / "steps.csv", "w", encoding="utf-8") as fh:
         fh.write("time,iterations,converged,reaction_x,reaction_y,"
                  "reaction_z,W_kin,W_int,W_ext,balance_err_pct\n")
-        for i in range(len(rec.times)):
-            r = rec.reactions[i]
-            fh.write(f"{_r(rec.times[i])},{rec.iterations[i]},"
-                     f"{int(rec.converged[i])},{_r(r[0])},{_r(r[1])},"
-                     f"{_r(r[2])},{_r(rec.w_kin[i])},{_r(rec.w_int[i])},"
-                     f"{_r(rec.w_ext[i])},{_r(rec.balance_err[i])}\n")
+        _write_rows(fh, "%r,%d,%d,%r,%r,%r,%r,%r,%r,%r\n",
+                    rec.times, rec.iterations, rec.converged,
+                    *rec.reactions.T, rec.w_kin, rec.w_int, rec.w_ext,
+                    rec.balance_err)
 
     with open(out / "monitor.csv", "w", encoding="utf-8") as fh:
-        has_nominal = rec.config.nominal_area is not None \
-            and rec.config.gauge_length is not None
-        fh.write("time,displacement")
-        if has_nominal:
-            fh.write(",nominal_strain,nominal_stress")
-        fh.write("\n")
-        stress = rec.nominal_stress if has_nominal else None
-        strain = rec.nominal_strain if has_nominal else None
-        for i in range(len(rec.times)):
-            fh.write(f"{_r(rec.times[i])},{_r(rec.monitor_disp[i])}")
-            if has_nominal:
-                fh.write(f",{_r(strain[i])},{_r(stress[i])}")
-            fh.write("\n")
+        if rec.config.nominal_area is not None \
+                and rec.config.gauge_length is not None:
+            fh.write("time,displacement,nominal_strain,nominal_stress\n")
+            _write_rows(fh, "%r,%r,%r,%r\n", rec.times,
+                        rec.monitor_disp, rec.nominal_strain,
+                        rec.nominal_stress)
+        else:
+            fh.write("time,displacement\n")
+            _write_rows(fh, "%r,%r\n", rec.times, rec.monitor_disp)
 
     with open(out / "crack_openings.txt", "w", encoding="utf-8") as fh:
         fh.write(f"# mesh {mesh_hash}\n")
         fh.write("# facet_id w_N w_M w_L w\n")
-        for k in range(rec.crack_field.shape[0]):
-            w = rec.crack_field[k]
-            fh.write(f"{k} {_r(w[0])} {_r(w[1])} {_r(w[2])} {_r(w[3])}\n")
+        _write_rows(fh, "%d %r %r %r %r\n",
+                    np.arange(len(rec.crack_field)), *rec.crack_field.T)
 
     with open(out / "volumetric_strain.txt", "w", encoding="utf-8") as fh:
         fh.write(f"# mesh {mesh_hash}\n")
         fh.write("# tet_id e_V\n")
-        for t in range(len(rec.volumetric)):
-            fh.write(f"{t} {_r(rec.volumetric[t])}\n")
+        _write_rows(fh, "%d %r\n", np.arange(len(rec.volumetric)),
+                    rec.volumetric)
 
     w_max = rec.crack_field[:, 3].max() if len(rec.crack_field) else 0.0
     with open(out / "summary.txt", "w", encoding="utf-8") as fh:

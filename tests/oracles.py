@@ -3,12 +3,16 @@ against.  The kinematics and the element time-step bound loop over single
 facets and elements in plain numpy, the way they are written on paper; the
 strain operator is assembled from COO triplets; the facet law evaluates
 every boundary on every facet; the pass of the internal forces copies
-every state array.  None of them is optimized."""
+every state array; the explicit step forms every product as a new array and
+its velocity at every step.  None of them is optimized."""
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from ldpm import material
+from ldpm import diagnostics, material
+from ldpm.assembly import internal_forces
 from ldpm.material import H0, FacetStateArray, MaterialParams, sigma_bc, \
     sigma_bs
 
@@ -249,3 +253,91 @@ def internal_forces_all_rows(q, ops, states: dict, cert):
     for f in STATE_FIELDS:
         trial[f][rows] = getattr(new, f)
     return f_int, trial
+
+
+class ExplicitStep:
+    """The central-difference step of `integrators.ExplicitIntegrator`
+    written plainly: every product a new array, v formed at every step, the
+    reactions from m a at every evaluation, the trapezoidal work in one
+    expression, and the elastic f_int as scipy's K @ q.  It holds the same
+    public state (q, v, a, f_int, f_ext, f_ext_total, reaction_forces,
+    states, ledger) and has the same step() and perturb()."""
+
+    def __init__(self, ops, program, mass, dt):
+        self.ops, self.program, self.mass, self.dt = ops, program, mass, dt
+        n = ops.mesh.n_dofs
+        self.q, self.v, self.a = np.zeros(n), np.zeros(n), np.zeros(n)
+        self.t = 0.0
+        self.step_index = 0
+        self.states = FacetStateArray.virgin(ops.mesh.n_facets)
+        self.f_int = np.zeros(n)
+        self.f_ext = program.external_force(self.t)
+        self.reaction_forces = np.zeros(n)
+        self.f_ext_total = self.reaction_forces + self.f_ext
+        self.ledger = diagnostics.EnergyLedger()
+        self._held = None
+        free = program.free
+        self._minv = np.zeros(n)
+        self._minv[free] = 1.0 / mass[free]
+        self.program.apply(self.q, self.v, self.a, 0.0)
+        self._refresh()
+        self._v_half = self.v + 0.5 * dt * self.a
+
+    def _internal_forces(self, q):
+        if self.ops.elastic_only:
+            return self.ops.K @ q, self.states
+        return internal_forces(q, self.ops, self.states)
+
+    def _commit(self, f_int, trial, f_ext):
+        self.states, self.f_int, self.f_ext = trial, f_int, f_ext
+        pres = self.program.prescribed
+        f = self.mass[pres] * self.a[pres] + f_int[pres]
+        self.reaction_forces[pres] = f - f_ext[pres]
+        self.f_ext_total = self.reaction_forces + f_ext
+
+    def _refresh(self):
+        p = self.program
+        f_int, trial = self._internal_forces(self.q)
+        f_ext = p.external_force(self.t)
+        accel = (f_ext - f_int) * self._minv
+        accel[p.prescribed] = p.acceleration(self.t)
+        self.a = accel
+        self._commit(f_int, trial, f_ext)
+
+    def step(self):
+        p, dt = self.program, self.dt
+        q0, f_int0, f_ext0 = self.q, self.f_int, self.f_ext_total
+        if self.step_index:
+            self._v_half = self._v_half + dt * self.a
+        q_new = self.q + dt * self._v_half
+        if not self.ops.elastic_only and not np.all(np.isfinite(q_new)):
+            raise ValueError("non-finite state")
+        self.t += dt
+        self.q = q_new
+        self.q[p.prescribed] = p.displacement(self.t)
+        self._refresh()
+        if not math.isfinite(np.dot(self.q, self.f_int)):
+            raise ValueError("non-finite state")
+        self.step_index += 1
+        self.v = self._v_half + 0.5 * dt * self.a
+        self.v[p.prescribed] = p.velocity(self.t)
+        dq = self.q - q0
+        self.ledger.w_ext += 0.5 * float(np.dot(f_ext0 + self.f_ext_total,
+                                                dq))
+        self.ledger.w_int += 0.5 * float(np.dot(f_int0 + self.f_int, dq))
+        if self._held is not None:
+            diagnostics.book_release(self.ledger, self._held, dq)
+            self._held = None
+
+    def perturb(self, eta, rng):
+        q0, f_int0 = self.q, self.f_int
+        self.q = np.array(self.q, float, copy=True)
+        if eta > 0:
+            free = self.program.free
+            self.q[free] += rng.uniform(-eta / 2.0, eta / 2.0,
+                                        size=len(free))
+        self._refresh()
+        diagnostics.book_perturbation(self.ledger, f_int0, self.f_int,
+                                      self.q - q0)
+        self._held = self.f_int - self.f_ext_total
+        self._held += self.mass * self.a

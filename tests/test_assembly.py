@@ -694,3 +694,83 @@ def test_operators_peak_allocation_is_bounded_by_the_strain_operator(params):
 
 def test_facet_weights(single_facet):
     assert_allclose(facet_weights(single_facet), [100.0 * 100.0])
+
+
+def _workload_configs():
+    """The RunConfigs of the three benchmark workloads (perfbench)."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [module.make_config(name, 11, "unused")
+            for name in module.WORKLOADS]
+
+
+class TestMatvec:
+    """`assembly.matvec` calls scipy's kernel directly; its products equal
+    A @ x bit for bit, and so do those of its fallback."""
+
+    @staticmethod
+    def operators():
+        """(name, matrix) pairs: K, B and its CSC transpose BT, and a
+        certificate's B_E and B_E^T, of the three workload meshes; an
+        int64-index copy of a B_E and its transpose; empty matrices."""
+        out = []
+        for cfg in _workload_configs():
+            mesh = cfg.build_mesh()
+            ops = SystemOperators(mesh, cfg.material_params())
+            q = np.random.default_rng(1).normal(scale=3e-4,
+                                                size=mesh.n_dofs)
+            cert = assembly.Certificate(
+                q, ops, FacetStateArray.virgin(mesh.n_facets))
+            assert 0 < len(cert.rows) < mesh.n_facets
+            out += [(f"{cfg.specimen} {n}", A) for n, A in (
+                ("K", ops.K), ("B", ops.B), ("BT", ops.BT),
+                ("B_E", cert.B), ("B_E^T", cert.BT))]
+        wide = cert.B.copy()
+        wide.indices = wide.indices.astype(np.int64)
+        wide.indptr = wide.indptr.astype(np.int64)
+        assert wide.indices.dtype == wide.indptr.dtype == np.int64
+        empty = sp.csr_matrix((0, 6))
+        return out + [("int64", wide), ("int64^T", wide.T),
+                      ("empty", empty), ("empty^T", empty.T),
+                      ("no entries", sp.csr_matrix((4, 3)))]
+
+    @staticmethod
+    def assert_products(operators):
+        rng = np.random.default_rng(2)
+        for name, A in operators:
+            x = rng.normal(size=A.shape[1])
+            y = assembly.matvec(A, x)
+            want = A @ x
+            assert y.dtype == want.dtype and y.shape == want.shape, name
+            assert y.tobytes() == want.tobytes(), name
+
+    def test_equals_scipy_product(self):
+        assert set(assembly._KERNELS) == {"csr", "csc"}
+        self.assert_products(self.operators())
+
+    def test_fallback_without_the_kernels(self, monkeypatch):
+        import builtins
+        real_import = builtins.__import__
+
+        def no_sparsetools(name, *args, **kwargs):
+            if name == "scipy.sparse._sparsetools":
+                raise ImportError(name)
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", no_sparsetools)
+        kernels = assembly._load_kernels()
+        monkeypatch.undo()
+        assert kernels == {}
+        monkeypatch.setattr(assembly, "_KERNELS", kernels)
+        self.assert_products(self.operators())
+
+    def test_other_vectors_go_through_scipy(self):
+        A = build_strain_operator(build_fixture("single-tet"))
+        for x in (np.arange(A.shape[1]),
+                  np.arange(A.shape[1], dtype=np.float32),
+                  np.ones((A.shape[1], 1)), list(range(A.shape[1]))):
+            assert assembly.matvec(A, x).tobytes() == (A @ x).tobytes()

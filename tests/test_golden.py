@@ -135,6 +135,61 @@ def test_recorder_reproduces_a_stored_case():
     assert _record_case(preset_config("free-vibration")) == entry
 
 
+def per_value_text(rec) -> dict:
+    """The four tabular files of `rec`, written one value at a time through
+    `runner._r`."""
+    from ldpm.runner import _r
+    steps = ["time,iterations,converged,reaction_x,reaction_y,reaction_z,"
+             "W_kin,W_int,W_ext,balance_err_pct\n"]
+    for i in range(len(rec.times)):
+        r = rec.reactions[i]
+        steps.append(f"{_r(rec.times[i])},{rec.iterations[i]},"
+                     f"{int(rec.converged[i])},{_r(r[0])},{_r(r[1])},"
+                     f"{_r(r[2])},{_r(rec.w_kin[i])},{_r(rec.w_int[i])},"
+                     f"{_r(rec.w_ext[i])},{_r(rec.balance_err[i])}\n")
+    stress, strain = rec.nominal_stress, rec.nominal_strain
+    monitor = ["time,displacement,nominal_strain,nominal_stress\n"] + [
+        f"{_r(rec.times[i])},{_r(rec.monitor_disp[i])},{_r(strain[i])},"
+        f"{_r(stress[i])}\n" for i in range(len(rec.times))]
+    head = f"# mesh {rec.mesh.mesh_hash()}\n"
+    cracks = [head, "# facet_id w_N w_M w_L w\n"] + [
+        f"{k} {_r(w[0])} {_r(w[1])} {_r(w[2])} {_r(w[3])}\n"
+        for k, w in enumerate(rec.crack_field)]
+    volumetric = [head, "# tet_id e_V\n"] + [
+        f"{t} {_r(e)}\n" for t, e in enumerate(rec.volumetric)]
+    return {"steps.csv": steps, "monitor.csv": monitor,
+            "crack_openings.txt": cracks,
+            "volumetric_strain.txt": volumetric}
+
+
+def test_writer_text_is_that_of_r(tmp_path):
+    """The output writer forms its rows from whole columns; every value is
+    still the text `_r` gives it, NaN, -0.0, 1e-300, subnormals and
+    infinities included."""
+    from ldpm.geometry import build_block_specimen
+    from ldpm.runner import RunRecord, write_run_outputs
+    cfg = preset_config("uniaxial-strain")
+    cfg.directory = str(tmp_path)
+    mesh = build_block_specimen((40.0, 40.0, 40.0), (1, 1, 1), seed=2)
+    # more rows than one block of the writer
+    odd = np.resize([np.nan, -0.0, 1e-300, 5e-324, np.inf, -np.inf, 0.1,
+                     -2.5e17, 1.0, 1.0 / 3.0, 0.0], 2500)
+    n = len(odd)
+    rec = RunRecord(
+        config=cfg, mesh=mesh, dt=1e-4, times=odd,
+        iterations=np.arange(n) * 7, converged=np.arange(n) % 3 == 0,
+        reactions=np.column_stack([np.roll(odd, k) for k in (1, 2, 3)]),
+        w_kin=np.roll(odd, 4), w_int=np.roll(odd, 5), w_ext=np.roll(odd, 6),
+        balance_err=np.roll(odd, 7), monitor_disp=np.roll(odd, 8),
+        crack_field=np.resize(odd, (mesh.n_facets, 4)),
+        volumetric=np.resize(odd[::-1], len(mesh.tets)))
+    write_run_outputs(rec)
+    for name, lines in per_value_text(rec).items():
+        assert (tmp_path / name).read_text(encoding="utf-8") \
+            == "".join(lines), name
+    assert "-0.0" in (tmp_path / "steps.csv").read_text(encoding="utf-8")
+
+
 def test_deviation_report(tmp_path, capsys):
     # two dumps of one case, the second with W_int of its last row
     # scaled by 1 + 1e-9 and its mesh hash changed

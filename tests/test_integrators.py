@@ -31,7 +31,7 @@ from ldpm.integrators import (
 from ldpm.material import FacetStateArray, MaterialParams, active_floors, \
     elastic_tractions, facet_update
 
-from oracles import STATE_FIELDS, internal_forces_all_rows
+from oracles import STATE_FIELDS, ExplicitStep, internal_forces_all_rows
 
 
 @pytest.fixture
@@ -228,6 +228,16 @@ class TestLoadProgram:
                 np.where(on, vel / div, 0.0).tobytes()
             assert p.external_force(t).tobytes() == f.tobytes()
 
+    @pytest.mark.parametrize("vel", [0.0, -0.0])
+    def test_fixed_displacement_after_the_ramps(self, vel):
+        # with every velocity +0 the displacement is a shared zero array;
+        # a -0 velocity keeps the general formula's -0
+        p = LoadProgram(12, {0: (vel, 0.001), 1: (0.0, 0.0), 7: (0.0, 0.0)})
+        ramp = np.array([0.001, 0.0, 0.0])
+        for t in np.linspace(0.0011, 0.01, 7):
+            want = np.array([vel, 0.0, 0.0]) * (t - ramp / 2.0)
+            assert p.displacement(t).tobytes() == want.tobytes()
+
 
 class TestPerturb:
     def test_zero_eta_unchanged(self):
@@ -357,9 +367,10 @@ class TestElasticOnDemand:
         assert np.any(solver.strains != 0.0)
 
 
-def pulled_explicit(params, steps=160, strain=2e-4):
+def pulled_explicit(params, steps=160, strain=2e-4, ramp_steps=0):
     """Explicit solver on a small block whose top is pulled along z to the
-    mean strain `strain` in `steps` steps, past the tension floor."""
+    mean strain `strain` in `steps` steps, past the tension floor; with
+    `ramp_steps`, the pull reaches its velocity over that many steps."""
     mesh = build_block_specimen((40.0, 40.0, 40.0), (1, 1, 2), seed=3)
     z = mesh.positions[:, 2]
     kinematic = {6 * n + 2: (0.0, 0.0) for n in np.nonzero(z == 0.0)[0]}
@@ -369,10 +380,93 @@ def pulled_explicit(params, steps=160, strain=2e-4):
     mass = assemble_lumped_mass(mesh)
     fixed = sorted([*kinematic, *(6 * top + 2)])
     dt = 0.5 * critical_timestep(mesh, params, mass, fixed)
-    kinematic.update({6 * n + 2: (strain * z.max() / (steps * dt), 0.0)
-                      for n in top})
+    kinematic.update({6 * n + 2: (strain * z.max() / (steps * dt),
+                                  ramp_steps * dt) for n in top})
     program = LoadProgram(mesh.n_dofs, kinematic)
     return ops, ExplicitIntegrator(ops, program, mass, dt)
+
+
+def free_vibration_solver():
+    """The explicit solver of the free-vibration preset (elastic, with a
+    force pulse), set up as `runner.run` does."""
+    from ldpm.presets import preset_config
+    from ldpm.runner import build_solver, resolve_constraints
+    cfg = preset_config("free-vibration")
+    mesh = cfg.build_mesh()
+    ops = SystemOperators(mesh, cfg.material_params(), cfg.elastic_only)
+    program = resolve_constraints(mesh, cfg.constraints)
+    return build_solver(cfg, mesh, ops, program)[0]
+
+
+class TestExplicitStepOracle:
+    """ExplicitIntegrator, with its scratch buffers and its velocity formed
+    when read, equals the plain step of `oracles.ExplicitStep` bit for bit
+    after every step: the state arrays, the reactions and the ledger."""
+
+    @staticmethod
+    def assert_same(solver, oracle, with_v=True):
+        names = ("q", "a", "f_int", "f_ext_total", "reaction_forces")
+        for name in names + (("v",) if with_v else ()):
+            assert getattr(solver, name).tobytes() == \
+                getattr(oracle, name).tobytes(), name
+        for name in ("w_ext", "w_int"):
+            assert getattr(solver.ledger, name).hex() == \
+                getattr(oracle.ledger, name).hex(), name
+
+    def march(self, solver, steps, v_every, perturb_at, replace_at, eta):
+        """Step the solver and its oracle side by side.  v is read after
+        every `v_every`-th step only, so the steps between form none; at
+        step `perturb_at` both are perturbed, and at `replace_at` a caller
+        replaces q by a moved copy."""
+        oracle = ExplicitStep(solver.ops, solver.program, solver.mass,
+                              solver.dt)
+        self.assert_same(solver, oracle)
+        rngs = [np.random.default_rng(9) for _ in range(2)]
+        for i in range(steps):
+            if i == perturb_at:
+                for s, rng in zip((solver, oracle), rngs):
+                    s.perturb(eta, rng)
+                self.assert_same(solver, oracle)
+            if i == replace_at:
+                for s in (solver, oracle):
+                    s.q = s.q.copy()
+                    s.q[s.program.free[::7]] += eta
+            solver.step()
+            oracle.step()
+            self.assert_same(solver, oracle, with_v=i % v_every == 0)
+
+    @pytest.mark.parametrize("v_every", [1, 7])
+    def test_free_vibration_through_its_pulse(self, v_every):
+        solver = free_vibration_solver()
+        pulse = solver.program._force_end
+        steps = int(pulse / solver.dt) + 300
+        # the perturbation follows a step whose v was not read when
+        # v_every is 7
+        self.march(solver, steps, v_every, perturb_at=steps // 2 + 2,
+                   replace_at=steps - 100, eta=1e-7)
+        assert solver.t > pulse
+        assert np.any(solver.program.external_force(0.5 * pulse) != 0.0)
+
+    @pytest.mark.parametrize("v_every", [1, 3])
+    def test_inelastic_block_with_a_ramp(self, params, v_every):
+        _, solver = pulled_explicit(params, ramp_steps=40)
+        self.march(solver, 170, v_every, perturb_at=62, replace_at=100,
+                   eta=1e-4)
+        assert np.any(solver.states.e_max >= active_floors(params)[0])
+
+    @pytest.mark.parametrize("elastic_only", [True, False])
+    def test_arrays_read_before_a_step_keep_their_values(self, params,
+                                                         elastic_only):
+        _, solvers = block_solvers(params, elastic_only=elastic_only)
+        solver = solvers["explicit"]
+        # the public arrays that every explicit step binds anew
+        held = {name: getattr(solver, name)
+                for name in ("q", "v", "a", "f_int", "f_ext", "f_ext_total")}
+        want = {name: a.tobytes() for name, a in held.items()}
+        for _ in range(2):
+            solver.step()
+            for name, a in held.items():
+                assert a.tobytes() == want[name], name
 
 
 def full_arrays(states) -> dict:
@@ -498,6 +592,15 @@ class TestCommittedTractions:
         solver = solvers[kind]
         assert np.array_equal(solver.tractions, elastic_tractions(
             ops.strains(solver.q), ops.params))
+
+    @pytest.mark.parametrize("elastic_only", [True, False])
+    def test_given_strains_are_those_formed(self, params, elastic_only):
+        # runner.run passes the final strains it has formed already
+        ops, solvers = block_solvers(params, elastic_only=elastic_only)
+        for solver in solvers.values():
+            e = solver.strains
+            assert facet_tractions(solver.q, ops, solver.states, e)\
+                .tobytes() == solver.tractions.tobytes()
 
 
 class TestDivergence:

@@ -46,39 +46,62 @@ def test_factorization_patch_point():
     assert hasattr(ldpm.integrators.spla, "splu")
 
 
+# targets that every run below calls while it steps, whatever its solver
+# and law mode
+STEPPING = (
+    "ldpm.integrators.internal_forces",
+    "ldpm.integrators:LoadProgram.displacement",
+    "ldpm.integrators:LoadProgram.external_force",
+    "ldpm.integrators:_SolverBase.reaction_sum",
+    "ldpm.diagnostics.accumulate_work",
+    "ldpm.diagnostics.energy_balance_error",
+)
+
+
 def test_every_target_is_reached(probe, tmp_path):
     """A target that resolves but that the program never calls reads 0 in
-    its per-layer metrics.  Two short runs that write their outputs, the
-    explicit dog-bone and the static pore-collapse case, reach every
-    target but the allow-listed ones."""
+    its per-layer metrics.  Three short runs that write their outputs, the
+    explicit dog-bone, the elastic explicit free vibration and the static
+    pore-collapse case, reach every target but the allow-listed ones, and
+    each of them reaches the `STEPPING` targets itself."""
     from ldpm.presets import preset_config
     from ldpm.runner import run
 
     calls = {}
+    current = []
 
     def counter(key):
         def make(fn):
             @functools.wraps(fn)
             def counted(*args, **kwargs):
-                calls[key] += 1
+                calls[current[-1], key] = calls.get((current[-1], key), 0) + 1
                 return fn(*args, **kwargs)
             return counted
         return make
 
     dogbone = preset_config("dog-bone")
     dogbone.total_time *= 0.02
+    vibration = preset_config("free-vibration")
+    vibration.total_time *= 1e-3
     collapse = preset_config("uniaxial-strain", solver="static")
     collapse.dt, collapse.dt_crit_factor = 3e-3, None
     collapse.total_time = 0.03
+    runs = (("dog-bone", dogbone), ("free-vibration", vibration),
+            ("collapse", collapse))
     patches = probe.Patches()
     try:
         for owner, attr, _ in probe.TARGETS:
-            key = f"{owner}.{attr}"
-            calls[key] = 0
-            patches.replace(probe._resolve(owner), attr, counter(key))
-        for name, cfg in (("dog-bone", dogbone), ("collapse", collapse)):
+            patches.replace(probe._resolve(owner), attr,
+                            counter(f"{owner}.{attr}"))
+        for name, cfg in runs:
+            current.append(name)
             cfg.directory = str(tmp_path / name)
             run(cfg)
     finally:
         patches.restore()
-    assert sorted(k for k, n in calls.items() if not n) == sorted(UNREACHED)
+    reached = {key for _, key in calls}
+    assert sorted(f"{owner}.{attr}" for owner, attr, _ in probe.TARGETS
+                  if f"{owner}.{attr}" not in reached) == sorted(UNREACHED)
+    for name, _ in runs:
+        assert [key for key in STEPPING if (name, key) not in calls] == [], \
+            name
