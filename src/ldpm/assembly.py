@@ -14,10 +14,12 @@ ruled out inverted tetrahedra).  Solvers see the facets only through
 Below its floors (`material.active_floors`) the facet law is linear, so
 f_int = K q + B^T W (t - D e), and a facet whose traction is D e adds
 nothing to the second term.  A `Certificate` proves, from a bound on the
-nodal displacements since the configuration it was built at, which facets
-stay linear; only the others are evaluated (`B_E q`, the facet law and the
-gather `B_E^T W_E (t_E - D e_E)`).  The tractions of the certified facets
-are computed on demand (`facet_tractions`).
+relative motion of each node pair since the configuration it was built at
+(the pair's linearized jump J q, `build_jump_operator`, which no rigid
+motion changes), which facets stay linear; only the others are evaluated
+(`B_E q`, the facet law and the gather `B_E^T W_E (t_E - D e_E)`).  The
+tractions of the certified facets are computed on demand
+(`facet_tractions`).
 
 Every sparse matrix-vector product of the kit goes through `matvec`.
 """
@@ -25,6 +27,7 @@ Every sparse matrix-vector product of the kit goes through `matvec`.
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -53,21 +56,27 @@ _KERNELS = _load_kernels()
 _FLOAT = np.dtype(np.float64)
 
 
-def matvec(A, x) -> np.ndarray:
-    """A @ x for a CSR or CSC matrix A.  With float64 values and a float64
-    vector x, x goes straight to the kernel that scipy's `@` calls, into a
-    zeroed output as `@` does, so the bits equal A @ x without the dispatch
-    around it.  Anything else, and every product when the kernels cannot be
-    imported, is A @ x."""
+def matvec(A, x, out=None) -> np.ndarray:
+    """A @ x for a CSR or CSC matrix A, into the float64 array `out` when
+    given.  With float64 values and a float64 vector x, x goes straight to
+    the kernel that scipy's `@` calls, into a zeroed output as `@` does, so
+    the bits equal A @ x without the dispatch around it.  Anything else,
+    and every product when the kernels cannot be imported, is A @ x."""
     kernel = _KERNELS.get(A.format)
     data = A.data
     n_row, n_col = A.shape
     if kernel is None or type(x) is not np.ndarray or x.dtype is not _FLOAT \
             or data.dtype is not _FLOAT or x.shape != (n_col,):
-        return A @ x
-    y = np.zeros(n_row)
-    kernel(n_row, n_col, A.indptr, A.indices, data, x, y)
-    return y
+        if out is None:
+            return A @ x
+        out[...] = A @ x
+        return out
+    if out is None:
+        out = np.zeros(n_row)
+    else:
+        out.fill(0.0)
+    kernel(n_row, n_col, A.indptr, A.indices, data, x, out)
+    return out
 
 
 def _skew(c):
@@ -92,7 +101,7 @@ def build_strain_operator(mesh: Mesh) -> sp.csr_matrix:
 
     Every row holds 12 entries, sorted by column: the 6 DoFs of the
     facet's lower node, then those of its higher node, so that a facet's
-    3 rows are 36 consecutive entries of B.data (read by `_row_norms`,
+    3 rows are 36 consecutive entries of B.data (read by `_jump_norms`,
     `Certificate` and `critical_timestep`).  B is written in CSR directly:
     the block B_k, with the halves of I and J swapped where node_i >
     node_j."""
@@ -128,6 +137,72 @@ def assemble_lumped_mass(mesh: Mesh) -> np.ndarray:
     return values
 
 
+@dataclass(frozen=True)
+class NodePairs:
+    """The node pairs of a mesh's facets, in increasing (lo, hi) order:
+    lo < hi their end nodes, and `order` the facet indices grouped by
+    pair, each group in facet order, the group of pair p starting at
+    `start[p]` with `count[p]` facets."""
+    lo: np.ndarray
+    hi: np.ndarray
+    order: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+
+
+def node_pairs(mesh: Mesh) -> NodePairs:
+    """Group the facets of `mesh` by their node pair (`NodePairs`)."""
+    f, nn = mesh.facets, mesh.n_nodes
+    key = np.minimum(f.node_i, f.node_j).astype(np.int64) * nn \
+        + np.maximum(f.node_i, f.node_j)
+    order = np.argsort(key, kind="stable")
+    pair, start, count = np.unique(key[order], return_index=True,
+                                   return_counts=True)
+    return NodePairs(pair // nn, pair % nn, order, start, count)
+
+
+def build_jump_operator(mesh: Mesh, pairs: NodePairs,
+                        index=np.int32) -> sp.csr_matrix:
+    """Linearized jump operator J (6 rows a pair x n_dofs), in CSR with
+    the index dtype `index`: for the pair (lo, hi) with h = (x_hi -
+    x_lo) / 2, the rows of J q are
+        a = u_hi - u_lo - (theta_hi + theta_lo) x h    (3 rows, 6 entries)
+        b = theta_hi - theta_lo                        (3 rows, 2 entries),
+    the relative translation and rotation of the two particles at the
+    pair's midpoint.  Every rigid motion u = tau + omega x x, theta = omega
+    has a = b = 0.  Each row's entries are sorted by column, and the
+    explicit entries of h x . are kept where a component of h is 0."""
+    lo, hi = pairs.lo.astype(index), pairs.hi.astype(index)
+    n = len(lo)
+    x = mesh.positions
+    h = 0.5 * (x[pairs.hi] - x[pairs.lo])
+    # h x theta on row k of a: the rotation columns j of row k and the
+    # entries (h x .)_kj there
+    j = np.array([[1, 2], [0, 2], [0, 1]], dtype=index)
+    hx = np.stack([-h[:, 2], h[:, 1], h[:, 2], -h[:, 0], -h[:, 1], h[:, 0]],
+                  axis=1).reshape(n, 3, 2)
+    k = np.arange(3, dtype=index)
+    data = np.empty((n, 24))
+    cols = np.empty((n, 24), dtype=index)
+    a, a_cols = data[:, :18].reshape(n, 3, 6), cols[:, :18].reshape(n, 3, 6)
+    a[:, :, 0], a[:, :, 3] = -1.0, 1.0
+    a[:, :, 1:3] = a[:, :, 4:6] = hx
+    b, b_cols = data[:, 18:].reshape(n, 3, 2), cols[:, 18:].reshape(n, 3, 2)
+    b[:, :, 0], b[:, :, 1] = -1.0, 1.0
+    for end, node in enumerate((6 * lo[:, None], 6 * hi[:, None])):
+        a_cols[:, :, 3 * end] = node + k
+        a_cols[:, :, 3 * end + 1:3 * end + 3] = node[:, :, None] + 3 + j
+        b_cols[:, :, end] = node + 3 + k
+    indptr = np.empty(6 * n + 1, dtype=index)
+    indptr[:-1] = (24 * np.arange(n, dtype=index)[:, None]
+                   + np.array([0, 6, 12, 18, 20, 22], dtype=index)).ravel()
+    indptr[-1] = 24 * n
+    J = sp.csr_matrix((data.ravel(), cols.ravel(), indptr),
+                      shape=(6 * n, mesh.n_dofs))
+    J.has_sorted_indices = True
+    return J
+
+
 # node pairs per batched product of assemble_stiffness: a chunk's rows of B
 # and their weighted copy take 2 x 128 x 9 x 36 doubles (0.66 MB) at the
 # prism's 9 facets a pair
@@ -135,7 +210,8 @@ _K_CHUNK = 128
 
 
 def assemble_stiffness(mesh: Mesh, params: MaterialParams,
-                       B: sp.csr_matrix | None = None) -> sp.csr_matrix:
+                       B: sp.csr_matrix | None = None,
+                       pairs: NodePairs | None = None) -> sp.csr_matrix:
     """Elastic stiffness K = sum_k A_k l_k B_k^T D B_k: symmetric PSD, in
     canonical CSR, exactly symmetric and without explicit zeros.
 
@@ -149,18 +225,17 @@ def assemble_stiffness(mesh: Mesh, params: MaterialParams,
     The blocks, in row and column order, form a block-sparse matrix that
     scipy converts to CSR.  The sums are plain products, no square roots,
     so that an elastic static step leaves an exactly zero residual where
-    the factor solves exactly."""
+    the factor solves exactly.  `B` and the facets' `pairs` (`node_pairs`)
+    are formed here when not given."""
     if B is None:
         B = build_strain_operator(mesh)
+    if pairs is None:
+        pairs = node_pairs(mesh)
     rows = _facet_rows(B)
     wd = facet_weights(mesh)[:, None] * params.D
-    f, nn = mesh.facets, mesh.n_nodes
-    lo = np.minimum(f.node_i, f.node_j).astype(np.int64)
-    key = lo * nn + np.maximum(f.node_i, f.node_j)
-    order = np.argsort(key, kind="stable")
-    pair, start, count = np.unique(key[order], return_index=True,
-                                   return_counts=True)
-    a, b = pair // nn, pair % nn
+    nn = mesh.n_nodes
+    a, b = pairs.lo, pairs.hi
+    order, start, count = pairs.order, pairs.start, pairs.count
     # the 6 x 6 blocks of K: every node's diagonal block, then the (a, b)
     # and the (b, a) block of every pair, each at its place by row and column
     row = np.concatenate([np.arange(nn), a, b])
@@ -181,7 +256,7 @@ def assemble_stiffness(mesh: Mesh, params: MaterialParams,
             np.add.at(diag, b[sel], P[:, 6:, 6:])
             upper = P[:, :6, 6:]
             blocks[at[nn + sel]] = upper
-            blocks[at[nn + len(pair) + sel]] = upper.transpose(0, 2, 1)
+            blocks[at[nn + len(a) + sel]] = upper.transpose(0, 2, 1)
     blocks[at[:nn]] = np.triu(diag) + np.triu(diag, 1).transpose(0, 2, 1)
     K = sp.bsr_matrix(
         (blocks, col[by], np.concatenate([[0], np.cumsum(
@@ -251,10 +326,6 @@ def inversion_guard(mesh: Mesh) -> float:
     return 0.5 * float(r.min())
 
 
-# rows of B per chunk of `_row_norms`
-_ROW_CHUNK = 12288
-
-
 def _facet_rows(B: sp.csr_matrix) -> np.ndarray:
     """B.data as (nf, 3, 12): the three rows of each facet, in the layout
     of `build_strain_operator` (12 entries a row, sorted by column)."""
@@ -263,19 +334,27 @@ def _facet_rows(B: sp.csr_matrix) -> np.ndarray:
     return B.data.reshape(-1, 3, 12)
 
 
-def _row_norms(B: sp.csr_matrix):
-    """(c_u, c_theta): per facet, the largest 1-norm of its three rows of
-    B over the translation and over the rotation columns, read from B.data
-    in place (`_facet_rows`): the 3 translations and 3 rotations of the
-    facet's lower node, then those of its higher node."""
-    rows = _facet_rows(B).reshape(-1, 12)
-    rot = np.arange(12) % 6 >= 3
-    columns = np.column_stack([~rot, rot]).astype(float)
-    c = np.empty((B.shape[0], 2))
-    for lo in range(0, B.shape[0], _ROW_CHUNK):
-        c[lo:lo + _ROW_CHUNK] = np.abs(rows[lo:lo + _ROW_CHUNK]) @ columns
-    c = c.reshape(-1, 3, 2).max(axis=1)
-    return c[:, 0], c[:, 1]
+# facets per chunk of `_jump_norms`: 4096 x 36 doubles (1.2 MB) of B.data
+_NORM_CHUNK = 4096
+
+
+def _jump_norms(B: sp.csr_matrix):
+    """(c_a, c_b): per facet, the largest 1-norm of the rows of T = P / l,
+    B's translation block at the facet's higher node (+-T), and of the
+    rows of G, half the difference of B's rotation blocks at its lower and
+    at its higher node (`Certificate`), read from B.data in place
+    (`_facet_rows`), one chunk of facets at a time."""
+    rows = _facet_rows(B)
+    c_a, c_b = np.empty(len(rows)), np.empty(len(rows))
+    for lo in range(0, len(rows), _NORM_CHUNK):
+        x = rows[lo:lo + _NORM_CHUNK]
+        for c, block in ((c_a, np.abs(x[:, :, 6:9])),
+                         (c_b, np.abs(x[:, :, 3:6] - x[:, :, 9:12]))):
+            norm = block[:, :, 0] + block[:, :, 1] + block[:, :, 2]
+            c[lo:lo + _NORM_CHUNK] = np.maximum(
+                np.maximum(norm[:, 0], norm[:, 1]), norm[:, 2])
+    c_b *= 0.5
+    return c_a, c_b
 
 
 class SystemOperators:
@@ -302,12 +381,24 @@ class SystemOperators:
         self.lengths = lengths
         self.parent_tet = mesh.facets.parent_tet
         self.inversion_guard = inversion_guard(mesh)
-        self.K = assemble_stiffness(mesh, params, self.B)
+        pairs = node_pairs(mesh)
+        self.K = assemble_stiffness(mesh, params, self.B, pairs)
         if not elastic_only:
             # set-up constants of the certificates
             self.D = params.D
-            self.c_u, self.c_theta = _row_norms(self.B)
             self.zero_slack = float(self.slack(np.zeros((1, 3)))[0])
+            self.pairs = pairs
+            self.jump = build_jump_operator(mesh, pairs, self.B.indptr.dtype)
+            self.c_a, self.c_b = _jump_norms(self.B)
+            # the rounding caps (`Certificate`): c_u = 2 c_a and c_theta =
+            # 2 c_b + 4 |h|_inf c_a, with 2 h = c_i - c_j
+            span = np.abs(mesh.facets.c_i - mesh.facets.c_j)
+            span = np.maximum(np.maximum(span[:, 0], span[:, 1]), span[:, 2])
+            room = FLOOR_MARGIN * CERTIFY_SHARE * self.zero_slack \
+                / (2.0 * ROUNDING * np.finfo(float).eps)
+            self.cap_u = room / (2.0 * self.c_a.max())
+            self.cap_theta = room / (2.0 * self.c_b + 2.0 * span
+                                     * self.c_a).max()
 
     def strains(self, q) -> np.ndarray:
         return matvec(self.B, np.asarray(q, float)).reshape(-1, 3)
@@ -319,23 +410,16 @@ class SystemOperators:
         p = self.params
         floor_t, floor_s2 = active_floors(p)
         e_n, e_m, e_l = e[:, 0], e[:, 1], e[:, 2]
-        e_eff = np.sqrt(e_n * e_n + p.alpha * (e_m * e_m + e_l * e_l))
+        e_s2 = e_m * e_m + e_l * e_l
+        e_eff = np.sqrt(e_n * e_n + p.alpha * e_s2)
         tension = np.maximum(-e_n, (floor_t - e_eff)
                              / np.sqrt(1.0 + 2.0 * p.alpha))
         g = p.D[1]
-        shear = np.maximum(e_n, (np.sqrt(floor_s2) - g * np.hypot(e_m, e_l))
+        shear = np.maximum(e_n, (np.sqrt(floor_s2) - g * np.sqrt(e_s2))
                            / (g * np.sqrt(2.0)))
         compression = e_n + p.sigma_c0 / p.E0
         return np.minimum(np.minimum(tension, shear), compression) \
             * (1.0 - FLOOR_MARGIN)
-
-    def node_min(self, values) -> np.ndarray:
-        """Per node, the least of the per-facet `values` over the facets
-        that end at it; inf at a node no facet ends at."""
-        out = np.full(self.mesh.n_nodes, np.inf)
-        np.minimum.at(out, self.mesh.facets.node_i, values)
-        np.minimum.at(out, self.mesh.facets.node_j, values)
-        return out
 
     def facet_volumetric(self, q):
         """e_V at q for `facet_update`, once no tet has inverted: the
@@ -374,24 +458,35 @@ class SystemOperators:
 # the certified facets are the virgin ones whose slack at the reference
 # configuration is at least this share of the slack of a zero strain
 CERTIFY_SHARE = 0.25
+# a bound, in units of eps (c_u,f U + c_theta,f Theta), of the rounding
+# that `Certificate` leaves to the floors' margin (36, counted there)
+ROUNDING = 64
 
 
 class Certificate:
     """The facets proven to answer the linear law at every q near q_ref,
     built from the committed facet `states` at q_ref.
 
-    Bound.  The strains of facet f are e_f = B_f q, and each of its three
-    rows of B holds 6 entries per end node: 3 on its translations u, 3 on
-    its rotations theta.  The translation entries are -P/l on the lower
-    node and +P/l on the higher one (`_facet_blocks`), so B_f annihilates a
-    common translation tau of every node.  With c_u,f and c_theta,f the
-    largest row 1-norm over those translation and rotation columns
-    (`SystemOperators.c_u`, `c_theta`), for any tau
-        |e_f(q) - e_f(q_ref)|_inf <= c_u,f max_n |du_n - tau|_inf
-                                     + c_theta,f max_n |dtheta_n|_inf,
-    with du_n = u_n - u_n(q_ref), dtheta_n likewise and n over the facet's
-    two nodes.  A common rotation has no such term: it moves the rotations
-    of every node, so it counts against the rotation budgets in full.
+    Bound.  Facet f joins the nodes of its pair p = (lo, hi), with h =
+    (x_hi - x_lo) / 2 and r_f = (c_i + c_j) / 2 its centroid less the
+    pair's midpoint.  Its three rows of B are T = P_f / l_f applied to the
+    jump of the two rigid particles at the centroid,
+        B_f dq = +-T [du_hi - du_lo + (r_f + h) x dtheta_lo
+                     - (r_f - h) x dtheta_hi] = +-T (a_p + b_p x r_f),
+    (sign - where node_i > node_j) with (a_p, b_p) = J_p dq the pair's
+    linearized jump (`build_jump_operator`): a_p = du_hi - du_lo -
+    (dtheta_hi + dtheta_lo) x h, b_p = dtheta_hi - dtheta_lo.  So, with
+    c_a,f and c_b,f the largest 1-norm of the rows T_k and of T_k x r_f
+    (`SystemOperators.c_a`, `c_b`),
+        |e_f(q) - e_f(q_ref)|_inf <= c_a,f |a_p|_inf + c_b,f |b_p|_inf.
+    Both are read from B (`_jump_norms`): T is its translation block at
+    the higher node, and the rows T_k x r_f are those of T skew(r_f), half
+    the difference of its rotation blocks T skew(c_lo) and -T skew(c_hi)
+    (up to the common sign), the very entries that act on b_p.  J
+    annihilates every rigid motion, du = tau + omega x x and dtheta =
+    omega, rotations included: a rigid motion of the whole specimen spends
+    no budget.  c_b,f = 0 where the centroid is the pair's midpoint (c_i =
+    -c_j): the facet then bounds no rotation of its pair.
 
     Slack.  A facet is virgin when e_max is below the tension floor of
     `active_floors`, e_p_m = e_p_l = e_n_res = 0 and its committed t_N >=
@@ -408,30 +503,46 @@ class Certificate:
       compression, E0 e_N <= -sigma_c0 (the trial traction, e_n_res = 0,
         and the modulus is E0 because the committed t_N >= -sigma_c0):
         at least e_N + sigma_c0 / E0.
-    The slack is shrunk by the relative `FLOOR_MARGIN`, far above the
-    rounding of e_eff, the shear norm and B q (eps c_u,f |u|, while the
-    displacements stay below 1e6 times the budgets).
+    The slack s_f is shrunk by the relative `FLOOR_MARGIN`, which holds
+    the rounding of e_eff and of the shear norm and the rounding below.
+
+    Rounding.  While every node's translation and rotation, at q and at
+    q_ref, stay below U and Theta in magnitude, the computed strains and
+    jumps miss the bound above by at most 36 eps (c_u,f U + c_theta,f
+    Theta).  Here c_u,f = 2 c_a,f is the largest 1-norm of f's rows of B
+    over its translation columns, and c_theta,f = 2 c_b,f + 4 |h|_inf
+    c_a,f bounds it over the rotation columns (|T_k x (r_f +- h)|_1 <=
+    |T_k x r_f|_1 + 2 |h|_inf |T_k|_1).  Counted: fl(B q) and fl(B q_ref)
+    12 eps each (12 products a row; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 3), the identity above from the stored
+    entries of B and J and the rounded h and r_f 4 eps, fl(q - q_ref) 1
+    eps, fl(J dq) 6 eps (6 products a row of a) and the budgets' quotients
+    1 eps.  `SystemOperators` sets the caps U = `cap_u` and Theta =
+    `cap_theta` so that `ROUNDING` eps (c_u,f U + c_theta,f Theta) <=
+    FLOOR_MARGIN CERTIFY_SHARE s_0 <= FLOOR_MARGIN s_f on every facet that
+    can be certified; `covers` bounds |q - q_ref| by the caps less |q_ref|
+    (`cap`, per DoF), which keeps |q| and |q_ref| below them.
 
     Certificate.  The certified facets are the virgin ones whose slack s_f
     at q_ref is at least `CERTIFY_SHARE` of the slack s_0 of a zero strain
     (a fixed hysteresis, so that a rebuild certifies facets with room to
-    move).  Each node gets the budgets b_u,n = min s_f / (2 c_u,f) and
-    b_theta,n = min s_f / (2 c_theta,f) over the certified facets at it
-    (inf with none).  `covers` takes tau as the midrange of du over all
-    nodes, per component.  While every node is inside its budgets,
-    |du_n - tau|_inf < b_u,n and |dtheta_n|_inf < b_theta,n, the bound
-    gives |e_f(q) - e_f(q_ref)| < s_f / 2 + s_f / 2, so no certified facet
-    reaches a floor: `facet_update` would leave its history fields
-    unchanged (e_max rises only below the floor, and is not stored),
-    evaluate no boundary, and return D e itself: E0 e_N and
-    alpha E0 (e_M, e_L).  A certified facet is therefore not evaluated and
-    none of its committed fields changes.  Its e_max may go stale, but only
-    below the floor, where `facet_update` never reads it: once evaluated
-    again, max(stale, e_eff) reaches the floor exactly when the true
-    history does.  Certified facets stay virgin, so the certificate holds
-    for every state committed from `states` while q stays inside the
-    budgets.  A NaN or an infinity in q fails `covers`: one in du makes
-    tau NaN or infinite, and every comparison with a NaN is false.
+    move).  Each pair gets the budgets min s_f / (2 c_a,f) on |a_p|_inf
+    and min s_f / (2 c_b,f) on |b_p|_inf over its certified facets (inf
+    with none, and for b where c_b,f = 0), `budget` (n_pairs, 6), one per
+    row of J.  While every jump of J (q - q_ref) is inside its budget and
+    |q - q_ref| inside `cap`, the bounds give |e_f(q) - e_f(q_ref)| <
+    s_f / 2 + s_f / 2 + FLOOR_MARGIN s_f, so no certified facet reaches a
+    floor: `facet_update` would leave its history fields unchanged (e_max
+    rises only below the floor, and is not stored), evaluate no boundary,
+    and return D e itself: E0 e_N and alpha E0 (e_M, e_L).  A certified
+    facet is therefore not evaluated and none of its committed fields
+    changes.  Its e_max may go stale, but only below the floor, where
+    `facet_update` never reads it: once evaluated again, max(stale, e_eff)
+    reaches the floor exactly when the true history does.  Certified
+    facets stay virgin, so the certificate holds for every state committed
+    from `states` while q stays inside the budgets.  A NaN or an infinity
+    in q fails `covers`: every comparison with a NaN is false, and an
+    infinity is above every cap.
 
     The other facets are evaluated: the index array `rows`, possibly
     empty, with their rows `B` of the strain operator (a zero-row matrix
@@ -444,9 +555,7 @@ class Certificate:
                  strains=None):
         p = ops.params
         self.ops = ops
-        # (6, n): one row per DoF component, so that `covers` reduces along
-        # contiguous rows
-        self.q_ref = q.reshape(-1, 6).T.copy()
+        self.q_ref = q.copy()
         # every strain is 0 at q = 0, with no need of B q
         if not q.any():
             slack = ops.zero_slack
@@ -456,10 +565,27 @@ class Certificate:
             & (states.e_p_m == 0.0) & (states.e_p_l == 0.0) \
             & (states.e_n_res == 0.0) & (states.traction[:, 0] >= -p.sigma_c0)
         self.certified = virgin & (slack >= CERTIFY_SHARE * ops.zero_slack)
+        # the bounds of `covers`: the budgets of the rows of J, then the
+        # caps of the DoFs
+        pairs = ops.pairs
+        m = ops.jump.shape[0]
+        self._bound = np.empty(m + len(q))
+        self.budget = self._bound[:m].reshape(-1, 6)
+        self.cap = self._bound[m:]
+        # per pair the least budget of its facets, grouped by pair; the
+        # quotient is inf where c_b = 0
         half = np.where(self.certified, 0.5 * slack, np.inf)
         with np.errstate(divide="ignore"):
-            self.b_u = ops.node_min(half / ops.c_u)
-            self.b_theta = ops.node_min(half / ops.c_theta)
+            for at, c in ((slice(0, 3), ops.c_a), (slice(3, 6), ops.c_b)):
+                self.budget[:, at] = np.minimum.reduceat(
+                    (half / c)[pairs.order], pairs.start)[:, None]
+        ref = np.abs(self.q_ref).reshape(-1, 6)
+        self.cap.reshape(-1, 6)[:] = np.repeat(
+            [ops.cap_u - ref[:, :3].max(), ops.cap_theta - ref[:, 3:].max()],
+            3)
+        # scratch of `covers`: J (q - q_ref), then q - q_ref
+        self._moved = np.empty(m + len(q))
+        self._inside = np.empty(m + len(q), dtype=bool)
         self.rows = rows = np.flatnonzero(~self.certified)
         # a facet's 3 rows of B are 36 consecutive entries
         # (`build_strain_operator`), so B_E is sliced from B's arrays
@@ -475,18 +601,15 @@ class Certificate:
         self.lengths = ops.lengths[rows]
 
     def covers(self, q) -> bool:
-        """Whether every node is inside its budgets: its translation since
-        q_ref, less their common midrange tau, and its rotation since q_ref;
+        """Whether every nodal translation and rotation since q_ref is
+        inside `cap` and every pair's jump since q_ref inside its budgets;
         false on a NaN or an infinity."""
-        d = q.reshape(-1, 6).T - self.q_ref
-        du = d[:3]
-        tau = 0.5 * (du.max(axis=1) + du.min(axis=1))
-        # a NaN or an infinity in du makes tau NaN or infinite
-        if not np.isfinite(tau).all():
-            return False
-        du -= tau[:, None]
-        np.abs(d, out=d)
-        return bool((du < self.b_u).all() and (d[3:] < self.b_theta).all())
+        moved, m = self._moved, self.budget.size
+        dq = np.subtract(q, self.q_ref, out=moved[m:])
+        matvec(self.ops.jump, dq, out=moved[:m])
+        np.abs(moved, out=moved)
+        # every comparison with a NaN is false
+        return bool(np.less(moved, self._bound, out=self._inside).all())
 
 
 def internal_forces(q, ops: SystemOperators, states: FacetStateArray):

@@ -33,7 +33,7 @@ from ldpm.integrators import ExplicitIntegrator, LoadProgram
 from ldpm.material import FacetStateArray, MaterialParams, \
     SnapBackError, facet_update
 from ldpm.presets import preset_config
-from ldpm.runner import resolve_constraints
+from ldpm.runner import resolve_constraints, run
 
 import oracles
 from oracles import facet_strain, frame
@@ -343,15 +343,30 @@ class TestInternalForces:
                         atol=1e-9 * scale * block.positions.max())
 
 
+def pair_facets(mesh, lo, hi):
+    """The facets of the node pair (lo, hi), by brute force."""
+    f = mesh.facets
+    return [k for k in range(mesh.n_facets)
+            if {f.node_i[k], f.node_j[k]} == {lo, hi}]
+
+
 class TestCertificate:
     def test_row_norms_of_the_facet_blocks(self, block, params):
+        # c_a and c_b: the largest 1-norms of the rows of T = P/l and of
+        # T skew(r) = (theta_I - theta_J) / 2, the rows T_k x r, with r the
+        # centroid less the pair's midpoint
         ops = SystemOperators(block, params)
+        f = block.facets
         for k in range(block.n_facets):
-            u_i, th_i, u_j, th_j = oracles.facet_blocks(block.facets, k)
-            c_u = (np.abs(u_i) + np.abs(u_j)).sum(axis=1).max()
-            c_th = (np.abs(th_i) + np.abs(th_j)).sum(axis=1).max()
-            assert ops.c_u[k] == pytest.approx(c_u, rel=1e-14)
-            assert ops.c_theta[k] == pytest.approx(c_th, rel=1e-14)
+            _, th_i, T, th_j = oracles.facet_blocks(f, k)
+            r = f.c_i[k] - 0.5 * (block.positions[f.node_j[k]]
+                                  - block.positions[f.node_i[k]])
+            c_a = np.abs(T).sum(axis=1).max()
+            c_b = np.abs(0.5 * (th_i - th_j)).sum(axis=1).max()
+            assert ops.c_a[k] == pytest.approx(c_a, rel=1e-14)
+            assert ops.c_b[k] == pytest.approx(c_b, rel=1e-14)
+            assert ops.c_b[k] == pytest.approx(
+                np.abs(np.cross(T, r)).sum(axis=1).max(), rel=1e-14)
 
     def test_virgin_states_at_zero_need_no_strains(self, block, params,
                                                    monkeypatch):
@@ -363,13 +378,39 @@ class TestCertificate:
         assert trial.certificate is cert and np.all(cert.certified)
         assert len(cert.rows) == 0
         assert np.all(f == 0.0)
+        # every pair's budgets: the least over its facets, by brute force
         half = 0.5 * ops.zero_slack
-        for b, c in ((cert.b_u, ops.c_u), (cert.b_theta, ops.c_theta)):
-            want = [min(half / c[k] for k in range(block.n_facets)
-                        if n in (block.facets.node_i[k],
-                                 block.facets.node_j[k]))
-                    for n in range(block.n_nodes)]
-            assert np.array_equal(b, want)
+        pairs = ops.pairs
+        assert np.all(pairs.lo < pairs.hi)
+        assert cert.budget.shape == (len(pairs.lo), 6)
+        seen = []
+        for p, (lo, hi) in enumerate(zip(pairs.lo, pairs.hi)):
+            of = pair_facets(block, lo, hi)
+            seen += of
+            assert sorted(pairs.order[pairs.start[p]:][:pairs.count[p]]) \
+                == of
+            want_a = min(half / ops.c_a[k] for k in of)
+            want_b = min(half / ops.c_b[k] for k in of)
+            assert np.array_equal(cert.budget[p], [want_a] * 3 + [want_b] * 3)
+        assert sorted(seen) == list(range(block.n_facets))
+
+    def test_centroid_at_the_midpoint_bounds_no_rotation(self, chain,
+                                                         params):
+        # the chain's facets sit at their pairs' midpoints: c_b = 0, an
+        # infinite budget on b, and no division warning
+        ops = SystemOperators(chain, params)
+        assert np.all(ops.c_b == 0.0)
+        cert = assembly.Certificate(np.zeros(chain.n_dofs), ops,
+                                    FacetStateArray.virgin(chain.n_facets))
+        assert np.all(np.isfinite(cert.budget[:, :3]))
+        assert np.all(cert.budget[:, 3:] == np.inf)
+        # rotations of alternate sign: a = 0 on every pair, |b| = cap
+        q = np.zeros((chain.n_nodes, 6))
+        q[:, 3:] = 0.5 * cert.cap[3] * (-1.0) ** np.arange(chain.n_nodes)[
+            :, None]
+        assert cert.covers(q.ravel())
+        assert np.abs(ops.strains(q.ravel())).max() \
+            < 1e-6 * ops.zero_slack
 
     @pytest.mark.parametrize("bad,dof,error", [
         (np.nan, 0, FloatingPointError), (np.nan, 4, FloatingPointError),
@@ -406,6 +447,126 @@ class TestCertificate:
         assert np.all(trial.traction[c] == 0.0)
         assert np.array_equal(facet_tractions(q, ops, trial)[c],
                               (ops.strains(q) * ops.D)[c])
+
+
+class TestRigidMotionInvariance:
+    """The certificate budgets each node pair's jump, which no rigid
+    motion changes: only the rounding cap bounds a rigid motion."""
+
+    @pytest.fixture(scope="class")
+    def dog_bone(self):
+        mesh = preset_config("dog-bone").build_mesh()
+        ops = SystemOperators(mesh, MaterialParams())
+        # a soft pull along z, with some noise, certifies most facets
+        rng = np.random.default_rng(21)
+        q_ref = uniform_strain_vector(mesh, np.diag([0.0, 0.0, 6e-5])) \
+            + rng.normal(scale=1e-6, size=mesh.n_dofs)
+        cert = assembly.Certificate(q_ref, ops,
+                                    FacetStateArray.virgin(mesh.n_facets))
+        assert 0 < np.count_nonzero(cert.certified) < mesh.n_facets
+        return mesh, ops, q_ref, cert
+
+    def test_covers_rigid_motion_and_a_small_homogeneous_strain(
+            self, dog_bone):
+        mesh, ops, q_ref, cert = dog_bone
+        budget_a = cert.budget[:, 0]
+        largest = budget_a[np.isfinite(budget_a)].max()
+        slack = ops.slack(ops.strains(q_ref))
+        # a homogeneous strain of spectral norm 10 % of the smallest
+        # certified slack, in a rotated frame
+        frame_ = np.linalg.qr(np.random.default_rng(3).normal(
+            size=(3, 3)))[0]
+        eps = 0.1 * slack[cert.certified].min() \
+            * frame_ @ np.diag([1.0, -0.6, 0.3]) @ frame_.T
+        tau = 100.0 * largest * np.array([1.0, -0.7, 0.4])
+        omega = np.array([2e-3, -1e-3, 1.5e-3])
+        dq = rigid_motion_vector(mesh, tau, omega) \
+            + uniform_strain_vector(mesh, eps)
+        assert np.abs(dq.reshape(-1, 6)[:, :3]).max() < cert.cap[0]
+        q = q_ref + dq
+        assert cert.covers(q)
+        c = cert.certified
+        e, e_ref = ops.strains(q), ops.strains(q_ref)
+        assert np.all(np.abs(e - e_ref).max(axis=1)[c] < slack[c])
+
+    def test_stops_covering_just_past_the_rounding_cap(self, dog_bone):
+        mesh, ops, q_ref, cert = dog_bone
+        ref = np.abs(q_ref.reshape(-1, 6))
+        assert np.array_equal(cert.cap.reshape(-1, 6), np.broadcast_to(
+            [ops.cap_u - ref[:, :3].max()] * 3
+            + [ops.cap_theta - ref[:, 3:].max()] * 3, ref.shape))
+        for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+            q = q_ref + rigid_motion_vector(
+                mesh, scale * cert.cap[0] * np.array([0.0, -1.0, 0.0]),
+                np.zeros(3))
+            assert cert.covers(q) is inside
+
+    def test_caps_alone_bound_a_certificate_with_no_certified_facet(
+            self, dog_bone):
+        # every facet softened: every budget is infinite, and the caps on
+        # the translations and on the rotations decide
+        mesh, ops, _, _ = dog_bone
+        states = FacetStateArray.virgin(mesh.n_facets)
+        states.e_p_m[:] = 1e-3
+        q_ref = np.zeros(mesh.n_dofs)
+        cert = assembly.Certificate(q_ref, ops, states)
+        assert not cert.certified.any() and np.all(cert.budget == np.inf)
+        rng = np.random.default_rng(4)
+        for dof in (0, 3):
+            for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+                q = rng.uniform(-0.5, 0.5, size=mesh.n_dofs) * cert.cap
+                q[6 * rng.integers(mesh.n_nodes) + dof + rng.integers(3)] = \
+                    rng.choice([-1.0, 1.0]) * scale * cert.cap[dof]
+                assert cert.covers(q) is inside
+
+    def test_a_pulled_dog_bone_rebuilds_a_third_as_often(self, tmp_path,
+                                                         monkeypatch):
+        # per-node budgets, which a homogeneous strain spends, built 64
+        # certificates over this run
+        built = []
+        init = assembly.Certificate.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(assembly.Certificate, "__init__", counting)
+        cfg = _workload_module().make_config("dogbone-explicit", 7,
+                                             str(tmp_path))
+        cfg.total_time = 0.0005
+        run(cfg)
+        assert 0 < len(built) <= 64 // 3
+
+
+class TestJumpOperator:
+    def test_rows_against_the_pair_jump(self, block):
+        pairs = assembly.node_pairs(block)
+        J = assembly.build_jump_operator(block, pairs)
+        assert J.has_sorted_indices and J.nnz == 24 * len(pairs.lo)
+        assert np.all(np.diff(J.indptr).reshape(-1, 6) == [6, 6, 6, 2, 2, 2])
+        cols = J.indices.copy()
+        J.has_sorted_indices = False
+        J.sort_indices()
+        assert np.array_equal(J.indices, cols)
+        q = np.random.default_rng(8).normal(size=block.n_dofs)
+        jump = (J @ q).reshape(-1, 6)
+        x, d = block.positions, q.reshape(-1, 6)
+        for p, (lo, hi) in enumerate(zip(pairs.lo, pairs.hi)):
+            h = 0.5 * (x[hi] - x[lo])
+            a = d[hi, :3] - d[lo, :3] - np.cross(d[hi, 3:] + d[lo, 3:], h)
+            assert_allclose(jump[p, :3], a, rtol=0, atol=1e-13)
+            assert_allclose(jump[p, 3:], d[hi, 3:] - d[lo, 3:], rtol=0,
+                            atol=1e-15)
+
+    def test_rigid_motion_has_no_jump(self, block):
+        J = assembly.build_jump_operator(block, assembly.node_pairs(block))
+        q = rigid_motion_vector(block, np.array([0.1, 0.2, -0.3]),
+                                np.array([1e-3, 2e-3, -1e-3]))
+        assert np.abs(J @ q).max() < 1e-15
+
+    def test_pairs_of_the_stiffness(self, block, params):
+        assert (assemble_stiffness(block, params) != assemble_stiffness(
+            block, params, pairs=assembly.node_pairs(block))).nnz == 0
 
 
 class TestStiffness:
@@ -696,14 +857,20 @@ def test_facet_weights(single_facet):
     assert_allclose(facet_weights(single_facet), [100.0 * 100.0])
 
 
-def _workload_configs():
-    """The RunConfigs of the three benchmark workloads (perfbench)."""
+def _workload_module():
+    """The workload definitions of the benchmark (perfbench/workloads.py)."""
     import importlib.util
     from pathlib import Path
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _workload_configs():
+    """The RunConfigs of the three benchmark workloads (perfbench)."""
+    module = _workload_module()
     return [module.make_config(name, 11, "unused")
             for name in module.WORKLOADS]
 
@@ -714,9 +881,10 @@ class TestMatvec:
 
     @staticmethod
     def operators():
-        """(name, matrix) pairs: K, B and its CSC transpose BT, and a
-        certificate's B_E and B_E^T, of the three workload meshes; an
-        int64-index copy of a B_E and its transpose; empty matrices."""
+        """(name, matrix) pairs: K, B and its CSC transpose BT, the jump
+        operator J, and a certificate's B_E and B_E^T, of the three
+        workload meshes; an int64-index copy of a B_E and its transpose;
+        empty matrices."""
         out = []
         for cfg in _workload_configs():
             mesh = cfg.build_mesh()
@@ -727,7 +895,7 @@ class TestMatvec:
                 q, ops, FacetStateArray.virgin(mesh.n_facets))
             assert 0 < len(cert.rows) < mesh.n_facets
             out += [(f"{cfg.specimen} {n}", A) for n, A in (
-                ("K", ops.K), ("B", ops.B), ("BT", ops.BT),
+                ("K", ops.K), ("B", ops.B), ("BT", ops.BT), ("J", ops.jump),
                 ("B_E", cert.B), ("B_E^T", cert.BT))]
         wide = cert.B.copy()
         wide.indices = wide.indices.astype(np.int64)
@@ -747,6 +915,10 @@ class TestMatvec:
             want = A @ x
             assert y.dtype == want.dtype and y.shape == want.shape, name
             assert y.tobytes() == want.tobytes(), name
+            # into a given output, whatever it held
+            out = np.full(A.shape[0], np.nan)
+            assert assembly.matvec(A, x, out=out) is out, name
+            assert out.tobytes() == want.tobytes(), name
 
     def test_equals_scipy_product(self):
         assert set(assembly._KERNELS) == {"csr", "csc"}

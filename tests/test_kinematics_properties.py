@@ -69,6 +69,33 @@ def test_uniform_strain_projects_onto_frames(mesh, a):
     np.testing.assert_allclose(e, want, rtol=0, atol=1e-12)
 
 
+@given(mesh=meshes, seed=st.integers(0, 2 ** 32 - 1), u0=vectors,
+       omega=vectors)
+def test_facet_strain_is_its_pair_jump(mesh, seed, u0, omega):
+    # J annihilates rigid motions; B_f q = +-T (a_p + b_p x r_f), with T
+    # = P_f / l_f, (a_p, b_p) = J_p q and r_f the centroid less the pair's
+    # midpoint, so |B_f q| <= c_a |a_p| + c_b |b_p|
+    ops = SystemOperators(mesh, MaterialParams())
+    rigid = displacements(mesh, u0, 1e-3 * omega, np.zeros((3, 3)))
+    assert np.abs(ops.jump @ rigid).max() <= 1e-14 * np.abs(rigid).max()
+    q = np.random.default_rng(seed).normal(size=mesh.n_dofs)
+    e = ops.strains(q)
+    pairs, f = ops.pairs, mesh.facets
+    pair_of = np.empty(mesh.n_facets, dtype=int)
+    pair_of[pairs.order] = np.repeat(np.arange(len(pairs.lo)), pairs.count)
+    jump = (ops.jump @ q).reshape(-1, 6)[pair_of]
+    a, b = jump[:, :3], jump[:, 3:]
+    T = np.stack([f.normal, f.tangent_m, f.tangent_l], axis=1) \
+        / f.edge_length[:, None, None]
+    sign = np.where(f.node_i < f.node_j, 1.0, -1.0)[:, None]
+    r = 0.5 * (f.c_i + f.c_j)
+    want = sign * np.einsum("fkc,fc->fk", T, a + np.cross(b, r))
+    np.testing.assert_allclose(e, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
+    bound = ops.c_a * np.abs(a).max(axis=1) + ops.c_b * np.abs(b).max(axis=1)
+    assert np.all(np.abs(e).max(axis=1) <= bound * (1.0 + 1e-12))
+
+
 def squash(mesh, size):
     """Nodal translations of norm `size` that flatten the tet of smallest
     inradius: its largest face and the opposite vertex move towards each
@@ -186,35 +213,64 @@ def test_certified_facets_answer_the_linear_law(mesh, path, confined, seed,
     cert = Certificate(q_ref, ops, states)
     states.certificate = cert
     c = cert.certified
-
-    # every node moves by its budgets, times (1 - 1e-9) at the edge; the
-    # translations of a node with an infinite budget stay small.  The
-    # facet closest to its bound gets the motion that raises its strain
-    # fastest.  The translations are clipped to a range symmetric about 0
-    # per component, so that their midrange is 0, and a common translation
-    # of up to 100 times the largest budget is added: `covers` measures
-    # the translations from their midrange, and B annihilates it
-    reach = 1.0 - 1e-9 if edge else rng.random()
-    b = np.minimum(np.column_stack([np.repeat(cert.b_u[:, None], 3, 1),
-                                    np.repeat(cert.b_theta[:, None], 3, 1)]),
-                   1e-4 * size)
-    dq = (reach * b * rng.choice([-1.0, 1.0], size=b.shape)).ravel()
     e_ref = ops.strains(q_ref)
     slack = ops.slack(e_ref)
+    pairs, f = ops.pairs, mesh.facets
+    pair_of = np.empty(mesh.n_facets, dtype=int)
+    pair_of[pairs.order] = np.repeat(np.arange(len(pairs.lo)), pairs.count)
+
+    def pair_motion(p, a, b):
+        """A motion of the two nodes of pair p with the jump (a, b)."""
+        dq = np.zeros((mesh.n_nodes, 6))
+        dq[pairs.hi[p], :3] = a
+        dq[pairs.hi[p], 3:] = 0.5 * b
+        dq[pairs.lo[p], 3:] = -0.5 * b
+        return dq.ravel()
+
+    def rows(k):
+        """T = P / l of facet k and its rows' products T_k x r."""
+        T = frame(f, k).T / f.edge_length[k]
+        return T, np.cross(T, 0.5 * (f.c_i[k] + f.c_j[k]))
+
+    # a random motion and, on the pair of the certified facet closest to
+    # its bound, the jump that raises the facet's strain fastest, scaled
+    # so that the largest jump is (1 - 1e-9) of its budget at the edge.
+    # Then a rigid translation of up to 100 times the largest budget and a
+    # rigid rotation, inside the caps: the jumps annihilate them
+    reach = 1.0 - 1e-9 if edge else rng.random()
+    budget = cert.budget
+    scale = [np.median(b[np.isfinite(b)]) if np.isfinite(b).any() else 1e-6
+             for b in (budget[:, 0], budget[:, 3])]
+    dq = rng.normal(size=mesh.n_dofs) \
+        * np.tile(np.repeat(0.3 * np.array(scale), 3), mesh.n_nodes)
+    k = None
     if np.any(c):
-        rows = (abs(ops.B) @ b.ravel()).reshape(-1, 3)
-        k = np.flatnonzero(c)[np.argmax(rows.max(axis=1)[c] / slack[c])]
-        row = ops.B[3 * k + np.argmax(rows[k])]
-        dq[row.indices] = reach * b.ravel()[row.indices] * np.sign(row.data)
-    du = dq.reshape(-1, 6)[:, :3]
-    half = np.maximum(np.minimum(du.max(axis=0), -du.min(axis=0)), 0.0)
-    np.clip(du, -half, half, out=du)
-    shift = np.zeros((mesh.n_nodes, 6))
-    shift[:, :3] = 100.0 * rng.uniform(-1.0, 1.0, size=3) * b[:, :3].max()
-    shift = shift.ravel()
+        # per facet, the strain its pair's budgets allow, against its slack
+        bound = ops.c_a * budget[pair_of, 0]
+        has_b = ops.c_b > 0
+        bound[has_b] += ops.c_b[has_b] * budget[pair_of[has_b], 3]
+        k = np.flatnonzero(c)[np.argmax(bound[c] / slack[c])]
+        T, Tr = rows(k)
+        beta_a, beta_b = budget[pair_of[k], 0], budget[pair_of[k], 3]
+        beta_b = beta_b if np.isfinite(beta_b) else 0.0
+        row = np.argmax(np.abs(T).sum(axis=1) * beta_a
+                        + np.abs(Tr).sum(axis=1) * beta_b)
+        dq += pair_motion(pair_of[k], np.sign(T[row]) * beta_a,
+                          -np.sign(Tr[row]) * beta_b)
+    ratio = np.abs(ops.jump @ dq) / budget.ravel()
+    dq *= reach / ratio.max() if ratio.max() > 0 else 0.0
+    cap_u, cap_theta = cert.cap[0], cert.cap[3]
+    finite = budget[:, 0][np.isfinite(budget[:, 0])]
+    tau = min(100.0 * finite.max() if len(finite) else cap_u, 0.2 * cap_u)
+    omega = min(0.2 * cap_theta,
+                0.05 * cap_u / np.abs(mesh.positions).max())
+    shift = displacements(mesh, tau * rng.uniform(-1.0, 1.0, size=3),
+                          omega * rng.uniform(-1.0, 1.0, size=3),
+                          np.zeros((3, 3)))
+    assert np.all(np.abs(dq + shift) < cert.cap)
     q = q_ref + dq + shift
     assert cert.covers(q)
-    f, trial = internal_forces(q, ops, states)
+    f_int, trial = internal_forces(q, ops, states)
     assert trial.certificate is cert
 
     # the bound behind the budgets: each certified strain moved by less
@@ -236,30 +292,24 @@ def test_certified_facets_answer_the_linear_law(mesh, path, confined, seed,
     for name in ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction"):
         assert np.array_equal(getattr(trial, name)[~c],
                               getattr(want, name)[~c])
-    assert np.all(np.abs(f - ops.gather_forces(t_all))
+    assert np.all(np.abs(f_int - ops.gather_forces(t_all))
                   <= 1e-12 * force_rounding(ops, q, t_all))
 
-    if np.any(c):
-        # a motion of the translations alone, or of the rotations alone,
-        # of the facet closest to its bound that moves its strain by twice
-        # its slack leaves the budgets, with the common translation too
-        for part in (slice(0, 3), slice(3, 6)):
-            cols = np.isin(row.indices % 6, np.arange(6)[part])
-            at, w = row.indices[cols], row.data[cols]
-            out = q_ref + shift
-            out[at] += 2.0 * slack[k] / np.abs(w).sum() * np.sign(w)
+    if k is not None:
+        # a jump a alone, or b alone, of the facet closest to its bound
+        # that moves its strain by twice its slack leaves the budgets,
+        # with the rigid motion too
+        T, Tr = rows(k)
+        jumps = [(2.0 * slack[k] / ops.c_a[k]
+                  * np.sign(T[np.argmax(np.abs(T).sum(axis=1))]),
+                  np.zeros(3))]
+        if ops.c_b[k] > 0:
+            jumps.append((np.zeros(3), -2.0 * slack[k] / ops.c_b[k]
+                          * np.sign(Tr[np.argmax(np.abs(Tr).sum(axis=1))])))
+        for a, b in jumps:
+            out = q_ref + shift + pair_motion(pair_of[k], a, b)
             assert np.abs(ops.strains(out)[k] - e_ref[k]).max() > slack[k]
             assert not cert.covers(out)
-
-    # a common rotation counts against the rotation budgets in full: it
-    # covers inside the smallest one and leaves it just beyond
-    spin = cert.b_theta.min()
-    if np.isfinite(spin):
-        axis = rng.integers(3)
-        for scale, inside in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
-            turn = q_ref.reshape(-1, 6) + shift.reshape(-1, 6)
-            turn[:, 3 + axis] += rng.choice([-1.0, 1.0]) * scale * spin
-            assert cert.covers(turn.ravel()) is inside
 
     # a NaN or an infinity in a translation or a rotation leaves the
     # budgets and stops the pass
