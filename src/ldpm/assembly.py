@@ -679,14 +679,21 @@ def crack_openings(mesh: Mesh, strains, tractions,
     """Per-facet inelastic opening (w_N, w_M, w_L, w); only the positive
     normal part opens a crack."""
     e = np.asarray(strains, float)
-    t = np.asarray(tractions, float)
-    l = mesh.facets.edge_length
-    d = e - t / params.D
-    w_n = l * np.maximum(0.0, d[:, 0])
-    w_m = l * d[:, 1]
-    w_l = l * d[:, 2]
-    w = np.sqrt(w_n ** 2 + w_m ** 2 + w_l ** 2)
-    return np.column_stack([w_n, w_m, w_l, w])
+    out = np.empty((len(e), 4))
+    # formed in the (nf, 4) result in place, with one (nf,) scratch array,
+    # in the float order of w_N = l max(0, d_N), w = sqrt((w_N^2 + w_M^2)
+    # + w_L^2) for d = e - t / D
+    wv, w = out[:, :3], out[:, 3]
+    np.divide(np.asarray(tractions, float), params.D, out=wv)
+    np.subtract(e, wv, out=wv)
+    np.maximum(0.0, wv[:, 0], out=wv[:, 0])
+    wv *= mesh.facets.edge_length[:, None]
+    np.square(wv[:, 0], out=w)
+    sq = np.square(wv[:, 1])
+    w += sq
+    w += np.square(wv[:, 2], out=sq)
+    np.sqrt(w, out=w)
+    return out
 
 
 # elements per chunk of critical_timestep.  A chunk's working set is its

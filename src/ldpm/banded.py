@@ -12,14 +12,25 @@ neighbours, so the node graph is the DoF graph's quotient, with about 36
 times fewer edges, and its order keeps each node's DoFs together.  On the
 73,728-facet prism of the benchmark this narrows the band from u = 632 to
 497.
+
+The band of the kept rows and columns is scattered straight from the
+matrix's CSR arrays, `_BLOCK` rows at a time: one pass finds the
+bandwidth, a second writes the values, and neither forms the kept
+submatrix nor a COO copy of it.  `scipy.linalg` and
+`scipy.sparse.csgraph` are imported when `node_order` or `BandedCholesky`
+is first called: only the implicit solvers use them, so an explicit run
+never loads them, nor the OpenBLAS of `scipy.linalg` (about 11 MB
+resident).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+# matrix rows per block of the band's scatter: a block's work arrays hold
+# its entries, 63 a row on the dog-bone's stiffness and 72 on the prism's
+_BLOCK = 1024
 
 
 def node_order(node_i, node_j, n_nodes: int, dofs) -> np.ndarray:
@@ -28,6 +39,7 @@ def node_order(node_i, node_j, n_nodes: int, dofs) -> np.ndarray:
     edges (node_i, node_j), each node's DoFs together in their own order.
     The graph holds all n_nodes nodes as numbered, so that a node whose
     DoFs are all fixed still links its neighbours in the search."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
     graph = sp.csr_matrix((np.ones(2 * len(node_i), dtype=bool),
                            (np.concatenate([node_i, node_j]),
                             np.concatenate([node_j, node_i]))),
@@ -38,38 +50,62 @@ def node_order(node_i, node_j, n_nodes: int, dofs) -> np.ndarray:
     return np.argsort(rank[np.asarray(dofs) // 6], kind="stable")
 
 
-class BandedCholesky:
-    """Cholesky factor of a sparse SPD matrix, its rows taken in the
-    elimination `order` (a permutation of them), by default reverse
-    Cuthill-McKee of the matrix graph.  Raises `np.linalg.LinAlgError`
-    when a pivot is not positive.  `bandwidth` is the half-bandwidth u."""
+def _lower_entries(A, rank):
+    """The entries of the CSR matrix A on or below the diagonal of the
+    band, one block of `_BLOCK` rows at a time: their offsets below the
+    diagonal, columns and values, where `rank` gives each row and column
+    its place in the band, -1 for those left out."""
+    indptr, indices, data = A.indptr, A.indices, A.data
+    for lo in range(0, A.shape[0], _BLOCK):
+        hi = min(lo + _BLOCK, A.shape[0])
+        s, e = indptr[lo], indptr[hi]
+        r = np.repeat(rank[lo:hi], np.diff(indptr[lo:hi + 1]))
+        c = rank[indices[s:e]]
+        # c >= 0 and r >= c leave out the dropped rows as well
+        lower = (c >= 0) & (r >= c)
+        c = c[lower]
+        yield r[lower] - c, c, data[s:e][lower]
 
-    def __init__(self, A, order=None):
+
+class BandedCholesky:
+    """Cholesky factor of the sparse SPD matrix A[keep][:, keep] (all of A
+    when `keep` is None), its rows taken in the elimination `order` (a
+    permutation of positions in `keep`), by default reverse Cuthill-McKee
+    of its graph.  Raises `np.linalg.LinAlgError` when a pivot is not
+    positive.  `bandwidth` is the half-bandwidth u."""
+
+    def __init__(self, A, order=None, keep=None):
+        from scipy.linalg import cho_solve_banded, cholesky_banded
         A = sp.csr_matrix(A)
-        A.sum_duplicates()
-        n = A.shape[0]
+        if not A.has_canonical_format:
+            # duplicates summed on a copy: the caller's arrays stay as given
+            A = A.copy()
+            A.sum_duplicates()
+        rows = np.arange(A.shape[0]) if keep is None else np.asarray(keep)
+        n = len(rows)
         if order is None:
+            from scipy.sparse.csgraph import reverse_cuthill_mckee
             # reverse_cuthill_mckee has no answer for a 0 x 0 matrix
-            order = reverse_cuthill_mckee(A, symmetric_mode=True) if n \
+            order = reverse_cuthill_mckee(A[rows][:, rows],
+                                          symmetric_mode=True) if n \
                 else np.zeros(0, dtype=np.int32)
-        rank = np.empty(n, dtype=np.intp)
-        rank[order] = np.arange(n)
-        A = A.tocoo()
-        r, c = rank[A.row], rank[A.col]
-        lower = r >= c
-        r, c = r[lower], c[lower]
-        u = int((r - c).max()) if len(r) else 0
+        rank = np.full(A.shape[0], -1, dtype=np.intp)
+        rank[rows[order]] = np.arange(n)
+        u = max((int(d.max()) for d, _, _ in _lower_entries(A, rank)
+                 if len(d)), default=0)
         # Fortran order: LAPACK factors the band in place, without a copy
         band = np.zeros((u + 1, n), order="F")
-        band[r - c, c] = A.data[lower]
+        for d, c, values in _lower_entries(A, rank):
+            band[d, c] = values
         self.perm = order
         self.bandwidth = u
         self.factor = cholesky_banded(band, lower=True, overwrite_ab=True)
+        self._cho_solve = cho_solve_banded
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = np.empty_like(b, dtype=float)
-        x[self.perm] = cho_solve_banded((self.factor, True), b[self.perm],
-                                        check_finite=False)
+        x[self.perm] = self._cho_solve((self.factor, True), b[self.perm],
+                                       check_finite=False)
         return x
 
 

@@ -80,6 +80,10 @@ class FacetTable:
         return np.stack([self.normal, self.tangent_m, self.tangent_l], axis=1)
 
 
+# facet rows per block of `Mesh.mesh_hash` (48 bytes a row)
+_HASH_ROWS = 4096
+
+
 class Mesh:
     """Particles with 6 DoF each, facets, and tetrahedra.  Node coordinates
     and particle diameters are read-only arrays."""
@@ -125,18 +129,23 @@ class Mesh:
         comparison of per-facet fields.  The byte stream is, node by node,
         position and diameter, then facet by facet, the node pair, raw area
         and centroid, then the tets."""
+        # hashlib reads each contiguous array through the buffer protocol,
+        # without a bytes copy; the facet rows go in blocks of _HASH_ROWS
         h = hashlib.sha256()
-        h.update(np.column_stack([self.positions,
-                                  self.particle_diameters]).tobytes())
+        h.update(np.column_stack([self.positions, self.particle_diameters]))
         f = self.facets
-        rows = np.empty(len(f), dtype=[("nodes", np.int64, (2,)),
-                                       ("area", np.float64),
-                                       ("centroid", np.float64, (3,))])
-        rows["nodes"] = np.column_stack([f.node_i, f.node_j])
-        rows["area"] = f.raw_area
-        rows["centroid"] = f.centroid
-        h.update(rows.tobytes())
-        h.update(np.asarray(self.tets, np.int64).tobytes())
+        rows = np.empty(min(len(f), _HASH_ROWS),
+                        dtype=[("nodes", np.int64, (2,)), ("area", np.float64),
+                               ("centroid", np.float64, (3,))])
+        for lo in range(0, len(f), _HASH_ROWS):
+            block = rows[:min(len(f) - lo, _HASH_ROWS)]
+            hi = lo + len(block)
+            block["nodes"][:, 0] = f.node_i[lo:hi]
+            block["nodes"][:, 1] = f.node_j[lo:hi]
+            block["area"] = f.raw_area[lo:hi]
+            block["centroid"] = f.centroid[lo:hi]
+            h.update(block)
+        h.update(np.ascontiguousarray(self.tets, np.int64))
         return h.hexdigest()[:16]
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -468,6 +477,20 @@ def _parent_tets(ni, nj, centroid, tets, pos) -> np.ndarray:
     return parent
 
 
+# rows per block of `write_rows`: a block's Python values and text stay
+# small beside the arrays they come from
+_WRITE_ROWS = 1024
+
+
+def write_rows(fh, row: str, *columns) -> None:
+    """Write one line per entry of the equally long `columns`, `row % values`
+    of the Python values (`tolist`) of a block of rows at a time.  `%r`
+    writes a float as its repr, shortest and round-tripping."""
+    for lo in range(0, len(columns[0]), _WRITE_ROWS):
+        block = (c[lo:lo + _WRITE_ROWS].tolist() for c in columns)
+        fh.write("".join([row % values for values in zip(*block)]))
+
+
 def write_mesh(mesh: Mesh, path) -> None:
     """Write the facet-data file: sections `NODES n` (id x y z d_p),
     `TETS n` (id n1 n2 n3 n4) and `FACETS n` (id node_i node_j raw_area,
@@ -475,22 +498,18 @@ def write_mesh(mesh: Mesh, path) -> None:
     tet, -1 for none).  Floats use repr so a load round-trips
     bit-identically."""
     f = mesh.facets
-    out = [f"NODES {mesh.n_nodes}\n"]
-    out += [f"{i} {x!r} {y!r} {z!r} {d!r}\n" for i, ((x, y, z), d) in
-            enumerate(zip(mesh.positions.tolist(),
-                          mesh.particle_diameters.tolist()))]
-    out.append(f"TETS {len(mesh.tets)}\n")
-    out += [f"{t} {a} {b} {c} {d}\n"
-            for t, (a, b, c, d) in enumerate(np.asarray(mesh.tets).tolist())]
-    out.append(f"FACETS {mesh.n_facets}\n")
-    vals = np.column_stack([f.raw_area, f.centroid, f.true_normal,
-                            f.tangent_m, f.tangent_l]).tolist()
-    out += [f"{k} {i} {j} " + " ".join(map(repr, row)) + f" {t}\n"
-            for k, (i, j, row, t) in enumerate(zip(
-                f.node_i.tolist(), f.node_j.tolist(), vals,
-                f.parent_tet.tolist()))]
+    tets = np.asarray(mesh.tets)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(out)
+        fh.write(f"NODES {mesh.n_nodes}\n")
+        write_rows(fh, "%d %r %r %r %r\n", np.arange(mesh.n_nodes),
+                   *mesh.positions.T, mesh.particle_diameters)
+        fh.write(f"TETS {len(tets)}\n")
+        write_rows(fh, "%d %d %d %d %d\n", np.arange(len(tets)), *tets.T)
+        fh.write(f"FACETS {mesh.n_facets}\n")
+        write_rows(fh, "%d %d %d " + "%r " * 13 + "%d\n",
+                   np.arange(mesh.n_facets), f.node_i, f.node_j, f.raw_area,
+                   *f.centroid.T, *f.true_normal.T, *f.tangent_m.T,
+                   *f.tangent_l.T, f.parent_tet)
 
 
 # ---------------------------------------------------------------------------

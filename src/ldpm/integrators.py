@@ -462,8 +462,8 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             K_eff = (1.0 - ga.alpha_f) * K_eff + sp.diags(c_m * mass)
         try:
             f = ops.mesh.facets
-            self._factor = spla.splu(K_eff[free][:, free], spla.node_order(
-                f.node_i, f.node_j, ops.mesh.n_nodes, free))
+            self._factor = spla.splu(K_eff, spla.node_order(
+                f.node_i, f.node_j, ops.mesh.n_nodes, free), free)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"singular effective matrix: {exc}")
 

@@ -30,7 +30,7 @@ from . import diagnostics
 from .assembly import SystemOperators, assemble_lumped_mass, \
     crack_openings, critical_timestep, facet_tractions, volumetric_strain
 from .config import ConfigError, RunConfig, parse_directive, write_config
-from .geometry import DOF_NAMES, Mesh, select_nodes
+from .geometry import DOF_NAMES, Mesh, select_nodes, write_rows
 from .integrators import ExplicitIntegrator, GeneralizedAlphaIntegrator, \
     LoadProgram, StaticSolver
 
@@ -240,20 +240,6 @@ def _r(v) -> str:
     return repr(float(v))
 
 
-# rows per block of `_write_rows`: a block's Python values and text stay
-# small beside the record
-_WRITE_ROWS = 1024
-
-
-def _write_rows(fh, row: str, *columns) -> None:
-    """Write one line per entry of the equally long `columns`, `row % values`
-    of the Python values (`tolist`) of a block of rows at a time.  `%r`
-    writes a float as `_r` does."""
-    for lo in range(0, len(columns[0]), _WRITE_ROWS):
-        block = (c[lo:lo + _WRITE_ROWS].tolist() for c in columns)
-        fh.write("".join([row % values for values in zip(*block)]))
-
-
 def write_run_outputs(rec: RunRecord) -> Path:
     out = Path(rec.config.directory)
     out.mkdir(parents=True, exist_ok=True)
@@ -262,33 +248,33 @@ def write_run_outputs(rec: RunRecord) -> Path:
     with open(out / "steps.csv", "w", encoding="utf-8") as fh:
         fh.write("time,iterations,converged,reaction_x,reaction_y,"
                  "reaction_z,W_kin,W_int,W_ext,balance_err_pct\n")
-        _write_rows(fh, "%r,%d,%d,%r,%r,%r,%r,%r,%r,%r\n",
-                    rec.times, rec.iterations, rec.converged,
-                    *rec.reactions.T, rec.w_kin, rec.w_int, rec.w_ext,
-                    rec.balance_err)
+        write_rows(fh, "%r,%d,%d,%r,%r,%r,%r,%r,%r,%r\n",
+                   rec.times, rec.iterations, rec.converged,
+                   *rec.reactions.T, rec.w_kin, rec.w_int, rec.w_ext,
+                   rec.balance_err)
 
     with open(out / "monitor.csv", "w", encoding="utf-8") as fh:
         if rec.config.nominal_area is not None \
                 and rec.config.gauge_length is not None:
             fh.write("time,displacement,nominal_strain,nominal_stress\n")
-            _write_rows(fh, "%r,%r,%r,%r\n", rec.times,
-                        rec.monitor_disp, rec.nominal_strain,
-                        rec.nominal_stress)
+            write_rows(fh, "%r,%r,%r,%r\n", rec.times,
+                       rec.monitor_disp, rec.nominal_strain,
+                       rec.nominal_stress)
         else:
             fh.write("time,displacement\n")
-            _write_rows(fh, "%r,%r\n", rec.times, rec.monitor_disp)
+            write_rows(fh, "%r,%r\n", rec.times, rec.monitor_disp)
 
     with open(out / "crack_openings.txt", "w", encoding="utf-8") as fh:
         fh.write(f"# mesh {mesh_hash}\n")
         fh.write("# facet_id w_N w_M w_L w\n")
-        _write_rows(fh, "%d %r %r %r %r\n",
-                    np.arange(len(rec.crack_field)), *rec.crack_field.T)
+        write_rows(fh, "%d %r %r %r %r\n",
+                   np.arange(len(rec.crack_field)), *rec.crack_field.T)
 
     with open(out / "volumetric_strain.txt", "w", encoding="utf-8") as fh:
         fh.write(f"# mesh {mesh_hash}\n")
         fh.write("# tet_id e_V\n")
-        _write_rows(fh, "%d %r\n", np.arange(len(rec.volumetric)),
-                    rec.volumetric)
+        write_rows(fh, "%d %r\n", np.arange(len(rec.volumetric)),
+                   rec.volumetric)
 
     w_max = rec.crack_field[:, 3].max() if len(rec.crack_field) else 0.0
     with open(out / "summary.txt", "w", encoding="utf-8") as fh:

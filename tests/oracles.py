@@ -4,7 +4,9 @@ facets and elements in plain numpy, the way they are written on paper; the
 strain operator is assembled from COO triplets; the facet law evaluates
 every boundary on every facet; the pass of the internal forces copies
 every state array; the explicit step forms every product as a new array and
-its velocity at every step.  None of them is optimized."""
+its velocity at every step; the band of the banded Cholesky is scattered
+from a COO copy of the kept submatrix; crack openings and the mesh file
+are formed column by column and row by row.  None of them is optimized."""
 
 import math
 
@@ -64,6 +66,64 @@ def strain_operator_coo(mesh) -> sp.csr_matrix:
     cols = np.broadcast_to(dofs.reshape(nf, 1, 12), blocks.shape)
     return sp.csr_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
                          shape=(3 * nf, mesh.n_dofs))
+
+
+def band_coo(A, order=None, keep=None):
+    """(band, order): the lower band that `banded.BandedCholesky` factors,
+    built from copies: A[keep][:, keep] sliced, its duplicates summed, its
+    order by default reverse Cuthill-McKee of its graph, then every lower
+    entry of its COO form scattered at once.  The band is (u + 1, n) in
+    Fortran order, u the half-bandwidth."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    A = sp.csr_matrix(A, copy=True)
+    if keep is not None:
+        A = A[keep][:, keep]
+    A.sum_duplicates()
+    n = A.shape[0]
+    if order is None:
+        order = reverse_cuthill_mckee(A, symmetric_mode=True) if n \
+            else np.zeros(0, dtype=np.int32)
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    A = A.tocoo()
+    r, c = rank[A.row], rank[A.col]
+    lower = r >= c
+    r, c = r[lower], c[lower]
+    u = int((r - c).max()) if len(r) else 0
+    band = np.zeros((u + 1, n), order="F")
+    band[r - c, c] = A.data[lower]
+    return band, order
+
+
+def crack_openings(mesh, strains, tractions, params) -> np.ndarray:
+    """`assembly.crack_openings` column by column: (w_N, w_M, w_L, w)."""
+    l = mesh.facets.edge_length
+    d = np.asarray(strains, float) - np.asarray(tractions, float) / params.D
+    w_n = l * np.maximum(0.0, d[:, 0])
+    w_m = l * d[:, 1]
+    w_l = l * d[:, 2]
+    w = np.sqrt(w_n ** 2 + w_m ** 2 + w_l ** 2)
+    return np.column_stack([w_n, w_m, w_l, w])
+
+
+def mesh_text(mesh) -> str:
+    """The text of `geometry.write_mesh`, formatted one row at a time."""
+    f = mesh.facets
+    out = [f"NODES {mesh.n_nodes}\n"]
+    out += [f"{i} {x!r} {y!r} {z!r} {d!r}\n" for i, ((x, y, z), d) in
+            enumerate(zip(mesh.positions.tolist(),
+                          mesh.particle_diameters.tolist()))]
+    out.append(f"TETS {len(mesh.tets)}\n")
+    out += [f"{t} {a} {b} {c} {d}\n"
+            for t, (a, b, c, d) in enumerate(np.asarray(mesh.tets).tolist())]
+    out.append(f"FACETS {mesh.n_facets}\n")
+    vals = np.column_stack([f.raw_area, f.centroid, f.true_normal,
+                            f.tangent_m, f.tangent_l]).tolist()
+    out += [f"{k} {i} {j} " + " ".join(map(repr, row)) + f" {t}\n"
+            for k, (i, j, row, t) in enumerate(zip(
+                f.node_i.tolist(), f.node_j.tolist(), vals,
+                f.parent_tet.tolist()))]
+    return "".join(out)
 
 
 def critical_timestep(mesh, params, mass, fixed=()) -> float:

@@ -690,6 +690,21 @@ class TestCrackOpenings:
         w = crack_openings(single_facet, e, t, params)
         assert_allclose(w, 0.0, atol=1e-18)
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_equals_the_column_formula_bit_for_bit(self, seed):
+        # written in place into one (nf, 4) array, in the float order of
+        # the columns formed one by one; openings, closures and zeros
+        mesh = build_block_specimen((30.0, 30.0, 30.0), (2, 2, 2), seed=6)
+        params = MaterialParams()
+        rng = np.random.default_rng(seed)
+        nf = mesh.n_facets
+        e = rng.normal(size=(nf, 3)) * 1e-4 * (rng.random((nf, 1)) < 0.8)
+        t = e * params.D * rng.uniform(0.0, 1.5, size=(nf, 3))
+        got = crack_openings(mesh, e, t, params)
+        want = oracles.crack_openings(mesh, e, t, params)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
 
 class TestCriticalTimestep:
     def test_spring_mass_reduction(self, single_facet, params):

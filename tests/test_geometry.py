@@ -18,6 +18,7 @@ from ldpm.config import ConfigError
 from ldpm.runner import resolve_constraints
 from ldpm.presets import preset_config
 
+import oracles
 from oracles import frame
 
 
@@ -122,6 +123,20 @@ class TestFileIO:
         mesh2 = load_mesh(p1)
         write_mesh(mesh2, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_fixture("single-tet"),
+        lambda: build_fixture("two-particle-chain", n=3),
+        lambda: preset_config("dog-bone").build_mesh()],
+        ids=["single-tet", "chain", "dog-bone"])
+    def test_text_is_that_of_the_rows(self, tmp_path, make):
+        # the writer formats blocks of rows; its text is the one formatted
+        # row by row.  The chain has no tets, and the dog-bone's 9216
+        # facets span several blocks
+        mesh = make()
+        p = tmp_path / "m.mesh"
+        write_mesh(mesh, p)
+        assert p.read_bytes() == oracles.mesh_text(mesh).encode("utf-8")
 
     def test_round_trip_preserves_geometry(self, tmp_path):
         mesh = build_block_specimen((20, 20, 20), (1, 1, 1), seed=4)
