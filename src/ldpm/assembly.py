@@ -359,8 +359,9 @@ def _jump_norms(B: sp.csr_matrix):
 
 class SystemOperators:
     """Per-mesh cache: strain operator, facet weights, geometry arrays, the
-    facet -> parent-tet map and the law mode: elastic alone, or the facet
-    law, which refuses facets at least as long as lt and carries the
+    facet -> parent-tet map, the facets' node `pairs` (`node_pairs`, which
+    the implicit solvers order) and the law mode: elastic alone, or the
+    facet law, which refuses facets at least as long as lt and carries the
     set-up constants of the certificates (`Certificate`).  Shared
     read-only by solvers."""
 
@@ -373,21 +374,16 @@ class SystemOperators:
         self.params = params
         self.elastic_only = elastic_only
         self.B = build_strain_operator(mesh)
-        # CSC view sharing B's arrays (a CSR copy of B^T would cost memory)
-        self.BT = self.B.T
         self.weights = facet_weights(mesh)
-        # A_k l_k per strain component, matching the flattened tractions
-        self.weights3 = np.repeat(self.weights, 3)
         self.lengths = lengths
         self.parent_tet = mesh.facets.parent_tet
         self.inversion_guard = inversion_guard(mesh)
-        pairs = node_pairs(mesh)
+        self.pairs = pairs = node_pairs(mesh)
         self.K = assemble_stiffness(mesh, params, self.B, pairs)
         if not elastic_only:
             # set-up constants of the certificates
             self.D = params.D
             self.zero_slack = float(self.slack(np.zeros((1, 3)))[0])
-            self.pairs = pairs
             self.jump = build_jump_operator(mesh, pairs, self.B.indptr.dtype)
             self.c_a, self.c_b = _jump_norms(self.B)
             # the rounding caps (`Certificate`): c_u = 2 c_a and c_theta =
@@ -448,11 +444,10 @@ class SystemOperators:
             e_v[has] = volumetric_strain(q, self.mesh, ids)[at]
         return e_v
 
-    def gather_forces(self, tractions, cert=None) -> np.ndarray:
-        """B^T W t: the nodal forces of the per-facet `tractions` of every
-        facet, or of the facets the Certificate `cert` evaluates."""
-        on = self if cert is None else cert
-        return matvec(on.BT, on.weights3 * np.ravel(tractions))
+    def gather_forces(self, tractions, cert) -> np.ndarray:
+        """B_E^T W_E t: the nodal forces of the `tractions` (one row a
+        facet) of the facets E that the Certificate `cert` evaluates."""
+        return matvec(cert.BT, cert.weights3 * np.ravel(tractions))
 
 
 # the certified facets are the virgin ones whose slack at the reference
@@ -546,9 +541,11 @@ class Certificate:
 
     The other facets are evaluated: the index array `rows`, possibly
     empty, with their rows `B` of the strain operator (a zero-row matrix
-    for none), its transpose `BT`, `weights3` and `lengths`.  `strains`,
-    when given, are those of every facet at q (B q as (nf, 3)); otherwise
-    they are formed here where needed.
+    for none), its transpose `BT` (a CSC view of B's arrays), their
+    weights A_k l_k per strain component `weights3` (for
+    `SystemOperators.gather_forces`) and `lengths`.  `strains`, when
+    given, are those of every facet at q (B q as (nf, 3)); otherwise they
+    are formed here where needed.
     """
 
     def __init__(self, q, ops: SystemOperators, states: FacetStateArray,

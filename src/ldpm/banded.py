@@ -16,11 +16,10 @@ times fewer edges, and its order keeps each node's DoFs together.  On the
 The band of the kept rows and columns is scattered straight from the
 matrix's CSR arrays, `_BLOCK` rows at a time: one pass finds the
 bandwidth, a second writes the values, and neither forms the kept
-submatrix nor a COO copy of it.  `scipy.linalg` and
-`scipy.sparse.csgraph` are imported when `node_order` or `BandedCholesky`
-is first called: only the implicit solvers use them, so an explicit run
-never loads them, nor the OpenBLAS of `scipy.linalg` (about 11 MB
-resident).
+submatrix nor a COO copy of it.  `scipy.sparse.csgraph` is imported when
+`node_order` is first called, and `scipy.linalg` when `BandedCholesky`
+is: only the implicit solvers use them, so an explicit run never loads
+them, nor the OpenBLAS of `scipy.linalg` (about 11 MB resident).
 """
 
 from __future__ import annotations
@@ -37,8 +36,10 @@ def node_order(node_i, node_j, n_nodes: int, dofs) -> np.ndarray:
     """An elimination order of the DoFs `dofs` (6 a node), as positions in
     `dofs`: the nodes in reverse Cuthill-McKee order of the graph with the
     edges (node_i, node_j), each node's DoFs together in their own order.
-    The graph holds all n_nodes nodes as numbered, so that a node whose
-    DoFs are all fixed still links its neighbours in the search."""
+    The implicit solvers pass the mesh's node pairs (`assembly.node_pairs`),
+    each edge once.  The graph holds all n_nodes nodes as numbered, so that
+    a node whose DoFs are all fixed still links its neighbours in the
+    search."""
     from scipy.sparse.csgraph import reverse_cuthill_mckee
     graph = sp.csr_matrix((np.ones(2 * len(node_i), dtype=bool),
                            (np.concatenate([node_i, node_j]),
@@ -68,29 +69,22 @@ def _lower_entries(A, rank):
 
 
 class BandedCholesky:
-    """Cholesky factor of the sparse SPD matrix A[keep][:, keep] (all of A
-    when `keep` is None), its rows taken in the elimination `order` (a
-    permutation of positions in `keep`), by default reverse Cuthill-McKee
-    of its graph.  Raises `np.linalg.LinAlgError` when a pivot is not
-    positive.  `bandwidth` is the half-bandwidth u."""
+    """Cholesky factor of the sparse SPD matrix A[keep][:, keep], its rows
+    taken in the elimination `order` (a permutation of positions in
+    `keep`, such as `node_order` gives).  Raises `np.linalg.LinAlgError`
+    when a pivot is not positive.  `bandwidth` is the half-bandwidth u."""
 
-    def __init__(self, A, order=None, keep=None):
+    def __init__(self, A, order, keep):
         from scipy.linalg import cho_solve_banded, cholesky_banded
         A = sp.csr_matrix(A)
         if not A.has_canonical_format:
             # duplicates summed on a copy: the caller's arrays stay as given
             A = A.copy()
             A.sum_duplicates()
-        rows = np.arange(A.shape[0]) if keep is None else np.asarray(keep)
-        n = len(rows)
-        if order is None:
-            from scipy.sparse.csgraph import reverse_cuthill_mckee
-            # reverse_cuthill_mckee has no answer for a 0 x 0 matrix
-            order = reverse_cuthill_mckee(A[rows][:, rows],
-                                          symmetric_mode=True) if n \
-                else np.zeros(0, dtype=np.int32)
+        keep = np.asarray(keep)
+        n = len(keep)
         rank = np.full(A.shape[0], -1, dtype=np.intp)
-        rank[rows[order]] = np.arange(n)
+        rank[keep[order]] = np.arange(n)
         u = max((int(d.max()) for d, _, _ in _lower_entries(A, rank)
                  if len(d)), default=0)
         # Fortran order: LAPACK factors the band in place, without a copy

@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# mJ: below this |W_ext| the balance error is flagged and reported as 0
+W_EXT_FLOOR = 1e-12
+
 
 @dataclass
 class EnergyLedger:
@@ -20,7 +23,6 @@ class EnergyLedger:
     w_kin: float = 0.0
     w_int: float = 0.0
     w_ext: float = 0.0
-    w_ext_floor: float = 1e-12    # below this, the balance error is flagged 0
     flagged: bool = False
 
 
@@ -68,8 +70,8 @@ def book_release(ledger: EnergyLedger, held, dq) -> EnergyLedger:
 
 def energy_balance_error(ledger: EnergyLedger) -> float:
     """Percent imbalance; 0 (flagged) while the external work is still below
-    the floor."""
-    if abs(ledger.w_ext) < ledger.w_ext_floor:
+    `W_EXT_FLOOR`."""
+    if abs(ledger.w_ext) < W_EXT_FLOOR:
         ledger.flagged = True
         return 0.0
     ledger.flagged = False

@@ -210,9 +210,7 @@ class LoadProgram:
             return self._vel * (t - self._half_ramp)
         return np.where(self._ramped & (t <= self._ramp),
                         self._vel * t * t / (2.0 * self._ramp_div),
-                        np.where(self._ramped,
-                                 self._vel * (t - self._ramp / 2.0),
-                                 self._vel * t))
+                        self._vel * (t - self._half_ramp))
 
     def velocity(self, t: float) -> np.ndarray:
         if t > self._ramp_end:
@@ -279,6 +277,9 @@ class _SolverBase:
         self.f_ext_total = self.reaction_forces + self.f_ext
         self.ledger = diagnostics.EnergyLedger()
         self._held = None
+        # the prescribed DoFs' m a and the load program's acceleration
+        # array it was formed from (`_commit`)
+        self._accel_p = self._inertia_p = None
 
     @property
     def strains(self) -> np.ndarray:
@@ -296,11 +297,21 @@ class _SolverBase:
     def _commit(self, f_int, trial, f_ext) -> None:
         """Commit one evaluation at the current (t, q, a) and f_ext = the
         external force at t, and recover the reactions on the prescribed
-        DoFs (the other entries of reaction_forces stay zero)."""
+        DoFs, (m a + f_int) - f_ext (the other entries of reaction_forces
+        stay zero).  a on the prescribed DoFs is the load program's
+        acceleration at t; m a there is formed again only when the program
+        returns a new acceleration array."""
         self.states, self.f_int, self.f_ext = trial, f_int, f_ext
-        pres = self.program.prescribed
-        f = f_int[pres] if self.mass is None \
-            else self.mass[pres] * self.a[pres] + f_int[pres]
+        p = self.program
+        pres = p.prescribed
+        if self.mass is None:
+            f = f_int[pres]
+        else:
+            accel = p.acceleration(self.t)
+            if accel is not self._accel_p:
+                self._accel_p, self._inertia_p = accel, \
+                    self.mass[pres] * accel
+            f = self._inertia_p + f_int[pres]
         self.reaction_forces[pres] = f - f_ext[pres]
         self.f_ext_total = self.reaction_forces + f_ext
 
@@ -370,9 +381,6 @@ class ExplicitIntegrator(_SolverBase):
         # scratch of step(): the products with dt and the work's force sums,
         # and the increment dq
         self._tmp, self._dq = np.empty(n), np.empty(n)
-        # the prescribed DoFs' m a and the acceleration array it was formed
-        # from (`_refresh`)
-        self._accel_p = self._inertia_p = None
         self.program.apply(self.q, self.v, self.a, 0.0)
         self._refresh()
         # second-order startup: v_{+1/2} = v_0 + dt/2 a_0
@@ -399,23 +407,15 @@ class ExplicitIntegrator(_SolverBase):
         super().perturb(eta, rng)
 
     def _refresh(self):
-        """Evaluate and commit forces, acceleration and reactions at (t, q).
-        The reactions reuse m a on the prescribed DoFs while the load
-        program returns the same acceleration array."""
-        p, q, t = self.program, self.q, self.t
-        pres = p.prescribed
-        f_int, trial = internal_forces(q, self.ops, self.states)
+        """Evaluate and commit forces, acceleration and reactions at (t, q)."""
+        p, t = self.program, self.t
+        f_int, trial = internal_forces(self.q, self.ops, self.states)
         f_ext = p.external_force(t)
         a = np.subtract(f_ext, f_int)
         a *= self._minv
-        accel = p.acceleration(t)
-        a[pres] = accel
-        if accel is not self._accel_p:
-            self._accel_p, self._inertia_p = accel, self.mass[pres] * accel
-        self.a, self.states, self.f_int, self.f_ext = a, trial, f_int, f_ext
-        self.reaction_forces[pres] = (self._inertia_p + f_int[pres]) \
-            - f_ext[pres]
-        self.f_ext_total = self.reaction_forces + f_ext
+        a[p.prescribed] = p.acceleration(t)
+        self.a = a
+        self._commit(f_int, trial, f_ext)
 
     def step(self) -> StepReport:
         p, dt, tmp = self.program, self.dt, self._tmp
@@ -461,9 +461,9 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             c_m = (1.0 - ga.alpha_m) / (ga.beta * dt * dt)
             K_eff = (1.0 - ga.alpha_f) * K_eff + sp.diags(c_m * mass)
         try:
-            f = ops.mesh.facets
+            pairs = ops.pairs
             self._factor = spla.splu(K_eff, spla.node_order(
-                f.node_i, f.node_j, ops.mesh.n_nodes, free), free)
+                pairs.lo, pairs.hi, ops.mesh.n_nodes, free), free)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"singular effective matrix: {exc}")
 

@@ -169,10 +169,6 @@ class FacetStateArray:
         return FacetStateArray(*(a.copy() for a in self._merged()),
                                certificate=self.certificate)
 
-    def __len__(self):
-        return len(self._base) if self._arrays is None \
-            else len(self._arrays[0])
-
 
 def sigma0(omega, params: MaterialParams):
     """Mixed-mode strength limit for the effective traction.

@@ -5,7 +5,8 @@ strain operator is assembled from COO triplets; the facet law evaluates
 every boundary on every facet; the pass of the internal forces copies
 every state array; the explicit step forms every product as a new array and
 its velocity at every step; the band of the banded Cholesky is scattered
-from a COO copy of the kept submatrix; crack openings and the mesh file
+from a COO copy of the kept submatrix; the nodal forces of all the
+facets are gathered through B's transpose; crack openings and the mesh file
 are formed column by column and row by row.  None of them is optimized."""
 
 import math
@@ -278,6 +279,11 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
         traction=t.copy(),
     )
     return t, new
+
+
+def gather_all(ops, t) -> np.ndarray:
+    """B^T W t over every facet, from the (nf, 3) tractions t."""
+    return ops.B.T @ (np.repeat(ops.weights, 3) * np.ravel(t))
 
 
 def force_rounding(ops, q, t) -> np.ndarray:

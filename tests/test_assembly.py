@@ -277,7 +277,7 @@ class TestInternalForces:
                                params)
         assert len(trial.certificate.rows) == block.n_facets
         assert np.array_equal(trial.traction, t)
-        assert np.all(np.abs(f - ops.gather_forces(t))
+        assert np.all(np.abs(f - oracles.gather_all(ops, t))
                       <= 1e-12 * oracles.force_rounding(ops, q, t))
         assert want.traction is t
 
@@ -896,7 +896,7 @@ class TestMatvec:
 
     @staticmethod
     def operators():
-        """(name, matrix) pairs: K, B and its CSC transpose BT, the jump
+        """(name, matrix) pairs: K, B and its CSC transpose B^T, the jump
         operator J, and a certificate's B_E and B_E^T, of the three
         workload meshes; an int64-index copy of a B_E and its transpose;
         empty matrices."""
@@ -910,7 +910,7 @@ class TestMatvec:
                 q, ops, FacetStateArray.virgin(mesh.n_facets))
             assert 0 < len(cert.rows) < mesh.n_facets
             out += [(f"{cfg.specimen} {n}", A) for n, A in (
-                ("K", ops.K), ("B", ops.B), ("BT", ops.BT), ("J", ops.jump),
+                ("K", ops.K), ("B", ops.B), ("B^T", ops.B.T), ("J", ops.jump),
                 ("B_E", cert.B), ("B_E^T", cert.BT))]
         wide = cert.B.copy()
         wide.indices = wide.indices.astype(np.int64)

@@ -1,9 +1,11 @@
 """Property tests of the banded Cholesky behind the implicit solvers: on
 random sparse SPD matrices (empty, 1 x 1, diagonal-only, a dense block,
-several disconnected components in scrambled order) `splu(A).solve(b)`
-matches `np.linalg.solve` to 1e-12, and a matrix that is indefinite or
-singular raises `LinAlgError`.  On the free stiffness of specimens, the
-band in node order is no wider than in DoF order, and its solve matches
+several disconnected components in scrambled order), factored in the
+reverse Cuthill-McKee order of their DoF graph, `splu(A, order,
+keep).solve(b)` matches `np.linalg.solve` to 1e-12, and a matrix that is
+indefinite or singular raises `LinAlgError`.  On the free stiffness of
+specimens, the band in node order is no wider than in DoF order
+(`oracles.band_coo`'s default), and its solve matches
 `scipy.sparse.linalg.spsolve` to 1e-12.  The band scattered from CSR
 blocks, and its factor, equal bit for bit those of the COO construction
 (`oracles.band_coo`); the static set-up allocates less than one copy of K
@@ -71,12 +73,19 @@ matrices_st = st.builds(spd_matrix,
                         st.integers(0, 2**32 - 1))
 
 
+def factor_all(A):
+    """`splu` of all of the dense A, in the reverse Cuthill-McKee order of
+    its DoF graph (`oracles.band_coo`)."""
+    A = sp.csr_matrix(A)
+    return splu(A, oracles.band_coo(A)[1], np.arange(A.shape[0]))
+
+
 @given(matrices_st, st.integers(0, 2**32 - 1))
 @example(np.zeros((0, 0)), 0)
 @example(np.array([[2.0]]), 0)
 def test_solve_matches_dense_solve(A, seed):
     b = np.random.default_rng(seed).normal(size=len(A))
-    x = splu(sp.csr_matrix(A)).solve(b)
+    x = factor_all(A).solve(b)
     x_ref = np.linalg.solve(A, b)
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
     assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -89,11 +98,11 @@ def test_indefinite_matrix_raises(A, data):
     lam = np.linalg.eigvalsh(A)
     shifted = A - (lam[0] + data.draw(st.floats(0.1, 1.0))) * np.eye(len(A))
     with pytest.raises(np.linalg.LinAlgError):
-        splu(sp.csr_matrix(shifted))
+        factor_all(shifted)
     flipped = A.copy()
     flipped[k, k] = -flipped[k, k]
     with pytest.raises(np.linalg.LinAlgError):
-        splu(sp.csr_matrix(flipped))
+        factor_all(flipped)
 
 
 @given(matrices_st.filter(len), st.data())
@@ -103,7 +112,7 @@ def test_singular_matrix_raises(A, data):
     A = A.copy()
     A[k, :] = A[:, k] = 0.0
     with pytest.raises(np.linalg.LinAlgError):
-        splu(sp.csr_matrix(A))
+        factor_all(A)
 
 
 def free_stiffness(cfg):
@@ -137,8 +146,8 @@ def prism_config():
                          ids=["dog-bone", "block"])
 def test_node_order_is_no_wider_than_the_dof_order(cfg):
     A, order = free_stiffness(cfg)
-    by_nodes = splu(A, order)
-    assert by_nodes.bandwidth <= splu(A).bandwidth
+    by_nodes = splu(A, order, np.arange(A.shape[0]))
+    assert by_nodes.bandwidth <= len(oracles.band_coo(A)[0]) - 1
     b = np.random.default_rng(0).normal(size=A.shape[0])
     x_ref = spsolve(A.tocsc(), b)
     assert np.linalg.norm(by_nodes.solve(b) - x_ref) \
@@ -180,7 +189,7 @@ def factored(make):
         return make(), bands
 
 
-def assert_band_of(chol, bands, A, order=None, keep=None):
+def assert_band_of(chol, bands, A, order, keep):
     """The one band `chol` factored, its bandwidth, order and factor equal
     those of `oracles.band_coo(A, order, keep)` bit for bit."""
     ref, ref_order = oracles.band_coo(A, order, keep)
@@ -223,23 +232,24 @@ def test_solver_band_equals_the_coo_construction(cfg, solver):
 @st.composite
 def kept_systems(draw):
     """(A, order, keep): an SPD matrix, a kept set of its rows (drawn,
-    none, all of them, or None for all) and an order of the kept rows (a
-    permutation, or None for reverse Cuthill-McKee)."""
+    none or all of them) and an order of the kept rows (a permutation, or
+    the reverse Cuthill-McKee order of `oracles.band_coo`)."""
     A = draw(matrices_st)
     n = len(A)
     mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
                     dtype=bool)
     keep = draw(st.sampled_from([np.flatnonzero(mask), np.arange(0),
-                                 np.arange(n), None]))
-    m = n if keep is None else len(keep)
-    order = draw(st.one_of(st.none(), st.permutations(range(m)).map(
+                                 np.arange(n)]))
+    order = draw(st.one_of(st.none(), st.permutations(range(len(keep))).map(
         lambda p: np.array(p, dtype=np.intp))))
+    if order is None:
+        order = oracles.band_coo(A, None, keep)[1]
     return A, order, keep
 
 
 @given(kept_systems())
-@example((np.zeros((0, 0)), None, None))
-@example((np.array([[2.0]]), None, np.arange(0)))
+@example((np.zeros((0, 0)), np.zeros(0, dtype=np.int32), np.arange(0)))
+@example((np.array([[2.0]]), np.zeros(0, dtype=np.int32), np.arange(0)))
 def test_band_of_kept_rows_equals_the_coo_construction(system):
     A, order, keep = system
     A = sp.csr_matrix(A)

@@ -6,6 +6,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from ldpm.assembly import (
+    Certificate,
     SystemOperators,
     assemble_lumped_mass,
     critical_timestep,
@@ -652,11 +653,20 @@ class TestBookkeeping:
         assert np.array_equal(p.external_force(0.2), np.zeros(6))
 
     def test_gather_transpose_shares_b(self, params):
+        # every other facet past the tension floor: the certificate
+        # evaluates those, and gathers through a view of its rows of B
         ops = SystemOperators(build_fixture("single-tet"), params)
-        assert np.shares_memory(ops.BT.data, ops.B.data)
-        t = np.random.default_rng(0).normal(size=(ops.mesh.n_facets, 3))
-        want = ops.B.T @ (ops.weights[:, None] * t).ravel()
-        assert ops.gather_forces(t).tobytes() == want.tobytes()
+        nf = ops.mesh.n_facets
+        e_max = np.zeros(nf)
+        e_max[::2] = 1.0
+        states = FacetStateArray(e_max, np.zeros(nf), np.zeros(nf),
+                                 np.zeros(nf), np.zeros((nf, 3)))
+        cert = Certificate(np.zeros(ops.mesh.n_dofs), ops, states)
+        assert np.array_equal(cert.rows, np.arange(0, nf, 2))
+        assert np.shares_memory(cert.BT.data, cert.B.data)
+        t = np.random.default_rng(0).normal(size=(len(cert.rows), 3))
+        want = cert.B.T @ (ops.weights[cert.rows][:, None] * t).ravel()
+        assert ops.gather_forces(t, cert).tobytes() == want.tobytes()
 
 
 class TestExplicit:

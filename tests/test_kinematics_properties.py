@@ -19,7 +19,7 @@ from ldpm.geometry import Mesh, build_block_specimen
 from ldpm.material import FacetStateArray, MaterialParams, active_floors, \
     elastic_tractions, facet_update
 
-from oracles import facet_strain, force_rounding, frame
+from oracles import facet_strain, force_rounding, frame, gather_all
 
 meshes = st.builds(
     build_block_specimen,
@@ -161,7 +161,7 @@ def test_stiffness_action_equals_elastic_gather(mesh, seed, alpha):
     ops = SystemOperators(mesh, MaterialParams(alpha=alpha),
                           elastic_only=True)
     q = np.random.default_rng(seed).normal(scale=1e-3, size=mesh.n_dofs)
-    want = ops.gather_forces(elastic_tractions(ops.strains(q), ops.params))
+    want = gather_all(ops, elastic_tractions(ops.strains(q), ops.params))
     states = FacetStateArray.virgin(mesh.n_facets)
     f, trial = internal_forces(q, ops, states)
     assert trial is states
@@ -292,7 +292,7 @@ def test_certified_facets_answer_the_linear_law(mesh, path, confined, seed,
     for name in ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction"):
         assert np.array_equal(getattr(trial, name)[~c],
                               getattr(want, name)[~c])
-    assert np.all(np.abs(f_int - ops.gather_forces(t_all))
+    assert np.all(np.abs(f_int - gather_all(ops, t_all))
                   <= 1e-12 * force_rounding(ops, q, t_all))
 
     if k is not None:
