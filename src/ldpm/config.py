@@ -245,16 +245,21 @@ def build_specimen_from_spec(spec: str, density: float) -> Mesh:
         return build_block_specimen(size, div, d_p=d_p, jitter=jitter,
                                     seed=seed, map_fn=map_fn, density=density)
     if shape == "notched":
+        # the notch drops every grid cell whose x-extent overlaps the open
+        # band x_mid +- width / 2 and whose centre lies below depth x the
+        # height: the cells at midspan on the bottom, one column of cells on
+        # an odd div, two on an even one with the default width of a cell
         depth = kw.pop("notch_depth", 0.5)    # fraction of height (z)
         width = kw.pop("notch_width", None)   # mm, along x
         if kw:
             raise ConfigError(f"notched takes no options {sorted(kw)}")
+        cell = size[0] / div[0]
         if width is None:
-            width = size[0] / div[0]
+            width = cell
         x_mid = size[0] / 2.0
 
         def keep(center):
-            return not (abs(center[0] - x_mid) < width / 2.0
+            return not (abs(center[0] - x_mid) < (cell + width) / 2.0
                         and center[2] < depth * size[2])
 
         return build_block_specimen(size, div, d_p=d_p, jitter=jitter,

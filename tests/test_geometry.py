@@ -14,7 +14,7 @@ from ldpm.geometry import (
     validate_mesh,
     write_mesh,
 )
-from ldpm.config import ConfigError
+from ldpm.config import ConfigError, build_specimen_from_spec
 from ldpm.runner import resolve_constraints
 from ldpm.presets import preset_config
 
@@ -274,6 +274,29 @@ class TestBlockSpecimen:
             keep=lambda c: c[2] > 20 or abs(c[0] - 20) > 10)
         assert len(notched.tets) < len(full.tets)
         assert validate_mesh(notched).ok
+
+    @pytest.mark.parametrize("options", [
+        "notch_depth=0.45 notch_width=7.5", ""], ids=["preset", "default"])
+    def test_notched_spec_cuts_the_bottom_cells_at_midspan(self, options):
+        # on 8 cells of 15 mm, the preset's 7.5 mm notch and the default
+        # width of one cell both overlap the two cells beside midspan:
+        # their bottom halves go, 2 x 2 cells of 6 tets
+        size = "120.0x30.0x30.0 div=8x2x2 seed=5"
+        prism = build_specimen_from_spec(f"prism {size}", 2380.0)
+        notched = build_specimen_from_spec(f"notched {size} {options}",
+                                           2380.0)
+        assert len(notched.tets) == len(prism.tets) - 24
+        assert validate_mesh(notched).ok
+        centroids = notched.positions[notched.tets].mean(axis=1)
+        assert not np.any((np.abs(centroids[:, 0] - 60.0) < 15.0)
+                          & (centroids[:, 2] < 15.0))
+
+    def test_notched_bend_preset_has_its_notch(self):
+        mesh = preset_config("notched-bend").build_mesh()
+        prism = build_block_specimen((120.0, 30.0, 30.0), (8, 2, 2), seed=5)
+        assert len(mesh.tets) < len(prism.tets)
+        (load,) = select_nodes(mesh, "center-zmax")
+        assert_allclose(mesh.positions[load], [60.0, 15.0, 30.0])
 
 
 class TestConstraints:
