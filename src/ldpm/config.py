@@ -178,8 +178,8 @@ class RunConfig:
                 return load_mesh(self.mesh_path, density=self.density)
             if self.fixture is not None:
                 kind, *options = self.fixture.split() or [""]
-                kw = _kwargs(options, {"n": int, "length": float,
-                                       "area": float, "d_p": float})
+                kw = _kwargs(options, {"n": int, "length": _finite,
+                                       "area": _finite, "d_p": _finite})
                 return build_fixture(kind, density=self.density, **kw)
             return build_specimen_from_spec(self.specimen, self.density)
         except (OSError, ValueError) as exc:
@@ -198,6 +198,14 @@ def _kwargs(tokens, schema):
     return kw
 
 
+def _finite(text: str) -> float:
+    """float(text), refused with a ValueError unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _triple(kind):
     """Parser of `<a>x<b>x<c>` into three values of type `kind`."""
     def parse(text):
@@ -213,10 +221,11 @@ def build_specimen_from_spec(spec: str, density: float) -> Mesh:
     tok = spec.split()
     if len(tok) < 2:
         raise ConfigError(f"malformed specimen spec {spec!r}")
-    shape, size = tok[0], _triple(float)(tok[1])
-    kw = _kwargs(tok[2:], {"div": _triple(int), "seed": int, "jitter": float,
-                           "dp": float, "waist": float,
-                           "notch_depth": float, "notch_width": float})
+    shape, size = tok[0], _triple(_finite)(tok[1])
+    kw = _kwargs(tok[2:], {"div": _triple(int), "seed": int,
+                           "jitter": _finite, "dp": _finite,
+                           "waist": _finite, "notch_depth": _finite,
+                           "notch_width": _finite})
     div = kw.pop("div", (2, 2, 4))
     if min(div) < 1:
         raise ConfigError(f"specimen div entries must be at least 1, got "

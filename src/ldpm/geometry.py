@@ -95,7 +95,8 @@ class Mesh:
                        dtype=float)
         for bad, what in ((~np.isfinite(pos).all(axis=1),
                            "non-finite position"),
-                          (d_p < 0, "negative particle diameter")):
+                          (~(np.isfinite(d_p) & (d_p >= 0)),
+                           "particle diameter not finite and >= 0")):
             if bad.any():
                 raise MeshError(f"node {np.argmax(bad)}: {what}")
         pos.flags.writeable = d_p.flags.writeable = False
@@ -271,7 +272,9 @@ class ValidationReport:
 
 def validate_mesh(mesh: Mesh) -> ValidationReport:
     """Check every facet and mesh invariant; violations are reported as
-    data, not raised, facet by facet and then tet by tet."""
+    data, not raised, facet by facet and then tet by tet.  Each check
+    states what a valid value satisfies, so that a NaN, which satisfies no
+    comparison, is a violation."""
     rep = ValidationReport()
     f = mesh.facets
     nn = mesh.n_nodes
@@ -292,19 +295,21 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     a_expected = f.raw_area * _dot(f.normal, f.true_normal)
     gap = _norm((x_i + f.c_i) - (x_j + f.c_j))
     checks = (
-        ("orthonormal", dev > TOL_ORTHONORMAL,
+        ("orthonormal", ~(dev <= TOL_ORTHONORMAL),
          lambda k: f"|P^T P - I| = {dev[k]:.3e}"),
-        ("edge-length", np.abs(f.edge_length - length)
-         > TOL_EDGE_LENGTH * np.maximum(1.0, length),
+        ("edge-length", ~(np.abs(f.edge_length - length)
+                          <= TOL_EDGE_LENGTH * np.maximum(1.0, length)),
          lambda k: f"stored {float(f.edge_length[k])!r} vs "
                    f"|x_J - x_I| = {length[k]!r}"),
-        ("normal-align", has_length & (align > TOL_NORMAL_ALIGN),
+        ("normal-align", has_length & ~(align <= TOL_NORMAL_ALIGN),
          lambda k: f"normal off edge direction by {align[k]:.3e}"),
-        ("projected-area", np.abs(f.projected_area - a_expected)
-         > TOL_PROJECTED_AREA * np.maximum(1.0, f.raw_area),
+        ("projected-area", ~(np.abs(f.projected_area - a_expected)
+                             <= TOL_PROJECTED_AREA
+                             * np.maximum(1.0, f.raw_area)),
          lambda k: f"stored {float(f.projected_area[k])!r}, "
                    f"expected {float(a_expected[k])!r}"),
-        ("centroid", gap > TOL_CENTROID * np.maximum(1.0, f.edge_length),
+        ("centroid", ~(gap <= TOL_CENTROID
+                       * np.maximum(1.0, f.edge_length)),
          lambda k: f"x_I + c_I and x_J + c_J differ by {gap[k]:.3e}"),
     )
     failed = ~ref_ok
@@ -322,9 +327,9 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
 
     vols = mesh.tet_volumes
     v = tet_volume(*pos[mesh.tets].transpose(1, 0, 2))
-    bad_tets = (v <= 0) | (np.abs(v - vols) > 1e-8 * v)
+    bad_tets = ~(v > 0) | ~(np.abs(v - vols) <= 1e-8 * v)
     for t in np.nonzero(bad_tets)[0]:
-        if v[t] <= 0:
+        if not v[t] > 0:
             rep.add("tet-volume", f"tet {t}", f"volume {v[t]:.3e} <= 0")
         else:
             rep.add("tet-volume", f"tet {t}", f"stored volume {vols[t]!r} "
@@ -332,7 +337,7 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     if len(vols):
         total = float(np.sum(vols))
         cell_sum = float(np.sum(mesh.cell_volumes))
-        if abs(cell_sum - total) > TOL_VOLUME_SUM * total:
+        if not abs(cell_sum - total) <= TOL_VOLUME_SUM * total:
             rep.add("volume-sum", "mesh",
                     f"sum V_I = {cell_sum!r} vs total {total!r}")
     return rep
@@ -669,9 +674,8 @@ def select_nodes(mesh: Mesh, selector: str) -> list[int]:
         return sorted(ids)
     if selector in ("center-zmin", "center-zmax"):
         axis_val = lo[2] if selector.endswith("zmin") else hi[2]
+        # never empty: the node that sets the bound lies on its face
         ids = on(2, axis_val)
-        if not len(ids):
-            raise MeshError(f"no nodes on face for {selector}")
         center = np.array([(lo[0] + hi[0]) / 2, (lo[1] + hi[1]) / 2, axis_val])
         d = np.linalg.norm(pos[ids] - center, axis=1)
         return [int(ids[np.argmin(d)])]

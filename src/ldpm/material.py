@@ -18,7 +18,8 @@ linear (its certificates).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +53,11 @@ class MaterialParams:
     r_s: float = 0.0
 
     def __post_init__(self):
+        # a NaN is false in every comparison below, so it would pass them
+        bad = [f.name for f in fields(self)
+               if not math.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if self.E0 <= 0 or self.alpha <= 0:
             raise ValueError("E0 and alpha must be positive")
         if self.sigma_t <= 0 or self.lt <= 0 or self.sigma_c0 <= 0:

@@ -15,6 +15,7 @@ from ldpm.config import (
 from ldpm import geometry
 from ldpm.geometry import build_fixture, write_mesh
 from ldpm.integrators import StaticSolver, genalpha_from_rho
+from ldpm.material import MaterialParams
 from ldpm.presets import PRESET_NAMES, preset_config
 from ldpm import runner
 from ldpm.runner import RunError, check_output_directory, \
@@ -461,7 +462,11 @@ constraints =
     @pytest.mark.parametrize("line", [
         "Hc0_over_E0 = -0.1", "Hc1_over_E0 = -0.1", "kappa_c2 = -1",
         "kappa_c3 = 0", "mu_inf = -0.1", "mu_0 = 0.1\nmu_inf = 0.2",
-        "sigma_N0 = 0", "r_s = -0.5", "rst = 0"])
+        "sigma_N0 = 0", "r_s = -0.5", "rst = 0"] + [
+            # non-finite values, which the comparisons of the checks let by
+            f"{f.name} = {value}"
+            for f in dataclasses.fields(MaterialParams)
+            for value in ("nan", "inf")])
     def test_bad_material_parameter_exit_2(self, tmp_path, capsys, line):
         path = write_text(tmp_path / "c.ini",
                           MINIMAL + f"\n[material]\n{line}\n")
@@ -536,6 +541,20 @@ constraints =
         pytest.param(MINIMAL.replace("fixture = single-facet",
                                      "specimen = prism 10x10x20 div=0x2x2"),
                      id="div-zero"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = prism 10x10x20 dp=nan"),
+                     id="specimen-dp-nan"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = prism 10x10xinf"),
+                     id="specimen-size-inf"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "fixture = single-facet d_p=nan"),
+                     id="fixture-d_p-nan"),
+        # the waist collapses the mid-plane's nodes onto the axis
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = dogbone 10x10x20 div=2x2x2 "
+                                     "waist=0"),
+                     id="degenerate-tet"),
         pytest.param(MINIMAL.replace("fixture = single-facet",
                                      "fixture = single-facet\ndensity = 0"),
                      id="density"),
@@ -758,23 +777,43 @@ class TestCliFixtureValidate:
         path = write_text(tmp_path / "bad.mesh", "not a mesh at all\n")
         assert main(["validate", str(path)]) == EXIT_VALIDATION
 
+    # the message follows the file's path, a line number first where the
+    # mistake has one
     @pytest.mark.parametrize("data,message", [
         pytest.param(b"NODES 1\n0 0.0 0.0 0.0 1.0 \xff\n",
-                     "not UTF-8 text (invalid start byte)",
+                     ": not UTF-8 text (invalid start byte)",
                      id="not-utf8"),
-        pytest.param(b"NODES 1\n0 0.0 0.0 0.0 1.0\n", "no facet lines",
-                     id="no-facets")])
+        pytest.param(b"NODES 1\n0 0.0 0.0 0.0 1.0\n", ": no facet lines",
+                     id="no-facets"),
+        pytest.param(b"NODES 2\n0 0 0 0 1\nFACETS 1\n",
+                     ":3: section NODES short by 1 entries",
+                     id="section-short-at-header"),
+        pytest.param(b"NODES two\n", ":1: malformed section header "
+                     "'NODES two'", id="section-header"),
+        pytest.param(b"NODES 1\n0 0 0 0\n",
+                     ":2: node line needs: id x y z d_p", id="node-fields"),
+        pytest.param(b"NODES 1\n0 0 0 0 1\nTETS 1\n0 0 0 0\n",
+                     ":4: tet line needs: id n1 n2 n3 n4", id="tet-fields"),
+        pytest.param(b"NODES 1\n0 0 0 0 1\nFACETS 1\n0 0 0\n",
+                     ":4: facet line needs 16 or 17 fields",
+                     id="facet-fields"),
+        pytest.param(b"NODES 1\n1 0 0 0 1\nFACETS 0\n",
+                     ": node ids must be contiguous from 0", id="node-ids"),
+        pytest.param(b"NODES 2\n0 0 0 0 1\n1 1 0 0 1\nFACETS 1\n"
+                     b"0 0 5 1 0.5 0 0 1 0 0 0 1 0 0 0 1\n",
+                     ":5: facet 0 references missing node (0, 5)",
+                     id="facet-node")])
     def test_unusable_mesh_file_one_line_exit_2(self, tmp_path, capsys,
                                                 data, message):
         path = tmp_path / "m.mesh"
         path.write_bytes(data)
         assert main(["validate", str(path)]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"invalid: {path}: {message}\n"
+        assert capsys.readouterr().err == f"invalid: {path}{message}\n"
         config = write_text(tmp_path / "c.ini", MINIMAL.replace(
             "fixture = single-facet", f"path = {path}"))
         out = tmp_path / "out"
         assert main(["run", config, "--out", str(out)]) == EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
         assert not out.exists()
 
     def test_validate_prints_every_violation_of_one_pass(

@@ -114,6 +114,40 @@ class TestValidation:
         rep = validate_mesh(single_facet)
         assert any(v.kind == "node-ref" for v in rep.violations)
 
+    @pytest.mark.parametrize("field,kinds", [
+        # the centroid's tolerance scales with the stored edge length
+        ("edge_length", {"edge-length", "centroid"}),
+        ("raw_area", {"projected-area"}),
+        ("projected_area", {"projected-area"}),
+        ("c_i", {"centroid"}),
+        ("normal", {"orthonormal", "normal-align", "projected-area"}),
+        ("tangent_m", {"orthonormal"}),
+        ("true_normal", {"projected-area"})])
+    def test_nan_facet_value_reported(self, single_tet, field, kinds):
+        getattr(single_tet.facets, field)[3] = np.nan
+        rep = validate_mesh(single_tet)
+        assert {(v.entity, v.kind) for v in rep.violations} \
+            == {("facet 3", kind) for kind in kinds}
+
+    def test_tet_volume_violations_reported(self, single_tet):
+        m = single_tet
+        flipped = Mesh(m.positions, m.particle_diameters, m.facets,
+                       m.tets[:, [0, 2, 1, 3]], m.tet_volumes,
+                       m.cell_volumes)
+        (v,) = validate_mesh(flipped).violations
+        assert (v.kind, v.entity) == ("tet-volume", "tet 0")
+        assert v.message.endswith("<= 0")
+        m.tet_volumes[0] *= 1.0 + 1e-6
+        kinds = [(v.kind, v.entity) for v in validate_mesh(m).violations]
+        assert kinds == [("tet-volume", "tet 0"), ("volume-sum", "mesh")]
+
+    @pytest.mark.parametrize("field", ["tet_volumes", "cell_volumes"])
+    def test_nan_volume_reported(self, single_tet, field):
+        getattr(single_tet, field)[0] = np.nan
+        kinds = {v.kind for v in validate_mesh(single_tet).violations}
+        assert kinds == ({"tet-volume", "volume-sum"}
+                         if field == "tet_volumes" else {"volume-sum"})
+
 
 class TestFileIO:
     def test_round_trip_bit_identical(self, tmp_path, single_tet):
@@ -233,6 +267,22 @@ class TestFileIO:
         write_mesh(build_fixture("two-particle-chain", n=2), p)
         p.write_text(p.read_text().replace("\n1 1 2 ", "\n7 1 2 "))
         with pytest.raises(MeshError, match="facet ids"):
+            load_mesh(p)
+
+    @pytest.mark.parametrize("line,column,match", [
+        ("NODES", 4, "node 0: particle diameter not finite"),
+        ("FACETS", 3, "projected-area")], ids=["d_p", "raw_area"])
+    def test_nonfinite_value_rejected_on_load(self, tmp_path, single_tet,
+                                              line, column, match):
+        p = tmp_path / "nan.mesh"
+        write_mesh(single_tet, p)
+        lines = p.read_text().splitlines()
+        at = lines.index(next(l for l in lines if l.startswith(line))) + 1
+        tok = lines[at].split()
+        tok[column] = "nan"
+        lines[at] = " ".join(tok)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=match):
             load_mesh(p)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path, single_facet):
@@ -393,6 +443,14 @@ def test_node_rejects_nonfinite_position():
     with pytest.raises(MeshError, match="node 0: non-finite"):
         Mesh(pos, 1.0, mesh.facets, mesh.tets, mesh.tet_volumes,
              mesh.cell_volumes)
+
+
+@pytest.mark.parametrize("d_p", [-1.0, np.nan, np.inf])
+def test_node_rejects_bad_particle_diameter(d_p):
+    mesh = build_fixture("single-facet")
+    with pytest.raises(MeshError, match="node 1: particle diameter"):
+        Mesh(mesh.positions, [1.0, d_p], mesh.facets, mesh.tets,
+             mesh.tet_volumes, mesh.cell_volumes)
 
 
 def test_tet_volume_signed():
