@@ -541,11 +541,10 @@ class Certificate:
 
     The other facets are evaluated: the index array `rows`, possibly
     empty, with their rows `B` of the strain operator (a zero-row matrix
-    for none), its transpose `BT` (a CSC view of B's arrays), their
-    weights A_k l_k per strain component `weights3` (for
-    `SystemOperators.gather_forces`) and `lengths`.  `strains`, when
-    given, are those of every facet at q (B q as (nf, 3)); otherwise they
-    are formed here where needed.
+    for none), its CSC transpose `BT`, `weights3` (A_k l_k per strain
+    component) and `lengths`.  `strains`, when given, are those of every
+    facet at q (B q as (nf, 3)); otherwise they are formed here where
+    needed.
     """
 
     def __init__(self, q, ops: SystemOperators, states: FacetStateArray,

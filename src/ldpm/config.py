@@ -62,6 +62,7 @@ import configparser
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .geometry import DOF_NAMES, Mesh, build_block_specimen, build_fixture, \
     load_mesh
@@ -178,8 +179,9 @@ class RunConfig:
                 return load_mesh(self.mesh_path, density=self.density)
             if self.fixture is not None:
                 kind, *options = self.fixture.split() or [""]
-                kw = _kwargs(options, {"n": int, "length": _finite,
-                                       "area": _finite, "d_p": _finite})
+                num = partial(_number, line=self.fixture)
+                kw = _kwargs(options, {"n": int, "length": num, "area": num,
+                                       "d_p": num})
                 return build_fixture(kind, density=self.density, **kw)
             return build_specimen_from_spec(self.specimen, self.density)
         except (OSError, ValueError) as exc:
@@ -198,14 +200,6 @@ def _kwargs(tokens, schema):
     return kw
 
 
-def _finite(text: str) -> float:
-    """float(text), refused with a ValueError unless finite."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
-
-
 def _triple(kind):
     """Parser of `<a>x<b>x<c>` into three values of type `kind`."""
     def parse(text):
@@ -221,11 +215,11 @@ def build_specimen_from_spec(spec: str, density: float) -> Mesh:
     tok = spec.split()
     if len(tok) < 2:
         raise ConfigError(f"malformed specimen spec {spec!r}")
-    shape, size = tok[0], _triple(_finite)(tok[1])
-    kw = _kwargs(tok[2:], {"div": _triple(int), "seed": int,
-                           "jitter": _finite, "dp": _finite,
-                           "waist": _finite, "notch_depth": _finite,
-                           "notch_width": _finite})
+    num = partial(_number, line=spec)
+    shape, size = tok[0], _triple(num)(tok[1])
+    kw = _kwargs(tok[2:], {"div": _triple(int), "seed": int, "jitter": num,
+                           "dp": num, "waist": num, "notch_depth": num,
+                           "notch_width": num})
     div = kw.pop("div", (2, 2, 4))
     if min(div) < 1:
         raise ConfigError(f"specimen div entries must be at least 1, got "
@@ -254,10 +248,8 @@ def build_specimen_from_spec(spec: str, density: float) -> Mesh:
         return build_block_specimen(size, div, d_p=d_p, jitter=jitter,
                                     seed=seed, map_fn=map_fn, density=density)
     if shape == "notched":
-        # the notch drops every grid cell whose x-extent overlaps the open
-        # band x_mid +- width / 2 and whose centre lies below depth x the
-        # height: the cells at midspan on the bottom, one column of cells on
-        # an odd div, two on an even one with the default width of a cell
+        # the notch drops the cells whose x-extent overlaps the open band
+        # x_mid +- width / 2 and whose centre lies below depth x the height
         depth = kw.pop("notch_depth", 0.5)    # fraction of height (z)
         width = kw.pop("notch_width", None)   # mm, along x
         if kw:

@@ -273,8 +273,7 @@ class ValidationReport:
 def validate_mesh(mesh: Mesh) -> ValidationReport:
     """Check every facet and mesh invariant; violations are reported as
     data, not raised, facet by facet and then tet by tet.  Each check
-    states what a valid value satisfies, so that a NaN, which satisfies no
-    comparison, is a violation."""
+    holds only for a valid value, so that a NaN fails it."""
     rep = ValidationReport()
     f = mesh.facets
     nn = mesh.n_nodes

@@ -277,8 +277,7 @@ class _SolverBase:
         self.f_ext_total = self.reaction_forces + self.f_ext
         self.ledger = diagnostics.EnergyLedger()
         self._held = None
-        # the prescribed DoFs' m a and the load program's acceleration
-        # array it was formed from (`_commit`)
+        # m a on the prescribed DoFs and the acceleration it is of (`_commit`)
         self._accel_p = self._inertia_p = None
 
     @property
@@ -296,21 +295,17 @@ class _SolverBase:
 
     def _commit(self, f_int, trial, f_ext) -> None:
         """Commit one evaluation at the current (t, q, a) and f_ext = the
-        external force at t, and recover the reactions on the prescribed
-        DoFs, (m a + f_int) - f_ext (the other entries of reaction_forces
-        stay zero).  a on the prescribed DoFs is the load program's
-        acceleration at t; m a there is formed again only when the program
-        returns a new acceleration array."""
+        external force at t, and recover the reactions (m a + f_int) - f_ext
+        on the prescribed DoFs, where a is the load program's (the other
+        entries of reaction_forces stay zero)."""
         self.states, self.f_int, self.f_ext = trial, f_int, f_ext
-        p = self.program
-        pres = p.prescribed
+        pres = self.program.prescribed
         if self.mass is None:
             f = f_int[pres]
         else:
-            accel = p.acceleration(self.t)
+            accel = self.program.acceleration(self.t)
             if accel is not self._accel_p:
-                self._accel_p, self._inertia_p = accel, \
-                    self.mass[pres] * accel
+                self._accel_p, self._inertia_p = accel, self.mass[pres] * accel
             f = self._inertia_p + f_int[pres]
         self.reaction_forces[pres] = f - f_ext[pres]
         self.f_ext_total = self.reaction_forces + f_ext
