@@ -277,7 +277,7 @@ class TestFileIO:
         p = tmp_path / "nan.mesh"
         write_mesh(single_tet, p)
         lines = p.read_text().splitlines()
-        at = lines.index(next(l for l in lines if l.startswith(line))) + 1
+        at = next(k for k, l in enumerate(lines) if l.startswith(line)) + 1
         tok = lines[at].split()
         tok[column] = "nan"
         lines[at] = " ".join(tok)
@@ -329,8 +329,8 @@ class TestBlockSpecimen:
         "notch_depth=0.45 notch_width=7.5", ""], ids=["preset", "default"])
     def test_notched_spec_cuts_the_bottom_cells_at_midspan(self, options):
         # on 8 cells of 15 mm, the preset's 7.5 mm notch and the default
-        # width of one cell both overlap the two cells beside midspan:
-        # their bottom halves go, 2 x 2 cells of 6 tets
+        # width of one cell both overlap the two cells beside midspan: their
+        # bottom layer goes, 2 x 2 cells of 6 tets
         size = "120.0x30.0x30.0 div=8x2x2 seed=5"
         prism = build_specimen_from_spec(f"prism {size}", 2380.0)
         notched = build_specimen_from_spec(f"notched {size} {options}",
