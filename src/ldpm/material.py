@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -320,6 +321,7 @@ def sigma_bs(t_n, params: MaterialParams):
 FLOOR_MARGIN = 1e-9
 
 
+@lru_cache(maxsize=64)
 def active_floors(params: MaterialParams):
     """Floors below which a facet cannot reach the tension or the shear
     boundary: (e_floor, tau2_floor).
@@ -356,12 +358,16 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     Pelessone & Mencarelli 2011).  Where no boundary binds, the traction is
     the elastic law D e itself: E0 e_N and alpha E0 (e_M, e_L).
 
-    The elastic expressions are evaluated on every facet; each boundary
-    only on the facets that can reach it, found against a lower bound of
-    the boundary (see `active_floors`), and not at all when there are
-    none.  Below it the elastic value is the one the boundary would let
-    through, so the result is bit for bit that of evaluating every boundary
-    on every facet.  The envelope takes the sine and cosine of its
+    Each branch runs only where some facet takes it.  The fracture branch
+    runs on the arrays as given, and its values on the compression facets
+    are overwritten; the compression and friction branches run on the
+    compression facets alone, gathered, and scatter their tractions and
+    history back.  Within a branch, each boundary is evaluated only on the
+    facets that can reach it, found against a lower bound of the boundary
+    (see `active_floors`), and not at all when there are none.  Below it
+    the elastic value is the one the boundary would let through, so the
+    result is bit for bit that of evaluating both branches and every
+    boundary on every facet.  The envelope takes the sine and cosine of its
     direction from the strains (`_sigma0_strains`).  A history field that
     no facet changes is the committed array itself: nothing writes into
     states after they are built.
@@ -374,77 +380,97 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     e = np.asarray(strains, float)
     if not np.all(np.isfinite(e)):
         raise FloatingPointError("non-finite facet strains")
+    n = len(e)
     e_n, e_m, e_l = e[:, 0], e[:, 1], e[:, 2]
-    lengths = np.broadcast_to(np.asarray(lengths, float), e_n.shape)
+    if not (type(lengths) is np.ndarray and lengths.shape == (n,)
+            and lengths.dtype == float):
+        lengths = np.broadcast_to(np.asarray(lengths, float), (n,))
     check_snap_back(lengths, params)
     E0, a = params.E0, params.alpha
     floor_t, floor_s2 = active_floors(params)
-    frac = e_n > 0.0
-    comp = ~frac
-
-    # fracture branch, evaluated everywhere and selected at the end: the
-    # traction is scale (e_N, alpha e_M, alpha e_L), with scale = E0 unless
-    # the envelope binds; the envelope only where e_max reaches its floor
-    shear2 = a * (e_m * e_m + e_l * e_l)
-    e_eff = np.sqrt(e_n * e_n + shear2)
-    e_max = np.where(frac, np.maximum(state.e_max, e_eff), state.e_max)
-    scale = np.full(len(e_n), E0)
-    hot = np.flatnonzero(frac & (e_max >= floor_t))
-    if len(hot):
-        e_n_h, r, e_eff_h = e_n[hot], np.sqrt(shear2[hot]), e_eff[hot]
-        # omega = arctan2(e_N, r) lies in [0, pi/2]: H0 needs no clip
-        bound_t = _sigma_bt(e_max[hot], _sigma0_strains(e_n_h, r, e_eff_h,
-                                                        params),
-                            _H0(np.arctan2(e_n_h, r), lengths[hot], params),
-                            params)
-        soft = bound_t < E0 * e_eff_h      # so e_eff > 0 there
-        scale[hot[soft]] = bound_t[soft] / e_eff_h[soft]
-
-    # compression branch: incrementally elastic from the residual strain,
-    # clamped by the compressive boundary where the trial traction reaches
-    # its plateau; the unloading stiffness switches once the committed
-    # traction has exceeded the plateau (inert for Ed = E0)
-    e_nc = np.where(-state.traction[:, 0] <= params.sigma_c0, E0, params.Ed)
-    trial = e_nc * (e_n - state.e_n_res)
-    # an array lower bound, as in the full evaluation: np.clip with a
-    # scalar one returns -0.0 for a trial of -0.0, with an array one +0.0
-    low = np.full(len(e_n), -params.sigma_c0)
-    hot = np.flatnonzero(comp & (trial <= -params.sigma_c0))
-    if len(hot):
-        e_v = e_v(hot) if callable(e_v) \
-            else np.broadcast_to(np.asarray(e_v, float), e_n.shape)[hot]
-        low[hot] = -sigma_bc(e_n[hot] - e_v, e_v, params)
-    tc_n = np.clip(trial, low, 0.0)
-    e_n_res = state.e_n_res
-    moved = np.flatnonzero(comp & (trial != tc_n))
-    if len(moved):
-        e_n_res = e_n_res.copy()
-        e_n_res[moved] = e_n[moved] - tc_n[moved] / e_nc[moved]
-
-    # friction: radial return onto the shear boundary where the trial
-    # traction reaches the cohesion
-    tm = a * E0 * (e_m - state.e_p_m)
-    tl = a * E0 * (e_l - state.e_p_l)
-    e_p_m, e_p_l = state.e_p_m, state.e_p_l
-    y = np.flatnonzero(comp & (tm * tm + tl * tl >= floor_s2))
-    if len(y):
-        tau = np.hypot(tm[y], tl[y])
-        limit = sigma_bs(tc_n[y], params)
-        slip = tau > limit
-        y, tau, limit = y[slip], tau[slip], limit[slip]
-    if len(y):
-        scale_s = limit / tau              # tau > limit >= sigma_s > 0
-        tc_m, tc_l = tm[y] * scale_s, tl[y] * scale_s
-        e_p_m, e_p_l = e_p_m.copy(), e_p_l.copy()
-        e_p_m[y] += (tm[y] - tc_m) / (a * E0)
-        e_p_l[y] += (tl[y] - tc_l) / (a * E0)
-        tm[y], tl[y] = tc_m, tc_l
-
+    comp = np.flatnonzero(e_n <= 0.0)
     t = np.empty_like(e)
-    t[:, 0] = np.where(frac, scale * e_n, tc_n)
-    scale *= a
-    t[:, 1] = np.where(frac, scale * e_m, tm)
-    t[:, 2] = np.where(frac, scale * e_l, tl)
+    e_max = state.e_max
+
+    if len(comp) < n:
+        # fracture branch: the traction is scale (e_N, alpha e_M, alpha
+        # e_L), with scale = E0 unless the envelope binds; the envelope only
+        # where e_max reaches its floor
+        shear2 = a * (e_m * e_m + e_l * e_l)
+        e_eff = np.sqrt(e_n * e_n + shear2)
+        e_max = np.maximum(e_max, e_eff)
+        reach = e_max >= floor_t
+        if len(comp):
+            e_max[comp] = state.e_max[comp]
+            reach[comp] = False
+        scale = np.full(n, E0)
+        hot = np.flatnonzero(reach)
+        if len(hot):
+            e_n_h, r, e_eff_h = e_n[hot], np.sqrt(shear2[hot]), e_eff[hot]
+            # omega = arctan2(e_N, r) lies in [0, pi/2]: H0 needs no clip
+            bound_t = _sigma_bt(e_max[hot],
+                                _sigma0_strains(e_n_h, r, e_eff_h, params),
+                                _H0(np.arctan2(e_n_h, r), lengths[hot],
+                                    params),
+                                params)
+            soft = bound_t < E0 * e_eff_h      # so e_eff > 0 there
+            scale[hot[soft]] = bound_t[soft] / e_eff_h[soft]
+        np.multiply(scale, e_n, out=t[:, 0])
+        scale *= a
+        np.multiply(scale, e_m, out=t[:, 1])
+        np.multiply(scale, e_l, out=t[:, 2])
+
+    e_p_m, e_p_l, e_n_res = state.e_p_m, state.e_p_l, state.e_n_res
+    if len(comp):
+        # compression branch: incrementally elastic from the residual
+        # strain, clamped by the compressive boundary where the trial
+        # traction reaches its plateau; the unloading stiffness switches
+        # once the committed traction has exceeded the plateau (inert for
+        # Ed = E0)
+        ec = e[comp]
+        ec_n = ec[:, 0]
+        e_nc = np.where(-state.traction[comp, 0] <= params.sigma_c0, E0,
+                        params.Ed)
+        trial = e_nc * (ec_n - e_n_res[comp])
+        # an array lower bound, as in the full evaluation: np.clip with a
+        # scalar one returns -0.0 for a trial of -0.0, with an array one
+        # +0.0
+        low = np.full(len(comp), -params.sigma_c0)
+        hot = np.flatnonzero(trial <= -params.sigma_c0)
+        if len(hot):
+            rows = comp[hot]
+            e_v = e_v(rows) if callable(e_v) \
+                else np.broadcast_to(np.asarray(e_v, float), (n,))[rows]
+            low[hot] = -sigma_bc(ec_n[hot] - e_v, e_v, params)
+        tc_n = np.clip(trial, low, 0.0)
+        moved = np.flatnonzero(trial != tc_n)
+        if len(moved):
+            e_n_res = e_n_res.copy()
+            e_n_res[comp[moved]] = ec_n[moved] - tc_n[moved] / e_nc[moved]
+
+        # friction: radial return onto the shear boundary where the trial
+        # traction reaches the cohesion
+        aE0 = a * E0
+        tm = aE0 * (ec[:, 1] - e_p_m[comp])
+        tl = aE0 * (ec[:, 2] - e_p_l[comp])
+        y = np.flatnonzero(tm * tm + tl * tl >= floor_s2)
+        if len(y):
+            tau = np.hypot(tm[y], tl[y])
+            limit = sigma_bs(tc_n[y], params)
+            slip = tau > limit
+            y, tau, limit = y[slip], tau[slip], limit[slip]
+        if len(y):
+            scale_s = limit / tau              # tau > limit >= sigma_s > 0
+            tc_m, tc_l = tm[y] * scale_s, tl[y] * scale_s
+            rows = comp[y]
+            e_p_m, e_p_l = e_p_m.copy(), e_p_l.copy()
+            e_p_m[rows] += (tm[y] - tc_m) / aE0
+            e_p_l[rows] += (tl[y] - tc_l) / aE0
+            tm[y], tl[y] = tc_m, tc_l
+        t[comp, 0] = tc_n
+        t[comp, 1] = tm
+        t[comp, 2] = tl
+
     new = FacetStateArray(
         e_max=e_max, e_p_m=e_p_m, e_p_l=e_p_l, e_n_res=e_n_res, traction=t)
     return t, new
