@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -84,6 +84,18 @@ class FacetTable:
 _HASH_ROWS = 4096
 
 
+def _bad_node(pos, d_p):
+    """(node, message) of the first node with a non-finite position or a
+    particle diameter that is not finite and >= 0; None if there is none."""
+    for bad, what in ((~np.isfinite(pos).all(axis=1), "non-finite position"),
+                      (~(np.isfinite(d_p) & (d_p >= 0)),
+                       "particle diameter not finite and >= 0")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            return k, f"node {k}: {what}"
+    return None
+
+
 class Mesh:
     """Particles with 6 DoF each, facets, and tetrahedra.  Node coordinates
     and particle diameters are read-only arrays."""
@@ -93,12 +105,9 @@ class Mesh:
         pos = np.array(positions, dtype=float).reshape(-1, 3)
         d_p = np.array(np.broadcast_to(particle_diameters, len(pos)),
                        dtype=float)
-        for bad, what in ((~np.isfinite(pos).all(axis=1),
-                           "non-finite position"),
-                          (~(np.isfinite(d_p) & (d_p >= 0)),
-                           "particle diameter not finite and >= 0")):
-            if bad.any():
-                raise MeshError(f"node {np.argmax(bad)}: {what}")
+        bad = _bad_node(pos, d_p)
+        if bad:
+            raise MeshError(bad[1])
         pos.flags.writeable = d_p.flags.writeable = False
         self._positions = pos
         self.particle_diameters = d_p     # (nn,) mm, zero for virtual nodes
@@ -273,7 +282,9 @@ class ValidationReport:
 def validate_mesh(mesh: Mesh) -> ValidationReport:
     """Check every facet and mesh invariant; violations are reported as
     data, not raised, facet by facet and then tet by tet.  Each check
-    holds only for a valid value, so that a NaN fails it."""
+    holds only for a valid value, so that a NaN fails it, quietly; an
+    infinity in a float column is a violation of its own, as it can pass
+    a tolerance that scales with it."""
     rep = ValidationReport()
     f = mesh.facets
     nn = mesh.n_nodes
@@ -283,33 +294,41 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     x_i = pos[np.where(ref_ok, f.node_i, 0)]
     x_j = pos[np.where(ref_ok, f.node_j, 0)]
 
-    A = f.axes                                          # rows of P^T
-    dev = np.abs(A @ A.transpose(0, 2, 1) - np.eye(3)).max(axis=(1, 2),
-                                                          initial=0.0)
-    edge = x_j - x_i
-    length = _norm(edge)
-    has_length = length > 0
-    unit = edge / np.where(has_length, length, 1.0)[:, None]
-    align = _norm(np.cross(unit, f.normal))
-    a_expected = f.raw_area * _dot(f.normal, f.true_normal)
-    gap = _norm((x_i + f.c_i) - (x_j + f.c_j))
+    infinite = {c.name: np.isinf(getattr(f, c.name)).reshape(len(f), -1)
+                .any(axis=1) for c in fields(f)
+                if getattr(f, c.name).dtype.kind == "f"}
+    with np.errstate(invalid="ignore"):
+        A = f.axes                                      # rows of P^T
+        dev = np.abs(A @ A.transpose(0, 2, 1) - np.eye(3)).max(
+            axis=(1, 2), initial=0.0)
+        edge = x_j - x_i
+        length = _norm(edge)
+        has_length = length > 0
+        unit = edge / np.where(has_length, length, 1.0)[:, None]
+        align = _norm(np.cross(unit, f.normal))
+        a_expected = f.raw_area * _dot(f.normal, f.true_normal)
+        gap = _norm((x_i + f.c_i) - (x_j + f.c_j))
+        area_gap = np.abs(f.projected_area - a_expected)
+        length_gap = np.abs(f.edge_length - length)
     checks = (
         ("orthonormal", ~(dev <= TOL_ORTHONORMAL),
          lambda k: f"|P^T P - I| = {dev[k]:.3e}"),
-        ("edge-length", ~(np.abs(f.edge_length - length)
+        ("edge-length", ~(length_gap
                           <= TOL_EDGE_LENGTH * np.maximum(1.0, length)),
          lambda k: f"stored {float(f.edge_length[k])!r} vs "
                    f"|x_J - x_I| = {length[k]!r}"),
         ("normal-align", has_length & ~(align <= TOL_NORMAL_ALIGN),
          lambda k: f"normal off edge direction by {align[k]:.3e}"),
-        ("projected-area", ~(np.abs(f.projected_area - a_expected)
-                             <= TOL_PROJECTED_AREA
+        ("projected-area", ~(area_gap <= TOL_PROJECTED_AREA
                              * np.maximum(1.0, f.raw_area)),
          lambda k: f"stored {float(f.projected_area[k])!r}, "
                    f"expected {float(a_expected[k])!r}"),
         ("centroid", ~(gap <= TOL_CENTROID
                        * np.maximum(1.0, f.edge_length)),
          lambda k: f"x_I + c_I and x_J + c_J differ by {gap[k]:.3e}"),
+        ("infinite", np.logical_or.reduce(list(infinite.values())),
+         lambda k: "infinite " + ", ".join(
+             name for name, bad in infinite.items() if bad[k])),
     )
     failed = ~ref_ok
     for _, bad, _ in checks:
@@ -346,12 +365,19 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
 # File I/O
 # ---------------------------------------------------------------------------
 
+# the 16 numbers of a facet line ahead of its optional parent tet
+_FACET_LINE_FIELDS = ("id", "node_i", "node_j", "raw_area") + tuple(
+    name for name in ("centroid", "true_normal", "tangent_m", "tangent_l")
+    for _ in range(3))
+
+
 def load_mesh(path, density: float = 2380.0) -> Mesh:
     """Read a facet-data file (see `write_mesh` for the layout) and return a
     validated Mesh.  Raises MeshError with a line number on parse problems;
     on invariant violations its one-line message gives their count and the
     first of them, and its `report` all of them."""
-    node_ids, nodes, tets, facets, facet_lines = [], [], [], [], []
+    node_ids, nodes, tets, facets = [], [], [], []
+    node_lines, facet_lines = [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -385,6 +411,7 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
                     perr(lineno, "node line needs: id x y z d_p")
                 node_ids.append(int(tok[0]))
                 nodes.append([float(v) for v in tok[1:5]])
+                node_lines.append(lineno)
             elif section == "TETS":
                 if len(tok) != 5:
                     perr(lineno, "tet line needs: id n1 n2 n3 n4")
@@ -404,6 +431,10 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
         raise MeshError(f"{path}: node ids must be contiguous from 0")
     node_vals = np.array(nodes, dtype=float).reshape(-1, 4)
     pos, d_p = node_vals[:, :3], node_vals[:, 3]
+    # before the tet volumes, which a non-finite position would make warn
+    bad = _bad_node(pos, d_p)
+    if bad:
+        raise MeshError(f"{path}:{node_lines[bad[0]]}: {bad[1]}")
     nn = len(pos)
     tets_arr = np.array(tets, dtype=int).reshape(-1, 4)
     bad_tets = np.nonzero(((tets_arr < 0) | (tets_arr >= nn)).any(axis=1))[0]
@@ -417,6 +448,17 @@ def load_mesh(path, density: float = 2380.0) -> Mesh:
         raise MeshError(f"{path}: the parent tet column must be on every "
                         "facet line or on none")
     vals = np.array(facets, dtype=float).reshape(len(facets), -1)
+    # refused before the arithmetic that takes them loudly: a NaN or an
+    # infinity cast to an index, and an infinity in make_facets (inf / inf)
+    # and in validate_mesh's differences; a NaN float fails validation
+    unusable = np.isinf(vals[:, :16])
+    unusable[:, :3] |= np.isnan(vals[:, :3])
+    if unusable.any():
+        k = int(np.argmax(unusable.any(axis=1)))
+        names = dict.fromkeys(name for name, bad in zip(_FACET_LINE_FIELDS,
+                                                        unusable[k]) if bad)
+        raise MeshError(f"{path}:{facet_lines[k]}: facet {k}: non-finite "
+                        f"{', '.join(names)}")
     if vals[:, 0].astype(int).tolist() != list(range(len(vals))):
         raise MeshError(f"{path}: facet ids must be contiguous from 0")
     ni, nj = vals[:, 1].astype(int), vals[:, 2].astype(int)

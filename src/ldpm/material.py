@@ -13,7 +13,7 @@ Three regimes govern the facet traction:
 
 All functions broadcast over numpy arrays; `facet_update` is evaluated in
 one vectorized call over the facets that `ldpm.assembly` cannot prove
-linear (its certificates).
+linear (its certificates), each branch only on the facets it governs.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 from unittest import mock
@@ -33,7 +34,7 @@ from ldpm.integrators import ExplicitIntegrator, LoadProgram
 from ldpm.material import FacetStateArray, MaterialParams, \
     SnapBackError, facet_update
 from ldpm.presets import preset_config
-from ldpm.runner import resolve_constraints, run
+from ldpm.runner import build_solver, resolve_constraints, run
 
 import oracles
 from oracles import facet_strain, frame
@@ -280,6 +281,54 @@ class TestInternalForces:
         assert np.all(np.abs(f - oracles.gather_all(ops, t))
                       <= 1e-12 * oracles.force_rounding(ops, q, t))
         assert want.traction is t
+
+    def test_a_pulled_dog_bone_evaluates_tension_only_and_mixed_sets(
+            self, tmp_path, monkeypatch):
+        # the dog-bone's evaluated sets are all in tension until facets in
+        # compression join them: on both kinds of set the law is the
+        # all-facet oracle, and each pass the full-copy pass, bit for bit
+        cfg = _workload_module().make_config("dogbone-explicit", 7,
+                                             str(tmp_path))
+        mesh = cfg.build_mesh()
+        ops = SystemOperators(mesh, cfg.material_params())
+        solver, _ = build_solver(cfg, mesh, ops,
+                                 resolve_constraints(mesh, cfg.constraints))
+        law, kinds = assembly.facet_update, []
+
+        def checked(state, e, e_v, lengths, p):
+            t, new = law(state, e, e_v, lengths, p)
+            t0, new0 = oracles.facet_update(
+                state, e, e_v(np.arange(len(e))), lengths, p)
+            assert t.tobytes() == t0.tobytes()
+            for f in oracles.STATE_FIELDS:
+                assert getattr(new, f).tobytes() == \
+                    getattr(new0, f).tobytes(), f
+            comp = np.count_nonzero(e[:, 0] <= 0.0)
+            kinds.append("tension-only" if not comp
+                         else "mixed" if comp < len(e) else "compression")
+            return t, new
+
+        monkeypatch.setattr(assembly, "facet_update", checked)
+        passes = 0
+        for step in range(int(round(cfg.total_time / solver.dt))):
+            merged = copy.copy(solver.states)
+            before = {f: getattr(merged, f).copy()
+                      for f in oracles.STATE_FIELDS}
+            calls = len(kinds)
+            solver.step()
+            if len(kinds) == calls or (step % 8 and "mixed" not in
+                                       kinds[calls:]):
+                continue
+            f_int, want = oracles.internal_forces_all_rows(
+                solver.q, ops, before, solver.states.certificate)
+            assert f_int.tobytes() == solver.f_int.tobytes()
+            merged = copy.copy(solver.states)
+            for f in oracles.STATE_FIELDS:
+                assert getattr(merged, f).tobytes() == want[f].tobytes(), f
+            passes += 1
+            if "mixed" in kinds:
+                break
+        assert {"tension-only", "mixed"} <= set(kinds) and passes > 10
 
     def test_zero_state(self, single_tet, params):
         ops = SystemOperators(single_tet, params)

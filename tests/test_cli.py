@@ -816,6 +816,22 @@ class TestCliFixtureValidate:
         assert capsys.readouterr().err == f"error: {path}{message}\n"
         assert not out.exists()
 
+    def test_infinite_true_normal_one_line_exit_2(self, tmp_path, capsys):
+        # refused before make_facets divides it by its norm, where numpy
+        # warned ahead of the error
+        path = tmp_path / "st.mesh"
+        assert main(["fixture", "single-tet", "-o", str(path)]) == EXIT_OK
+        lines = path.read_text().splitlines()
+        at = lines.index("FACETS 12") + 1
+        tok = lines[at].split()
+        tok[7] = "inf"
+        lines[at] = " ".join(tok)
+        write_text(path, "\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == \
+            f"invalid: {path}:{at + 1}: facet 0: non-finite true_normal\n"
+
     def test_validate_prints_every_violation_of_one_pass(
             self, tmp_path, capsys, monkeypatch):
         path = broken_single_tet(tmp_path / "bad.mesh")

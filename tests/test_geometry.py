@@ -22,6 +22,12 @@ import oracles
 from oracles import frame
 
 
+# the float columns of a FacetTable
+FLOAT_COLUMNS = ["edge_length", "raw_area", "projected_area", "centroid",
+                 "normal", "tangent_m", "tangent_l", "true_normal", "c_i",
+                 "c_j"]
+
+
 @pytest.fixture
 def single_facet():
     return build_fixture("single-facet", length=100.0, area=100.0)
@@ -128,6 +134,22 @@ class TestValidation:
         rep = validate_mesh(single_tet)
         assert {(v.entity, v.kind) for v in rep.violations} \
             == {("facet 3", kind) for kind in kinds}
+
+    @pytest.mark.parametrize("field", FLOAT_COLUMNS)
+    def test_infinite_facet_value_reported(self, single_tet, field):
+        getattr(single_tet.facets, field)[3] = np.inf
+        rep = validate_mesh(single_tet)
+        assert {v.entity for v in rep.violations} == {"facet 3"}
+        assert [v.message for v in rep.violations
+                if v.kind == "infinite"] == [f"infinite {field}"]
+
+    def test_infinite_raw_area_reported(self, single_tet):
+        # the projected-area tolerance scales with max(1, raw_area), so no
+        # other check fails
+        single_tet.facets.raw_area[0] = np.inf
+        assert [(v.kind, v.entity) for v in
+                validate_mesh(single_tet).violations] == [("infinite",
+                                                           "facet 0")]
 
     def test_tet_volume_violations_reported(self, single_tet):
         m = single_tet
@@ -283,6 +305,41 @@ class TestFileIO:
         lines[at] = " ".join(tok)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(MeshError, match=match):
+            load_mesh(p)
+
+    # every number of a facet line: an infinity, and a NaN in an index,
+    # is refused before make_facets and the validation compute with it
+    @pytest.mark.parametrize("column,value,name", [
+        (0, "nan", "id"), (1, "inf", "node_i"), (2, "nan", "node_j"),
+        (3, "inf", "raw_area"), (4, "-inf", "centroid"),
+        (7, "inf", "true_normal"), (9, "-inf", "true_normal"),
+        (11, "inf", "tangent_m"), (15, "inf", "tangent_l")])
+    def test_nonfinite_facet_entry_refused_before_use(
+            self, tmp_path, single_tet, column, value, name):
+        p = tmp_path / "inf.mesh"
+        write_mesh(single_tet, p)
+        lines = p.read_text().splitlines()
+        at = next(k for k, l in enumerate(lines) if l.startswith("FACETS"))
+        tok = lines[at + 1].split()
+        tok[column] = value
+        lines[at + 1] = " ".join(tok)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=rf"inf\.mesh:{at + 2}: facet 0: "
+                                            f"non-finite {name}$"):
+            load_mesh(p)
+
+    @pytest.mark.parametrize("column", [1, 3])
+    def test_nonfinite_node_entry_refused_before_use(self, tmp_path,
+                                                     single_tet, column):
+        p = tmp_path / "inf.mesh"
+        write_mesh(single_tet, p)
+        lines = p.read_text().splitlines()
+        tok = lines[2].split()
+        tok[column] = "inf"
+        lines[2] = " ".join(tok)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=r"inf\.mesh:3: node 1: "
+                                            "non-finite position$"):
             load_mesh(p)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path, single_facet):

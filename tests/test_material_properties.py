@@ -98,8 +98,66 @@ def cases(draw):
     return state, e, e_v, lengths, p
 
 
+KINDS = ["tension", "compression", "mixed", "single", "empty"]
+
+
+@st.composite
+def split_cases(draw, kind):
+    """(state, strains, e_v, lengths, params) of a set of the given kind:
+    all tension, all compression, mixed, a single facet or empty.  Zeros
+    of both signs are among the compression facets' e_N, Ed != E0, and
+    committed normal tractions lie around and beyond -sigma_c0.  e_v is a
+    per-facet array, and the lengths an array or a scalar."""
+    p = draw(params_st)
+    p = MaterialParams(**{**p.__dict__, "Ed_over_E0": draw(
+        st.sampled_from([0.5, 0.8, 1.25, 2.0]))})
+    n = {"single": 1, "empty": 0}.get(kind) or draw(st.integers(2, 12))
+    frac = np.full(n, kind == "tension" or (
+        kind == "single" and draw(st.booleans())))
+    if kind == "mixed":
+        frac = draw(hnp.arrays(bool, n))
+        frac[draw(st.permutations(range(n)))[:2]] = True, False
+    sv = strain_values(p)
+    col = lambda elems: draw(hnp.arrays(float, n, elements=elems))
+    e = draw(hnp.arrays(float, (n, 3), elements=sv))
+    e[:, 0] = np.where(frac, col(sv.map(abs).filter(lambda x: x > 0.0)),
+                       col(st.sampled_from([0.0, -0.0])
+                           | sv.map(lambda x: -abs(x))))
+    lengths = draw(st.floats(1.0, 0.999 * p.lt)
+                   | hnp.arrays(float, n, elements=st.floats(1.0,
+                                                             0.999 * p.lt)))
+    traction = draw(hnp.arrays(float, (n, 3),
+                               elements=st.floats(-20.0, 20.0)))
+    traction[:, 0] = col(st.sampled_from(near([p.sigma_c0], ulps=1))
+                         | st.floats(-3 * p.sigma_c0, 0.0))
+    state = FacetStateArray(np.abs(col(sv)), col(sv), col(sv),
+                            -np.abs(col(sv)), traction)
+    return state, e, col(sv), lengths, p
+
+
+class EvRecorder:
+    """e_v of the facets as a function of an index array, which records
+    the index arrays it is called with."""
+
+    def __init__(self, values):
+        self.values, self.calls = values, []
+
+    def __call__(self, rows):
+        self.calls.append(np.array(rows))
+        return self.values[rows]
+
+
+def reaches_compressive_boundary(state, e, p):
+    """The compression facets whose trial traction reaches the plateau."""
+    e_nc = np.where(-state.traction[:, 0] <= p.sigma_c0, p.E0, p.Ed)
+    trial = e_nc * (e[:, 0] - state.e_n_res)
+    return np.flatnonzero((e[:, 0] <= 0.0) & (trial <= -p.sigma_c0))
+
+
 def assert_matches_oracle(state, e, e_v, lengths, p):
-    t0, new0 = oracles.facet_update(state, e, e_v, lengths, p)
+    t0, new0 = oracles.facet_update(
+        state, e, e_v.values if isinstance(e_v, EvRecorder) else e_v,
+        lengths, p)
     t1, new1 = facet_update(state, e, e_v, lengths, p)
     # signed zeros too: array_equal takes -0.0 == 0.0
     for f, a, b in [("t", t1, t0)] + [
@@ -189,6 +247,65 @@ def test_matches_oracle_through_pore_collapse(Ed_over_E0):
         _, state = assert_matches_oracle(state, e, x, 80.0, p)
         collapsed |= bool(np.any(state.e_n_res != 0.0))
     assert collapsed
+
+
+def assert_shares_unchanged_history(state, e, e_v, t, new, p):
+    """A history field of `new` is the committed array itself exactly where
+    no facet's rule changes it: e_max without a tension facet, e_n_res
+    without a clamped compression trial, e_p_m and e_p_l without a slip."""
+    comp = e[:, 0] <= 0.0
+    e_v = np.broadcast_to(np.asarray(e_v, float), len(e))
+    e_nc = np.where(-state.traction[:, 0] <= p.sigma_c0, p.E0, p.Ed)
+    trial = e_nc * (e[:, 0] - state.e_n_res)
+    clamped = trial != np.clip(trial, -sigma_bc(e[:, 0] - e_v, e_v, p), 0.0)
+    aE = p.alpha * p.E0
+    tau = np.hypot(aE * (e[:, 1] - state.e_p_m),
+                   aE * (e[:, 2] - state.e_p_l))
+    slips = tau > sigma_bs(t[:, 0], p)
+    for fields, changed in [(("e_max",), ~comp),
+                            (("e_n_res",), comp & clamped),
+                            (("e_p_m", "e_p_l"), comp & slips)]:
+        for f in fields:
+            assert (getattr(new, f) is getattr(state, f)) \
+                == (not changed.any()), f
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_split_law_matches_oracle(kind, data):
+    # each branch runs on its own rows; the result is that of running both
+    # on every row, bit for bit, for every kind of set and with e_v as an
+    # array, a scalar and a function, which is called once at most, with
+    # the facets that reach the compressive boundary
+    state, e, e_v, lengths, p = data.draw(split_cases(kind))
+    before = state.copy()
+    function = EvRecorder(e_v)
+    for form in (e_v, data.draw(strain_values(p)), function):
+        t, new = assert_matches_oracle(state, e, form, lengths, p)
+        assert new.traction is t
+        assert_shares_unchanged_history(state, e, getattr(form, "values",
+                                                          form), t, new, p)
+    for f in FIELDS:
+        assert np.array_equal(getattr(state, f), getattr(before, f)), f
+    hot = reaches_compressive_boundary(state, e, p)
+    assert [c.tolist() for c in function.calls] == \
+        ([hot.tolist()] if len(hot) else [])
+
+
+def test_function_e_v_is_called_once_with_the_boundary_facets():
+    # tension facets, zeros of both signs, and compression facets short of
+    # the plateau and past it, one of them unloading with Ed
+    p = MaterialParams(Ed_over_E0=1.5)
+    c0 = p.sigma_c0 / p.E0
+    e = np.array([[1e-4, 0.0, 0.0], [-0.5 * c0, 0.0, 0.0],
+                  [-2.0 * c0, 1e-5, 0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, 0.0],
+                  [2e-3, 1e-4, 0.0], [-3.0 * c0, 0.0, 1e-5],
+                  [-0.9 * c0, 0.0, 0.0]])
+    state = FacetStateArray.virgin(len(e))
+    state.traction[7, 0] = -1.5 * p.sigma_c0
+    e_v = EvRecorder(np.linspace(-1e-3, 1e-3, len(e)))
+    assert_matches_oracle(state, e, e_v, 50.0, p)
+    assert [c.tolist() for c in e_v.calls] == [[2, 6, 7]]
 
 
 @given(cases())
