@@ -237,8 +237,9 @@ def _sigma_bt(e_max, s0, h0, params: MaterialParams):
     h0 = np.asarray(h0, float)
     x = np.maximum(np.asarray(e_max, float) - s0 / params.E0, 0.0)
     expo = np.zeros(np.broadcast(h0, x, s0).shape)
-    np.multiply(-h0, x, out=expo, where=h0 != 0.0)
-    np.divide(expo, s0, out=expo, where=h0 != 0.0)
+    softens = h0 != 0.0
+    np.multiply(-h0, x, out=expo, where=softens)
+    np.divide(expo, s0, out=expo, where=softens)
     val = s0 * np.exp(expo)
     return float(val) if np.ndim(val) == 0 else val
 
@@ -378,7 +379,7 @@ def facet_update(state: FacetStateArray, strains, e_v, lengths,
     only ones that read e_v), and not when there are none.
     """
     e = np.asarray(strains, float)
-    if not np.all(np.isfinite(e)):
+    if not np.isfinite(e).all():
         raise FloatingPointError("non-finite facet strains")
     n = len(e)
     e_n, e_m, e_l = e[:, 0], e[:, 1], e[:, 2]

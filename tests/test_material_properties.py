@@ -111,7 +111,9 @@ def split_cases(draw, kind):
     p = draw(params_st)
     p = MaterialParams(**{**p.__dict__, "Ed_over_E0": draw(
         st.sampled_from([0.5, 0.8, 1.25, 2.0]))})
-    n = {"single": 1, "empty": 0}.get(kind) or draw(st.integers(2, 12))
+    n = {"single": 1, "empty": 0}.get(kind)
+    if n is None:
+        n = draw(st.integers(2, 12))
     frac = np.full(n, kind == "tension" or (
         kind == "single" and draw(st.booleans())))
     if kind == "mixed":
