@@ -22,12 +22,6 @@ import oracles
 from oracles import frame
 
 
-# the float columns of a FacetTable
-FLOAT_COLUMNS = ["edge_length", "raw_area", "projected_area", "centroid",
-                 "normal", "tangent_m", "tangent_l", "true_normal", "c_i",
-                 "c_j"]
-
-
 @pytest.fixture
 def single_facet():
     return build_fixture("single-facet", length=100.0, area=100.0)
@@ -135,21 +129,22 @@ class TestValidation:
         assert {(v.entity, v.kind) for v in rep.violations} \
             == {("facet 3", kind) for kind in kinds}
 
-    @pytest.mark.parametrize("field", FLOAT_COLUMNS)
-    def test_infinite_facet_value_reported(self, single_tet, field):
+    # every float column; an infinite raw_area or edge length passes the
+    # tolerances that scale with it, and a centroid no other check reads
+    @pytest.mark.parametrize("field,kinds", [
+        ("edge_length", {"edge-length"}), ("raw_area", set()),
+        ("projected_area", {"projected-area"}), ("centroid", set()),
+        ("normal", {"orthonormal", "normal-align", "projected-area"}),
+        ("tangent_m", {"orthonormal"}), ("tangent_l", {"orthonormal"}),
+        ("true_normal", {"projected-area"}), ("c_i", {"centroid"}),
+        ("c_j", {"centroid"})])
+    def test_infinite_facet_value_reported(self, single_tet, field, kinds):
         getattr(single_tet.facets, field)[3] = np.inf
         rep = validate_mesh(single_tet)
-        assert {v.entity for v in rep.violations} == {"facet 3"}
+        assert {(v.entity, v.kind) for v in rep.violations} \
+            == {("facet 3", kind) for kind in kinds | {"infinite"}}
         assert [v.message for v in rep.violations
                 if v.kind == "infinite"] == [f"infinite {field}"]
-
-    def test_infinite_raw_area_reported(self, single_tet):
-        # the projected-area tolerance scales with max(1, raw_area), so no
-        # other check fails
-        single_tet.facets.raw_area[0] = np.inf
-        assert [(v.kind, v.entity) for v in
-                validate_mesh(single_tet).violations] == [("infinite",
-                                                           "facet 0")]
 
     def test_tet_volume_violations_reported(self, single_tet):
         m = single_tet
@@ -291,55 +286,36 @@ class TestFileIO:
         with pytest.raises(MeshError, match="facet ids"):
             load_mesh(p)
 
-    @pytest.mark.parametrize("line,column,match", [
-        ("NODES", 4, "node 0: particle diameter not finite"),
-        ("FACETS", 3, "projected-area")], ids=["d_p", "raw_area"])
+    # a NaN in a facet's floats fails validation; an infinity, and a NaN
+    # in a node entry or a facet's index, is refused with its line before
+    # make_facets and the validation compute with it
+    @pytest.mark.parametrize("line,column,value,match", [
+        ("NODES", 4, "nan", "node 0: particle diameter not finite"),
+        ("FACETS", 3, "nan", "projected-area"),
+        ("NODES", 1, "inf", r"mesh:2: node 0: non-finite position$"),
+        ("NODES", 3, "nan", r"mesh:2: node 0: non-finite position$"),
+        ("FACETS", 0, "nan", r"mesh:9: facet 0: non-finite id$"),
+        ("FACETS", 1, "inf", r"mesh:9: facet 0: non-finite node_i$"),
+        ("FACETS", 2, "nan", r"mesh:9: facet 0: non-finite node_j$"),
+        ("FACETS", 3, "inf", r"mesh:9: facet 0: non-finite raw_area$"),
+        ("FACETS", 4, "-inf", r"mesh:9: facet 0: non-finite centroid$"),
+        ("FACETS", 7, "inf", r"mesh:9: facet 0: non-finite true_normal$"),
+        ("FACETS", 11, "inf", r"mesh:9: facet 0: non-finite tangent_m$"),
+        ("FACETS", 15, "inf", r"mesh:9: facet 0: non-finite tangent_l$")],
+        ids=["d_p", "raw_area", "position-inf", "position-nan", "id-nan",
+             "node_i-inf", "node_j-nan", "raw_area-inf", "centroid-inf",
+             "true_normal-inf", "tangent_m-inf", "tangent_l-inf"])
     def test_nonfinite_value_rejected_on_load(self, tmp_path, single_tet,
-                                              line, column, match):
+                                              line, column, value, match):
         p = tmp_path / "nan.mesh"
         write_mesh(single_tet, p)
         lines = p.read_text().splitlines()
         at = next(k for k, l in enumerate(lines) if l.startswith(line)) + 1
         tok = lines[at].split()
-        tok[column] = "nan"
+        tok[column] = value
         lines[at] = " ".join(tok)
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(MeshError, match=match):
-            load_mesh(p)
-
-    # every number of a facet line: an infinity, and a NaN in an index,
-    # is refused before make_facets and the validation compute with it
-    @pytest.mark.parametrize("column,value,name", [
-        (0, "nan", "id"), (1, "inf", "node_i"), (2, "nan", "node_j"),
-        (3, "inf", "raw_area"), (4, "-inf", "centroid"),
-        (7, "inf", "true_normal"), (9, "-inf", "true_normal"),
-        (11, "inf", "tangent_m"), (15, "inf", "tangent_l")])
-    def test_nonfinite_facet_entry_refused_before_use(
-            self, tmp_path, single_tet, column, value, name):
-        p = tmp_path / "inf.mesh"
-        write_mesh(single_tet, p)
-        lines = p.read_text().splitlines()
-        at = next(k for k, l in enumerate(lines) if l.startswith("FACETS"))
-        tok = lines[at + 1].split()
-        tok[column] = value
-        lines[at + 1] = " ".join(tok)
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MeshError, match=rf"inf\.mesh:{at + 2}: facet 0: "
-                                            f"non-finite {name}$"):
-            load_mesh(p)
-
-    @pytest.mark.parametrize("column", [1, 3])
-    def test_nonfinite_node_entry_refused_before_use(self, tmp_path,
-                                                     single_tet, column):
-        p = tmp_path / "inf.mesh"
-        write_mesh(single_tet, p)
-        lines = p.read_text().splitlines()
-        tok = lines[2].split()
-        tok[column] = "inf"
-        lines[2] = " ".join(tok)
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MeshError, match=r"inf\.mesh:3: node 1: "
-                                            "non-finite position$"):
             load_mesh(p)
 
     def test_comments_and_blank_lines_ignored(self, tmp_path, single_facet):
