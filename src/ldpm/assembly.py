@@ -26,7 +26,6 @@ Every sparse matrix-vector product of the kit goes through `matvec`.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from functools import partial
 
@@ -162,7 +161,7 @@ def node_pairs(mesh: Mesh) -> NodePairs:
 
 
 def build_jump_operator(mesh: Mesh, pairs: NodePairs,
-                        index=np.int32) -> sp.csr_matrix:
+                        index) -> sp.csr_matrix:
     """Linearized jump operator J (6 rows a pair x n_dofs), in CSR with
     the index dtype `index`: for the pair (lo, hi) with h = (x_hi -
     x_lo) / 2, the rows of J q are
@@ -209,9 +208,8 @@ def build_jump_operator(mesh: Mesh, pairs: NodePairs,
 _K_CHUNK = 128
 
 
-def assemble_stiffness(mesh: Mesh, params: MaterialParams,
-                       B: sp.csr_matrix | None = None,
-                       pairs: NodePairs | None = None) -> sp.csr_matrix:
+def assemble_stiffness(mesh: Mesh, params: MaterialParams, B: sp.csr_matrix,
+                       pairs: NodePairs) -> sp.csr_matrix:
     """Elastic stiffness K = sum_k A_k l_k B_k^T D B_k: symmetric PSD, in
     canonical CSR, exactly symmetric and without explicit zeros.
 
@@ -225,12 +223,9 @@ def assemble_stiffness(mesh: Mesh, params: MaterialParams,
     The blocks, in row and column order, form a block-sparse matrix that
     scipy converts to CSR.  The sums are plain products, no square roots,
     so that an elastic static step leaves an exactly zero residual where
-    the factor solves exactly.  `B` and the facets' `pairs` (`node_pairs`)
-    are formed here when not given."""
-    if B is None:
-        B = build_strain_operator(mesh)
-    if pairs is None:
-        pairs = node_pairs(mesh)
+    the factor solves exactly.  `B` is the mesh's strain operator and
+    `pairs` its facets' node pairs (`node_pairs`), as `SystemOperators`
+    holds them."""
     rows = _facet_rows(B)
     wd = facet_weights(mesh)[:, None] * params.D
     nn = mesh.n_nodes
@@ -542,21 +537,17 @@ class Certificate:
     The other facets are evaluated: the index array `rows`, possibly
     empty, with their rows `B` of the strain operator (a zero-row matrix
     for none), its CSC transpose `BT`, `weights3` (A_k l_k per strain
-    component) and `lengths`.  `strains`, when given, are those of every
-    facet at q (B q as (nf, 3)); otherwise they are formed here where
-    needed.
+    component) and `lengths`.  `strains` are those of every facet at q (B q
+    as (nf, 3)), or None at q = 0, where every strain is 0 and every facet
+    has the slack `zero_slack`.
     """
 
     def __init__(self, q, ops: SystemOperators, states: FacetStateArray,
-                 strains=None):
+                 strains):
         p = ops.params
         self.ops = ops
         self.q_ref = q.copy()
-        # every strain is 0 at q = 0, with no need of B q
-        if not q.any():
-            slack = ops.zero_slack
-        else:
-            slack = ops.slack(ops.strains(q) if strains is None else strains)
+        slack = ops.zero_slack if strains is None else ops.slack(strains)
         virgin = (states.e_max < active_floors(p)[0]) \
             & (states.e_p_m == 0.0) & (states.e_p_l == 0.0) \
             & (states.e_n_res == 0.0) & (states.traction[:, 0] >= -p.sigma_c0)
@@ -622,9 +613,10 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     E's rows of the B q it forms), the facet law from the committed states
     of E, which compact committed states hold as they are, and e_V on
     those of E that reach the compressive boundary (`facet_volumetric`).
-    With E empty, f_int is K q.  The trial states are compact: E's new rows
-    on the full states the committed ones share
-    (`FacetStateArray.with_rows`); they inherit the certificate.
+    With E empty, f_int is K q and the trial states are `states`, which
+    hold the certificate.  Otherwise they are compact: E's new rows on the
+    full states the committed ones share (`FacetStateArray.with_rows`);
+    they inherit the certificate.
     """
     q = np.asarray(q, float)
     if ops.elastic_only:
@@ -638,9 +630,7 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     f_int = matvec(ops.K, q)
     rows = cert.rows
     if not len(rows):
-        trial = copy.copy(states)
-        trial.certificate = cert
-        return f_int, trial
+        return f_int, states
     e = matvec(cert.B, q).reshape(-1, 3) if e is None \
         else np.take(e, rows, axis=0)
     at = ops.facet_volumetric(q)
@@ -704,18 +694,17 @@ _DT_SEEDS = 8
 _DT_MARGIN = 1e-10
 
 
-def critical_timestep(mesh: Mesh, params: MaterialParams,
-                      mass: np.ndarray | None = None, fixed=(),
-                      B: sp.csr_matrix | None = None) -> float:
+def critical_timestep(mesh: Mesh, params: MaterialParams, mass: np.ndarray,
+                      fixed, B: sp.csr_matrix) -> float:
     """Largest stable explicit step 2/omega_max, with omega_max the largest
     element eigenfrequency (the element bound of Irons & Treharne, 1971).
     Elements are tetrahedra (the facets whose parent is the tet, on the
     nodes those facets touch) when present, otherwise single facets (12
     DoFs).  Element masses are local shares so that they sum to the global
-    lumped mass.  The DoF indices `fixed` (the prescribed DoFs of the load
-    program) drop out of every element.  The facet blocks are read from the
-    strain operator `B` (`build_strain_operator`, built here when not
-    given), whose first 6 columns of a facet are those of its lower node.
+    lumped `mass`.  The DoF indices `fixed` (the prescribed DoFs of the
+    load program) drop out of every element.  The facet blocks are read
+    from the strain operator `B`, whose first 6 columns of a facet are
+    those of its lower node.
 
     An element's matrix is A = S X^T (W D X) S: X stacks its facets' rows
     of B in facet order on the element's DoFs, W D holds each row's A l D,
@@ -739,10 +728,6 @@ def critical_timestep(mesh: Mesh, params: MaterialParams,
     margin of 1e-10: a certified element's `eigvalsh` value lies below the
     omega_max^2 it was certified against.
     """
-    if mass is None:
-        mass = assemble_lumped_mass(mesh)
-    if B is None:
-        B = build_strain_operator(mesh)
     blocks = _facet_rows(B)
     weights = facet_weights(mesh)
     fixed_mask = np.zeros(mesh.n_dofs, dtype=bool)

@@ -64,8 +64,8 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from .geometry import DOF_NAMES, Mesh, build_block_specimen, build_fixture, \
-    load_mesh
+from .geometry import DEFAULT_DENSITY, DOF_NAMES, Mesh, \
+    build_block_specimen, build_fixture, load_mesh
 from .integrators import ConvergenceSpec, GenAlphaParams, genalpha_from_rho, \
     hht_params, newmark_params
 from .material import MaterialParams
@@ -83,7 +83,7 @@ class RunConfig:
     mesh_path: str | None = None
     fixture: str | None = None
     specimen: str | None = None
-    density: float = 2380.0
+    density: float = DEFAULT_DENSITY
 
     material: dict = field(default_factory=dict)
     elastic_only: bool = False
@@ -95,12 +95,12 @@ class RunConfig:
     dt_crit_factor: float | None = None
     total_time: float = 0.01
     safety: float = 0.9
-    criteria: tuple = ("residual", "increment", "energy")
-    tolerance: float = 1e-4
-    rtol: float = 1e-4
-    atol: float = 1e-6
-    max_iter: int = 100
-    on_fail: str = "accept"
+    criteria: tuple = ConvergenceSpec.criteria
+    tolerance: float = ConvergenceSpec.tolerance
+    rtol: float = ConvergenceSpec.r_tol
+    atol: float = ConvergenceSpec.a_tol
+    max_iter: int = ConvergenceSpec.max_iter
+    on_fail: str = ConvergenceSpec.on_fail
 
     constraints: tuple = ()       # directive strings
     monitor: str = ""

@@ -71,8 +71,9 @@ def hht_params(alpha: float) -> GenAlphaParams:
     return GenAlphaParams(0.0, -alpha, 0.5 - alpha, 0.25 * (1.0 - alpha) ** 2)
 
 
-def newmark_params(gamma: float = 0.5, beta: float = 0.25) -> GenAlphaParams:
-    return GenAlphaParams(0.0, 0.0, gamma, beta)
+def newmark_params() -> GenAlphaParams:
+    """Newmark's trapezoidal rule: gamma = 1/2, beta = 1/4."""
+    return GenAlphaParams(0.0, 0.0, 0.5, 0.25)
 
 
 @dataclass(frozen=True)

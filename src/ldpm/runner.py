@@ -112,7 +112,7 @@ def build_solver(cfg: RunConfig, mesh: Mesh, ops: SystemOperators,
         dt_crit = np.inf
     elif dt is None or cfg.solver == "explicit":
         dt_crit = critical_timestep(mesh, ops.params, mass,
-                                    fixed=program.prescribed, B=ops.B)
+                                    program.prescribed, ops.B)
     if dt is None:
         dt = cfg.dt_crit_factor * dt_crit
     elif cfg.solver == "explicit":
@@ -157,14 +157,13 @@ def check_output_directory(directory) -> None:
                        "is not a writable directory")
 
 
-def run(cfg: RunConfig, mesh: Mesh | None = None,
-        write_outputs: bool = True) -> RunRecord:
-    """Execute one simulation end to end and return its record."""
+def run(cfg: RunConfig, write_outputs: bool = True) -> RunRecord:
+    """Execute one simulation on the mesh `cfg.build_mesh()` and return
+    its record; write the output files when `write_outputs`."""
     cfg.validate()
     if write_outputs:
         check_output_directory(cfg.directory)
-    if mesh is None:
-        mesh = cfg.build_mesh()
+    mesh = cfg.build_mesh()
     params = cfg.material_params()
     ops = SystemOperators(mesh, params, cfg.elastic_only)
     program = resolve_constraints(mesh, cfg.constraints)
@@ -213,8 +212,7 @@ def run(cfg: RunConfig, mesh: Mesh | None = None,
     strains = solver.strains
     cracks = crack_openings(mesh, strains, facet_tractions(
         solver.q, ops, solver.states, strains), params)
-    vol = volumetric_strain(solver.q, mesh) if len(mesh.tets) \
-        else np.zeros(0)
+    vol = volumetric_strain(solver.q, mesh)
 
     rec = RunRecord(
         config=cfg, mesh=mesh, dt=dt,

@@ -227,7 +227,8 @@ class TestCriterion5:
         program = LoadProgram(mesh.n_dofs, {dof: (0.0, 0.0) for dof in fixed},
                               [(loaded, ((0.0, 10.0), (1.0, 10.0)))])
         mass = assemble_lumped_mass(mesh)
-        dt_crit = critical_timestep(mesh, params, mass, program.prescribed)
+        dt_crit = critical_timestep(mesh, params, mass, program.prescribed,
+                                    ops.B)
         return ops, program, mass, dt_crit
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from ldpm.assembly import critical_timestep
+from ldpm.assembly import assemble_lumped_mass, build_strain_operator, \
+    critical_timestep
 from ldpm.cli import EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION, main
 from ldpm.config import (
     ConfigError,
@@ -720,9 +721,10 @@ class TestExplicitSafety:
     @staticmethod
     def dt_crit():
         mesh = build_fixture("single-facet")
-        return critical_timestep(mesh, RunConfig().material_params(),
-                                 fixed=resolve_constraints(
-                                     mesh, SPRING_LOAD).prescribed)
+        return critical_timestep(
+            mesh, RunConfig().material_params(), assemble_lumped_mass(mesh),
+            resolve_constraints(mesh, SPRING_LOAD).prescribed,
+            build_strain_operator(mesh))
 
     def run_with(self, tmp_path, factor):
         dt = factor * self.dt_crit()
@@ -812,7 +814,12 @@ class TestCliFixtureValidate:
         pytest.param(b"NODES 2\n0 0 0 0 1\n1 1 0 0 1\nFACETS 1\n"
                      b"0 nan 1 1 0.5 0 0 1 0 0 0 1 0 0 0 1\n",
                      ":5: facet 0: non-finite node_i",
-                     id="facet-node-nan")])
+                     id="facet-node-nan"),
+        # read with int(), as a node line's id; a float read cast 1.7 to 1
+        pytest.param(b"NODES 2\n0 0 0 0 1\n1 1 0 0 1\nFACETS 1\n"
+                     b"0 0 1.7 1 0.5 0 0 1 0 0 0 1 0 0 0 1\n",
+                     ":5: bad number: invalid literal for int() with base "
+                     "10: '1.7'", id="facet-node-fractional")])
     def test_unusable_mesh_file_one_line_exit_2(self, tmp_path, capsys,
                                                 data, message):
         path = tmp_path / "m.mesh"

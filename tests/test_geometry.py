@@ -16,7 +16,7 @@ from ldpm.geometry import (
 )
 from ldpm.config import ConfigError, build_specimen_from_spec
 from ldpm.runner import resolve_constraints
-from ldpm.presets import preset_config
+from ldpm.presets import PRESET_NAMES, preset_config
 
 import oracles
 from oracles import frame
@@ -122,7 +122,8 @@ class TestValidation:
         ("c_i", {"centroid"}),
         ("normal", {"orthonormal", "normal-align", "projected-area"}),
         ("tangent_m", {"orthonormal"}),
-        ("true_normal", {"projected-area"})])
+        ("true_normal", {"projected-area"}),
+        ("centroid", {"centroid"})])
     def test_nan_facet_value_reported(self, single_tet, field, kinds):
         getattr(single_tet.facets, field)[3] = np.nan
         rep = validate_mesh(single_tet)
@@ -130,10 +131,10 @@ class TestValidation:
             == {("facet 3", kind) for kind in kinds}
 
     # every float column; an infinite raw_area or edge length passes the
-    # tolerances that scale with it, and a centroid no other check reads
+    # tolerances that scale with it
     @pytest.mark.parametrize("field,kinds", [
         ("edge_length", {"edge-length"}), ("raw_area", set()),
-        ("projected_area", {"projected-area"}), ("centroid", set()),
+        ("projected_area", {"projected-area"}), ("centroid", {"centroid"}),
         ("normal", {"orthonormal", "normal-align", "projected-area"}),
         ("tangent_m", {"orthonormal"}), ("tangent_l", {"orthonormal"}),
         ("true_normal", {"projected-area"}), ("c_i", {"centroid"}),
@@ -145,6 +146,12 @@ class TestValidation:
             == {("facet 3", kind) for kind in kinds | {"infinite"}}
         assert [v.message for v in rep.violations
                 if v.kind == "infinite"] == [f"infinite {field}"]
+
+    def test_centroid_off_its_offsets_reported(self, single_tet):
+        single_tet.facets.centroid[3] += [0.0, 1e-3, 0.0]
+        (v,) = validate_mesh(single_tet).violations
+        assert (v.entity, v.kind) == ("facet 3", "centroid")
+        assert v.message == "max |x + c - centroid| = 1.000e-03"
 
     def test_tet_volume_violations_reported(self, single_tet):
         m = single_tet
@@ -188,6 +195,17 @@ class TestFileIO:
         p = tmp_path / "m.mesh"
         write_mesh(mesh, p)
         assert p.read_bytes() == oracles.mesh_text(mesh).encode("utf-8")
+
+    # every fixture and every preset's specimen, built and loaded back
+    @pytest.mark.parametrize("source", ["single-facet", "two-particle-chain",
+                                        "single-tet", *PRESET_NAMES])
+    def test_validates_after_a_round_trip(self, tmp_path, source):
+        mesh = preset_config(source).build_mesh() if source in PRESET_NAMES \
+            else build_fixture(source)
+        assert validate_mesh(mesh).ok
+        p = tmp_path / "m.mesh"
+        write_mesh(mesh, p)
+        assert validate_mesh(load_mesh(p)).ok
 
     def test_round_trip_preserves_geometry(self, tmp_path):
         mesh = build_block_specimen((20, 20, 20), (1, 1, 1), seed=4)

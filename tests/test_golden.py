@@ -113,15 +113,17 @@ def test_pore_collapse_outputs_match_golden(tmp_path):
 def _record_case(cfg) -> dict:
     import tempfile
 
-    from ldpm.assembly import critical_timestep
+    from ldpm.assembly import assemble_lumped_mass, \
+        build_strain_operator, critical_timestep
     from ldpm.runner import resolve_constraints
 
     dt = cfg.dt
     if dt is None:
         mesh = cfg.build_mesh()
         dt = cfg.dt_crit_factor * critical_timestep(
-            mesh, cfg.material_params(),
-            fixed=resolve_constraints(mesh, cfg.constraints).prescribed)
+            mesh, cfg.material_params(), assemble_lumped_mass(mesh),
+            resolve_constraints(mesh, cfg.constraints).prescribed,
+            build_strain_operator(mesh))
     total_time = STEPS * dt
     with tempfile.TemporaryDirectory() as tmp:
         return {"total_time": total_time,

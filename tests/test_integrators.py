@@ -281,7 +281,8 @@ def block_solvers(params, elastic_only=False, steps=3):
     ops = SystemOperators(mesh, params, elastic_only)
     program = LoadProgram(mesh.n_dofs, kinematic)
     mass = assemble_lumped_mass(mesh)
-    dt = 0.5 * critical_timestep(mesh, params, mass, program.prescribed)
+    dt = 0.5 * critical_timestep(mesh, params, mass, program.prescribed,
+                                 ops.B)
     conv = ConvergenceSpec()
     solvers = {
         "explicit": ExplicitIntegrator(ops, program, mass, dt),
@@ -380,7 +381,7 @@ def pulled_explicit(params, steps=160, strain=2e-4, ramp_steps=0):
     ops = SystemOperators(mesh, params)
     mass = assemble_lumped_mass(mesh)
     fixed = sorted([*kinematic, *(6 * top + 2)])
-    dt = 0.5 * critical_timestep(mesh, params, mass, fixed)
+    dt = 0.5 * critical_timestep(mesh, params, mass, fixed, ops.B)
     kinematic.update({6 * n + 2: (strain * z.max() / (steps * dt),
                                   ramp_steps * dt) for n in top})
     program = LoadProgram(mesh.n_dofs, kinematic)
@@ -661,7 +662,7 @@ class TestBookkeeping:
         e_max[::2] = 1.0
         states = FacetStateArray(e_max, np.zeros(nf), np.zeros(nf),
                                  np.zeros(nf), np.zeros((nf, 3)))
-        cert = Certificate(np.zeros(ops.mesh.n_dofs), ops, states)
+        cert = Certificate(np.zeros(ops.mesh.n_dofs), ops, states, None)
         assert np.array_equal(cert.rows, np.arange(0, nf, 2))
         assert np.shares_memory(cert.BT.data, cert.B.data)
         t = np.random.default_rng(0).normal(size=(len(cert.rows), 3))

@@ -210,7 +210,7 @@ def test_certified_facets_answer_the_linear_law(mesh, path, confined, seed,
         _, states = facet_update(states, ops.strains(q),
                                  ops.facet_volumetric(q), ops.lengths, params)
     q_ref = motion(3e-5 * (rng.random((3, 3)) - 0.5), 1e-7)
-    cert = Certificate(q_ref, ops, states)
+    cert = Certificate(q_ref, ops, states, ops.strains(q_ref))
     states.certificate = cert
     c = cert.certified
     e_ref = ops.strains(q_ref)
