@@ -11,7 +11,7 @@ ruled out inverted tetrahedra).  Solvers see the facets only through
 `internal_forces(q, ops, states) -> (f_int, trial)`; the law mode
 (elastic or inelastic) lives on the `SystemOperators`.
 
-Below its floors (`material.active_floors`) the facet law is linear, so
+Within its slack (`material.linear_slack`) the facet law is linear, so
 f_int = K q + B^T W (t - D e), and a facet whose traction is D e adds
 nothing to the second term.  A `Certificate` proves, from a bound on the
 relative motion of each node pair since the configuration it was built at
@@ -34,7 +34,7 @@ import scipy.sparse as sp
 
 from .geometry import Mesh, tet_volume
 from .material import FLOOR_MARGIN, MaterialParams, FacetStateArray, \
-    active_floors, check_snap_back, facet_update, elastic_tractions
+    check_snap_back, facet_update, elastic_tractions, linear_slack
 
 
 class AssemblyError(Exception):
@@ -357,8 +357,8 @@ class SystemOperators:
     facet -> parent-tet map, the facets' node `pairs` (`node_pairs`, which
     the implicit solvers order) and the law mode: elastic alone, or the
     facet law, which refuses facets at least as long as lt and carries the
-    set-up constants of the certificates (`Certificate`).  Shared
-    read-only by solvers."""
+    `inversion_guard` of its e_V and the set-up constants of the
+    certificates (`Certificate`).  Shared read-only by solvers."""
 
     def __init__(self, mesh: Mesh, params: MaterialParams,
                  elastic_only: bool = False):
@@ -372,13 +372,14 @@ class SystemOperators:
         self.weights = facet_weights(mesh)
         self.lengths = lengths
         self.parent_tet = mesh.facets.parent_tet
-        self.inversion_guard = inversion_guard(mesh)
         self.pairs = pairs = node_pairs(mesh)
         self.K = assemble_stiffness(mesh, params, self.B, pairs)
         if not elastic_only:
+            self.inversion_guard = inversion_guard(mesh)
             # set-up constants of the certificates
             self.D = params.D
-            self.zero_slack = float(self.slack(np.zeros((1, 3)))[0])
+            self.zero_slack = float(
+                linear_slack(FacetStateArray.virgin(1), None, params)[0])
             self.jump = build_jump_operator(mesh, pairs, self.B.indptr.dtype)
             self.c_a, self.c_b = _jump_norms(self.B)
             # the rounding caps (`Certificate`): c_u = 2 c_a and c_theta =
@@ -393,24 +394,6 @@ class SystemOperators:
 
     def strains(self, q) -> np.ndarray:
         return matvec(self.B, np.asarray(q, float)).reshape(-1, 3)
-
-    def slack(self, e) -> np.ndarray:
-        """Per facet, a lower bound on the inf-norm distance from the
-        strains e (n, 3) to the nearest floor a virgin facet can reach
-        (`Certificate`), less a relative rounding margin; NaN stays NaN."""
-        p = self.params
-        floor_t, floor_s2 = active_floors(p)
-        e_n, e_m, e_l = e[:, 0], e[:, 1], e[:, 2]
-        e_s2 = e_m * e_m + e_l * e_l
-        e_eff = np.sqrt(e_n * e_n + p.alpha * e_s2)
-        tension = np.maximum(-e_n, (floor_t - e_eff)
-                             / np.sqrt(1.0 + 2.0 * p.alpha))
-        g = p.D[1]
-        shear = np.maximum(e_n, (np.sqrt(floor_s2) - g * np.sqrt(e_s2))
-                           / (g * np.sqrt(2.0)))
-        compression = e_n + p.sigma_c0 / p.E0
-        return np.minimum(np.minimum(tension, shear), compression) \
-            * (1.0 - FLOOR_MARGIN)
 
     def facet_volumetric(self, q):
         """e_V at q for `facet_update`, once no tet has inverted: the
@@ -478,24 +461,6 @@ class Certificate:
     no budget.  c_b,f = 0 where the centroid is the pair's midpoint (c_i =
     -c_j): the facet then bounds no rotation of its pair.
 
-    Slack.  A facet is virgin when e_max is below the tension floor of
-    `active_floors`, e_p_m = e_p_l = e_n_res = 0 and its committed t_N >=
-    -sigma_c0.  The law then leaves its linear range only on one of three
-    sets, and `SystemOperators.slack` is the least inf-norm distance to
-    them:
-      tension, e_N > 0 and e_eff >= floor_t: e_eff is Lipschitz with the
-        constant sqrt(1 + 2 alpha), so the distance is at least
-        max(-e_N, (floor_t - e_eff) / sqrt(1 + 2 alpha));
-      shear, e_N <= 0 and tau = alpha E0 |(e_M, e_L)| >= sqrt(tau2_floor)
-        (the trial shear traction, e_p = 0): tau is Lipschitz with the
-        constant alpha E0 sqrt 2, so the distance is at least
-        max(e_N, (sqrt(tau2_floor) - tau) / (alpha E0 sqrt 2));
-      compression, E0 e_N <= -sigma_c0 (the trial traction, e_n_res = 0,
-        and the modulus is E0 because the committed t_N >= -sigma_c0):
-        at least e_N + sigma_c0 / E0.
-    The slack s_f is shrunk by the relative `FLOOR_MARGIN`, which holds
-    the rounding of e_eff and of the shear norm and the rounding below.
-
     Rounding.  While every node's translation and rotation, at q and at
     q_ref, stay below U and Theta in magnitude, the computed strains and
     jumps miss the bound above by at most 36 eps (c_u,f U + c_theta,f
@@ -513,45 +478,38 @@ class Certificate:
     can be certified; `covers` bounds |q - q_ref| by the caps less |q_ref|
     (`cap`, per DoF), which keeps |q| and |q_ref| below them.
 
-    Certificate.  The certified facets are the virgin ones whose slack s_f
-    at q_ref is at least `CERTIFY_SHARE` of the slack s_0 of a zero strain
-    (a fixed hysteresis, so that a rebuild certifies facets with room to
-    move).  Each pair gets the budgets min s_f / (2 c_a,f) on |a_p|_inf
-    and min s_f / (2 c_b,f) on |b_p|_inf over its certified facets (inf
-    with none, and for b where c_b,f = 0), `budget` (n_pairs, 6), one per
-    row of J.  While every jump of J (q - q_ref) is inside its budget and
-    |q - q_ref| inside `cap`, the bounds give |e_f(q) - e_f(q_ref)| <
-    s_f / 2 + s_f / 2 + FLOOR_MARGIN s_f, so no certified facet reaches a
-    floor: `facet_update` would leave its history fields unchanged (e_max
-    rises only below the floor, and is not stored), evaluate no boundary,
-    and return D e itself: E0 e_N and alpha E0 (e_M, e_L).  A certified
-    facet is therefore not evaluated and none of its committed fields
-    changes.  Its e_max may go stale, but only below the floor, where
-    `facet_update` never reads it: once evaluated again, max(stale, e_eff)
-    reaches the floor exactly when the true history does.  Certified
-    facets stay virgin, so the certificate holds for every state committed
-    from `states` while q stays inside the budgets.  A NaN or an infinity
-    in q fails `covers`: every comparison with a NaN is false, and an
-    infinity is above every cap.
+    Certificate.  The certified facets are those whose slack s_f at q_ref
+    (`material.linear_slack`, 0 unless virgin) is at least `CERTIFY_SHARE`
+    of s_0 = `zero_slack` > 0, that of a zero strain (a fixed hysteresis,
+    so that a rebuild certifies facets with room to move).  Each pair gets
+    the budgets min s_f / (2 c_a,f) on |a_p|_inf and min s_f / (2 c_b,f) on
+    |b_p|_inf over its certified facets (inf with none, and for b where
+    c_b,f = 0), `budget` (n_pairs, 6), one per row of J.  While every jump
+    of J (q - q_ref) is inside its budget and |q - q_ref| inside `cap`, the
+    bounds give |e_f(q) - e_f(q_ref)| < s_f / 2 + s_f / 2 + FLOOR_MARGIN
+    s_f, where the law returns D e and changes no history field but e_max
+    below the floor (`linear_slack`).  A certified facet is therefore not
+    evaluated and none of its committed fields changes.  Its e_max may go
+    stale, but only below the floor, where `facet_update` never reads it:
+    once evaluated again, max(stale, e_eff) reaches the floor exactly when
+    the true history does.  Certified facets stay virgin, so the
+    certificate holds for every state committed from `states` while q stays
+    inside the budgets.  A NaN or an infinity in q fails `covers`: every
+    comparison with a NaN is false, and an infinity is above every cap.
 
     The other facets are evaluated: the index array `rows`, possibly
     empty, with their rows `B` of the strain operator (a zero-row matrix
     for none), its CSC transpose `BT`, `weights3` (A_k l_k per strain
     component) and `lengths`.  `strains` are those of every facet at q (B q
-    as (nf, 3)), or None at q = 0, where every strain is 0 and every facet
-    has the slack `zero_slack`.
+    as (nf, 3)), or None at q = 0, where every strain is 0.
     """
 
     def __init__(self, q, ops: SystemOperators, states: FacetStateArray,
                  strains):
-        p = ops.params
         self.ops = ops
         self.q_ref = q.copy()
-        slack = ops.zero_slack if strains is None else ops.slack(strains)
-        virgin = (states.e_max < active_floors(p)[0]) \
-            & (states.e_p_m == 0.0) & (states.e_p_l == 0.0) \
-            & (states.e_n_res == 0.0) & (states.traction[:, 0] >= -p.sigma_c0)
-        self.certified = virgin & (slack >= CERTIFY_SHARE * ops.zero_slack)
+        slack = linear_slack(states, strains, ops.params)
+        self.certified = slack >= CERTIFY_SHARE * ops.zero_slack
         # the bounds of `covers`: the budgets of the rows of J, then the
         # caps of the DoFs
         pairs = ops.pairs

@@ -72,7 +72,9 @@ class BandedCholesky:
     """Cholesky factor of the sparse SPD matrix A[keep][:, keep], its rows
     taken in the elimination `order` (a permutation of positions in
     `keep`, such as `node_order` gives).  Raises `np.linalg.LinAlgError`
-    when a pivot is not positive.  `bandwidth` is the half-bandwidth u."""
+    when a pivot is not positive.  `bandwidth` is the half-bandwidth u.
+    A's entries must be finite: the band is factored without a scan for
+    NaN or infinity, which the caller makes where it forms A."""
 
     def __init__(self, A, order, keep):
         from scipy.linalg import cho_solve_banded, cholesky_banded
@@ -93,7 +95,8 @@ class BandedCholesky:
             band[d, c] = values
         self.perm = order
         self.bandwidth = u
-        self.factor = cholesky_banded(band, lower=True, overwrite_ab=True)
+        self.factor = cholesky_banded(band, lower=True, overwrite_ab=True,
+                                      check_finite=False)
         self._cho_solve = cho_solve_banded
 
     def solve(self, b: np.ndarray) -> np.ndarray:

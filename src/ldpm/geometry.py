@@ -380,8 +380,8 @@ def load_mesh(path, density: float = DEFAULT_DENSITY) -> Mesh:
     validated Mesh.  Raises MeshError with a line number on parse problems;
     on invariant violations its one-line message gives their count and the
     first of them, and its `report` all of them."""
-    node_ids, nodes, tets, facets = [], [], [], []
-    node_lines, facet_lines = [], []
+    node_ids, nodes, tets, facets, indices = [], [], [], [], []
+    node_lines, tet_lines, facet_lines = [], [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -420,15 +420,17 @@ def load_mesh(path, density: float = DEFAULT_DENSITY) -> Mesh:
                 if len(tok) != 5:
                     perr(lineno, "tet line needs: id n1 n2 n3 n4")
                 tets.append([int(v) for v in tok[1:5]])
+                tet_lines.append(lineno)
             else:
                 if len(tok) not in (16, 17):
                     perr(lineno, "facet line needs 16 or 17 fields")
-                # the id and node indices read with int(), as above; a
-                # NaN or an infinity there is refused by name below
-                facets.append([int(v) if np.isfinite(float(v))
-                               else float(v) for v in tok[:3]]
-                              + [float(v) for v in tok[3:16]]
-                              + [int(v) for v in tok[16:]])
+                # the id, node indices and parent tet read with int(), as
+                # above, and kept as Python ints until their range is
+                # checked; a NaN or an infinity is refused by name below
+                indices.append([int(v) if np.isfinite(float(v))
+                                else float(v) for v in tok[:3]]
+                               + [int(v) for v in tok[16:]])
+                facets.append([float(v) for v in tok[3:16]])
                 facet_lines.append(lineno)
         except ValueError as exc:
             perr(lineno, f"bad number: {exc}")
@@ -444,41 +446,48 @@ def load_mesh(path, density: float = DEFAULT_DENSITY) -> Mesh:
     if bad:
         raise MeshError(f"{path}:{node_lines[bad[0]]}: {bad[1]}")
     nn = len(pos)
+    for k, tet in enumerate(tets):
+        for v in tet:
+            if not 0 <= v < nn:
+                raise MeshError(f"{path}:{tet_lines[k]}: tet {k} references "
+                                f"a missing node ({v})")
     tets_arr = np.array(tets, dtype=int).reshape(-1, 4)
-    bad_tets = np.nonzero(((tets_arr < 0) | (tets_arr >= nn)).any(axis=1))[0]
-    if len(bad_tets):
-        raise MeshError(f"{path}: tet {bad_tets[0]} references a missing node")
     tet_vols = tet_volume(*pos[tets_arr].transpose(1, 0, 2))
 
     if not facets:
         raise MeshError(f"{path}: no facet lines")
-    if len({len(row) for row in facets}) > 1:
+    if len({len(row) for row in indices}) > 1:
         raise MeshError(f"{path}: the parent tet column must be on every "
                         "facet line or on none")
-    vals = np.array(facets, dtype=float).reshape(len(facets), -1)
+    vals = np.array(facets, dtype=float)
     # refused before the arithmetic that takes them loudly: a NaN or an
-    # infinity cast to an index, and an infinity in make_facets (inf / inf)
-    # and in validate_mesh's differences; a NaN float fails validation
-    unusable = np.isinf(vals[:, :16])
-    unusable[:, :3] |= np.isnan(vals[:, :3])
+    # infinity as an index, and an infinity in make_facets (inf / inf) and
+    # in validate_mesh's differences; a NaN float fails validation
+    unusable = np.column_stack([[[type(v) is float for v in row[:3]]
+                                 for row in indices], np.isinf(vals)])
     if unusable.any():
         k = int(np.argmax(unusable.any(axis=1)))
         names = dict.fromkeys(name for name, bad in zip(_FACET_LINE_FIELDS,
                                                         unusable[k]) if bad)
         raise MeshError(f"{path}:{facet_lines[k]}: facet {k}: non-finite "
                         f"{', '.join(names)}")
-    if vals[:, 0].astype(int).tolist() != list(range(len(vals))):
-        raise MeshError(f"{path}: facet ids must be contiguous from 0")
-    ni, nj = vals[:, 1].astype(int), vals[:, 2].astype(int)
-    missing = ~((0 <= ni) & (ni < nn) & (0 <= nj) & (nj < nn))
-    if missing.any():
-        k = int(np.argmax(missing))
-        raise MeshError(f"{path}:{facet_lines[k]}: facet {k} references "
-                        f"missing node ({ni[k]}, {nj[k]})")
-    if vals.shape[1] == 17:
-        parent = vals[:, 16].astype(int)
+    # every index checked against its range before it enters an array
+    for k, (fid, i, j, *parent) in enumerate(indices):
+        if fid != k:
+            raise MeshError(f"{path}:{facet_lines[k]}: facet ids must be "
+                            f"contiguous from 0, not {fid}")
+        if not (0 <= i < nn and 0 <= j < nn):
+            raise MeshError(f"{path}:{facet_lines[k]}: facet {k} references "
+                            f"missing node ({i}, {j})")
+        if parent and not -1 <= parent[0] < len(tets):
+            raise MeshError(f"{path}:{facet_lines[k]}: facet {k} parent tet "
+                            f"{parent[0]} does not exist")
+    ids = np.array(indices, dtype=int)
+    ni, nj = ids[:, 1], ids[:, 2]
+    if ids.shape[1] == 4:
+        parent = ids[:, 3]
         ok = parent == -1
-        inside = (0 <= parent) & (parent < len(tets_arr))
+        inside = ~ok
         tet = tets_arr[parent[inside]]
         ok[inside] = (tet == ni[inside, None]).any(axis=1) \
             & (tet == nj[inside, None]).any(axis=1)
@@ -487,11 +496,11 @@ def load_mesh(path, density: float = DEFAULT_DENSITY) -> Mesh:
             raise MeshError(f"{path}:{facet_lines[k]}: facet {k} parent tet "
                             f"{parent[k]} does not hold both facet nodes")
     else:
-        parent = _parent_tets(ni, nj, vals[:, 4:7], tets_arr, pos)
+        parent = _parent_tets(ni, nj, vals[:, 1:4], tets_arr, pos)
     table = make_facets(
-        ni, nj, pos, raw_area=vals[:, 3], centroid=vals[:, 4:7],
-        true_normal=vals[:, 7:10], tangent_m=vals[:, 10:13],
-        tangent_l=vals[:, 13:16], parent_tet=parent)
+        ni, nj, pos, raw_area=vals[:, 0], centroid=vals[:, 1:4],
+        true_normal=vals[:, 4:7], tangent_m=vals[:, 7:10],
+        tangent_l=vals[:, 10:13], parent_tet=parent)
 
     mesh = Mesh(positions=pos, particle_diameters=d_p, facets=table,
                 tets=tets_arr, tet_volumes=tet_vols,

@@ -454,8 +454,16 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         free = program.free
         K_eff = ops.K
         if mass is not None:
-            c_m = (1.0 - ga.alpha_m) / (ga.beta * dt * dt)
-            K_eff = (1.0 - ga.alpha_f) * K_eff + sp.diags(c_m * mass)
+            b_dt2 = ga.beta * dt * dt
+            if b_dt2 == 0.0:
+                raise np.linalg.LinAlgError(
+                    f"effective matrix not finite: beta dt^2 is 0 at dt={dt}")
+            c_m = (1.0 - ga.alpha_m) / b_dt2
+            with np.errstate(over="ignore", invalid="ignore"):
+                K_eff = (1.0 - ga.alpha_f) * K_eff + sp.diags(c_m * mass)
+        # the band is scattered from these entries, and factored unchecked
+        if not np.isfinite(K_eff.data).all():
+            raise np.linalg.LinAlgError("effective matrix not finite")
         try:
             pairs = ops.pairs
             self._factor = spla.splu(K_eff, spla.node_order(

@@ -335,12 +335,54 @@ def active_floors(params: MaterialParams):
     sigma_N0 > 0, so a shear trial tau^2 = tm^2 + tl^2 below sigma_s^2
     cannot slip.  The compressive boundary needs no floor of its own:
     sigma_bc >= sigma_c0 when Hc0, Hc1, kappa_c2 >= 0.  MaterialParams
-    enforces these conditions.
+    enforces these conditions.  The distance to a floor: `linear_slack`.
     """
     k = 4.0 * params.alpha / params.rst ** 2
     s0_min = 2.0 * params.sigma_t / (1.0 + max(1.0, np.sqrt(k)))
     return (s0_min / params.E0 * (1.0 - FLOOR_MARGIN),
             params.sigma_s ** 2 * (1.0 - FLOOR_MARGIN))
+
+
+def linear_slack(states: FacetStateArray, strains, params: MaterialParams):
+    """Per facet, a lower bound on the inf-norm distance from `strains`
+    (n, 3), or from a zero strain when None, to the nearest floor a virgin
+    facet can reach, less a rounding margin; exactly 0 on the others.
+    Within it, `facet_update` from `states` returns D e, evaluates no
+    boundary and changes no history field but e_max below the floor.
+
+    A facet is virgin when e_max is below the tension floor of
+    `active_floors`, e_p_m = e_p_l = e_n_res = 0 and its committed t_N >=
+    -sigma_c0.  The law then leaves its linear range only on one of three
+    sets, and the slack is the least inf-norm distance to them:
+      tension, e_N > 0 and e_eff >= floor_t: e_eff is Lipschitz with the
+        constant sqrt(1 + 2 alpha), so the distance is at least
+        max(-e_N, (floor_t - e_eff) / sqrt(1 + 2 alpha));
+      shear, e_N <= 0 and tau = alpha E0 |(e_M, e_L)| >= sqrt(tau2_floor)
+        (the trial shear traction, e_p = 0): tau is Lipschitz with the
+        constant alpha E0 sqrt 2, so the distance is at least
+        max(e_N, (sqrt(tau2_floor) - tau) / (alpha E0 sqrt 2));
+      compression, E0 e_N <= -sigma_c0 (the trial traction, e_n_res = 0,
+        and the modulus is E0 because the committed t_N >= -sigma_c0):
+        at least e_N + sigma_c0 / E0.
+    The slack is shrunk by the relative `FLOOR_MARGIN`, which holds the
+    rounding of these tests and of `assembly.Certificate` (a few eps of the
+    strains and floors) while the slack is at least 1e-6 of them.
+    """
+    floor_t, floor_s2 = active_floors(params)
+    e_n, e_m, e_l = (np.zeros((1, 3)) if strains is None else strains).T
+    e_s2 = e_m * e_m + e_l * e_l
+    e_eff = np.sqrt(e_n * e_n + params.alpha * e_s2)
+    tension = np.maximum(-e_n, (floor_t - e_eff)
+                         / np.sqrt(1.0 + 2.0 * params.alpha))
+    g = params.D[1]
+    shear = np.maximum(e_n, (np.sqrt(floor_s2) - g * np.sqrt(e_s2))
+                       / (g * np.sqrt(2.0)))
+    slack = np.minimum(np.minimum(tension, shear), e_n + params.sigma_c0
+                       / params.E0) * (1.0 - FLOOR_MARGIN)
+    virgin = (states.e_max < floor_t) & (states.e_p_m == 0.0) \
+        & (states.e_p_l == 0.0) & (states.e_n_res == 0.0) \
+        & (states.traction[:, 0] >= -params.sigma_c0)
+    return np.where(virgin, slack, 0.0)
 
 
 def facet_update(state: FacetStateArray, strains, e_v, lengths,

@@ -32,7 +32,7 @@ from ldpm.geometry import (
 )
 from ldpm.integrators import ExplicitIntegrator, LoadProgram
 from ldpm.material import FacetStateArray, MaterialParams, \
-    SnapBackError, facet_update
+    SnapBackError, facet_update, linear_slack
 from ldpm.presets import preset_config
 from ldpm.runner import build_solver, resolve_constraints, run
 
@@ -225,6 +225,19 @@ class TestInversionGuard:
                         single_tet.facets, single_tet.tets,
                         single_tet.tet_volumes, single_tet.cell_volumes)
             assert inversion_guard(mesh) == 0.0
+
+    def test_built_only_for_the_facet_law(self, single_tet, params,
+                                         monkeypatch):
+        # only the facet law reads e_V, so elastic operators skip the guard
+        calls = []
+        guard = assembly.inversion_guard
+        monkeypatch.setattr(assembly, "inversion_guard",
+                            lambda mesh: calls.append(mesh) or guard(mesh))
+        SystemOperators(single_tet, params, elastic_only=True)
+        assert calls == []
+        ops = SystemOperators(single_tet, params)
+        assert calls == [single_tet]
+        assert ops.inversion_guard == guard(single_tet)
 
     def test_on_demand_path_just_below_the_guard(self, single_tet, params,
                                                  monkeypatch):
@@ -535,7 +548,8 @@ class TestRigidMotionInvariance:
         mesh, ops, q_ref, cert = dog_bone
         budget_a = cert.budget[:, 0]
         largest = budget_a[np.isfinite(budget_a)].max()
-        slack = ops.slack(ops.strains(q_ref))
+        slack = linear_slack(FacetStateArray.virgin(mesh.n_facets),
+                             ops.strains(q_ref), ops.params)
         # a homogeneous strain of spectral norm 10 % of the smallest
         # certified slack, in a rotated frame
         frame_ = np.linalg.qr(np.random.default_rng(3).normal(

@@ -59,6 +59,25 @@ constraints =
 monitor = node:1 ux
 """
 
+
+def one_genalpha_step(dt):
+    """One generalized-alpha step of dt on a tet pressed from its top."""
+    return f"""
+[mesh]
+fixture = single-tet
+
+[solver]
+kind = genalpha
+dt = {dt}
+total_time = {dt}
+
+[load]
+constraints =
+    fix zmin all
+    velocity zmax uz -5 ramp=0.001
+"""
+
+
 # a free DoF between a fixed and a pulled node, with one increment-checked
 # iteration a step: none of the 10 static steps converges
 UNCONVERGED = MINIMAL.replace(
@@ -374,18 +393,27 @@ constraints =
         assert err == "solver failure: step 0: non-finite residual\n"
         assert not out.exists()
 
-    def test_under_constrained_static_run_exit_3(self, tmp_path, capsys):
-        # only ux of node 1 is prescribed: the free stiffness block has
-        # the facet's rigid-body modes and cannot be factorized
-        text = MINIMAL.replace(
-            "    fix node:0 all\n    fix node:1 uy,uz,rx,ry,rz\n", "")
+    # only ux of node 1 is prescribed: the free stiffness block has the
+    # facet's rigid-body modes and cannot be factorized.  At dt = 1e-300
+    # beta dt^2 underflows to 0; at dt = 1e-160 it is subnormal, and the
+    # mass term (1 - alpha_m) / (beta dt^2) overflows
+    @pytest.mark.parametrize("text,message", [
+        pytest.param(MINIMAL.replace(
+            "    fix node:0 all\n    fix node:1 uy,uz,rx,ry,rz\n", ""),
+            "singular effective matrix", id="under-constrained-static"),
+        pytest.param(one_genalpha_step("1e-300"),
+                     "effective matrix not finite: beta dt^2 is 0 at "
+                     "dt=1e-300", id="genalpha-dt-1e-300"),
+        pytest.param(one_genalpha_step("1e-160"),
+                     "effective matrix not finite", id="genalpha-dt-1e-160")])
+    def test_unusable_effective_matrix_exit_3(self, tmp_path, capsys, text,
+                                              message):
         path = write_text(tmp_path / "c.ini", text)
         out = tmp_path / "out"
         assert main(["run", path, "--out", str(out)]) == EXIT_SOLVER
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(
-            "solver failure: singular effective matrix")
+        assert lines[0].startswith(f"solver failure: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("solver,message", [
@@ -819,7 +847,24 @@ class TestCliFixtureValidate:
         pytest.param(b"NODES 2\n0 0 0 0 1\n1 1 0 0 1\nFACETS 1\n"
                      b"0 0 1.7 1 0.5 0 0 1 0 0 0 1 0 0 0 1\n",
                      ":5: bad number: invalid literal for int() with base "
-                     "10: '1.7'", id="facet-node-fractional")])
+                     "10: '1.7'", id="facet-node-fractional"),
+        # indices beyond int64, refused before they enter an array, where
+        # numpy raised OverflowError or cast them with a warning
+        pytest.param(b"NODES 4\n0 0 0 0 1\n1 1 0 0 1\n2 0 1 0 1\n3 0 0 1 1\n"
+                     b"TETS 1\n0 0 1 2 100000000000000000000\nFACETS 0\n",
+                     ":7: tet 0 references a missing node "
+                     "(100000000000000000000)", id="tet-node-beyond-int64"),
+        pytest.param(b"NODES 2\n0 0 0 0 1\n1 1 0 0 1\nFACETS 1\n"
+                     b"0 0 100000000000000000000 1 0.5 0 0 1 0 0 0 1 0 0 0 "
+                     b"1\n",
+                     ":5: facet 0 references missing node "
+                     "(0, 100000000000000000000)",
+                     id="facet-node-beyond-int64"),
+        pytest.param(b"NODES 2\n0 0 0 0 1\n1 1 0 0 1\nFACETS 1\n"
+                     b"0 0 1 1 0.5 0 0 1 0 0 0 1 0 0 0 1 "
+                     b"100000000000000000000\n",
+                     ":5: facet 0 parent tet 100000000000000000000 does not "
+                     "exist", id="facet-parent-beyond-int64")])
     def test_unusable_mesh_file_one_line_exit_2(self, tmp_path, capsys,
                                                 data, message):
         path = tmp_path / "m.mesh"

@@ -19,8 +19,8 @@ from hypothesis.extra import numpy as hnp
 
 from ldpm import material
 from ldpm.material import FLOOR_MARGIN, FacetStateArray, MaterialParams, \
-    active_floors, elastic_tractions, facet_update, sigma0, sigma_bc, \
-    sigma_bs, sigma_bt
+    active_floors, elastic_tractions, facet_update, linear_slack, sigma0, \
+    sigma_bc, sigma_bs, sigma_bt
 
 import oracles
 
@@ -458,3 +458,94 @@ def test_trials_share_unchanged_history_and_leave_it_alone():
             assert np.array_equal(getattr(origin, f), getattr(copied, f)), f
     for f in FIELDS:
         assert np.array_equal(getattr(committed, f), getattr(before, f)), f
+
+
+# how a drawn facet's committed history leaves the virgin set, if it does
+HISTORY = ["virgin", "e_max", "e_p_m", "e_p_l", "e_n_res", "t_N"]
+# the corners of the unit inf-ball: the worst case of the 1-norm Lipschitz
+# bounds behind `linear_slack`
+CORNERS = np.array([[a, b, c] for a in (-1.0, 1.0) for b in (-1.0, 1.0)
+                    for c in (-1.0, 1.0)])
+
+
+def no_e_v(rows):
+    raise AssertionError(f"e_v read on facets {rows}")
+
+
+@given(params_st, st.data())
+def test_linear_slack_bounds_the_linear_range_of_the_law(p, data):
+    # virgin and non-virgin committed states, each leaving the virgin set
+    # by one field, next to the floors, and reference strains.  The slack
+    # is 0 exactly on the non-virgin facets and, on the virgin ones, that
+    # of a virgin history.  Within it, at the corners of its inf-ball and
+    # at drawn inner points, the law answers D e from these states and
+    # changes no history field but e_max, below the floor, wherever the
+    # slack is at least 1e-6 of the strains and the floors, which its
+    # margin needs to hold their rounding
+    n = data.draw(st.integers(1, 6))
+    floor_t, floor_s2 = active_floors(p)
+    R = np.sqrt(floor_s2) / p.D[1]          # the shear floor in strain
+    sv = strain_values(p)
+    col = lambda elems: data.draw(hnp.arrays(float, n, elements=elems))
+    kind = np.array(data.draw(st.lists(st.just("virgin")
+                                       | st.sampled_from(HISTORY),
+                                       min_size=n, max_size=n)))
+    e_max = col(st.sampled_from(near([floor_t])).map(abs).filter(
+        lambda x: x < floor_t) | st.floats(0.0, floor_t, exclude_max=True))
+    e_max[kind == "e_max"] = col(st.sampled_from(near([floor_t])).map(
+        abs).filter(lambda x: x >= floor_t) | st.floats(floor_t, 1e-2))[
+            kind == "e_max"]
+    history = {f: np.where(kind == f, col(sv.filter(lambda x: x != 0.0)),
+                           0.0) for f in ("e_p_m", "e_p_l", "e_n_res")}
+    traction = data.draw(hnp.arrays(float, (n, 3),
+                                    elements=st.floats(-20.0, 20.0)))
+    low = np.nextafter(-p.sigma_c0, -np.inf)
+    traction[:, 0] = np.where(
+        kind == "t_N", col(st.just(low) | st.floats(-3 * p.sigma_c0, low)),
+        col(st.sampled_from([-p.sigma_c0, 0.0, -0.0])
+            | st.floats(-p.sigma_c0, 0.0)))
+    states = FacetStateArray(e_max, history["e_p_m"], history["e_p_l"],
+                             history["e_n_res"], traction)
+    # reference strains: drawn, or a share c of the way to a floor along
+    # a direction where a Lipschitz bound is tight, e_N = e_M = e_L for
+    # e_eff, and |e_M| = |e_L| for the shear norm.  There e_N < 0 is about
+    # as far from 0 as the shear floor (k = 1: sqrt 2 times its slack), so
+    # that a corner reaches the shear floor at t_N near 0, where the shear
+    # boundary is the floor itself
+    e_ref = data.draw(hnp.arrays(float, (n, 3), elements=sv))
+    shape = np.array(data.draw(st.lists(st.sampled_from(
+        ["drawn", "tension", "shear"]), min_size=n, max_size=n)))
+    c = col(st.floats(0.0, 1.0) | st.sampled_from([0.9, 0.99, 0.999]))
+    tension = np.repeat((c * floor_t / np.sqrt(1.0 + 2.0 * p.alpha))[:, None],
+                        3, axis=1)
+    k = col(st.just(1.0) | st.floats(0.5, 1.5))
+    shear = np.column_stack([-k * (1.0 - c) * R, c * R / np.sqrt(2.0),
+                             col(st.sampled_from([-1.0, 1.0])) * c * R
+                             / np.sqrt(2.0)])
+    for name, tight in (("tension", tension), ("shear", shear)):
+        e_ref[shape == name] = tight[shape == name]
+
+    slack = linear_slack(states, e_ref, p)
+    virgin = kind == "virgin"
+    assert np.all(slack[~virgin] == 0.0)
+    assert np.array_equal(slack[virgin], linear_slack(
+        FacetStateArray.virgin(n), e_ref, p)[virgin])
+    assert np.array_equal(linear_slack(states, None, p),
+                          linear_slack(states, np.zeros((n, 3)), p))
+
+    rows = np.flatnonzero(slack >= 1e-6 * np.maximum(
+        np.abs(e_ref).max(axis=1), max(floor_t, R, p.sigma_c0 / p.E0)))
+    inner = data.draw(hnp.arrays(float, (len(rows), 4, 3),
+                                 elements=st.floats(-1.0, 1.0)))
+    units = np.concatenate([np.broadcast_to(CORNERS, (len(rows), 8, 3)),
+                            inner], axis=1)
+    r = (1.0 - 1e-9) * slack[rows]
+    e = (e_ref[rows, None, :] + r[:, None, None] * units).reshape(-1, 3)
+    at = np.repeat(rows, units.shape[1])
+    sub = FacetStateArray(*(getattr(states, f)[at] for f in FIELDS))
+    lengths = col(st.floats(1.0, 0.999 * p.lt))[at]
+    t, trial = facet_update(sub, e, no_e_v, lengths, p)
+    assert np.array_equal(t, e * p.D)
+    for f in ("e_p_m", "e_p_l", "e_n_res"):
+        assert np.array_equal(getattr(trial, f), getattr(sub, f)), f
+    assert np.all(trial.e_max < floor_t)
