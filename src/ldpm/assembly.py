@@ -225,9 +225,8 @@ def assemble_stiffness(mesh: Mesh, params: MaterialParams, B: sp.csr_matrix,
     so that an elastic static step leaves an exactly zero residual where
     the factor solves exactly.  `B` is the mesh's strain operator and
     `pairs` its facets' node pairs (`node_pairs`), as `SystemOperators`
-    holds them."""
+    holds them.  An entry that overflows raises AssemblyError."""
     rows = _facet_rows(B)
-    wd = facet_weights(mesh)[:, None] * params.D
     nn = mesh.n_nodes
     a, b = pairs.lo, pairs.hi
     order, start, count = pairs.order, pairs.start, pairs.count
@@ -240,23 +239,30 @@ def assemble_stiffness(mesh: Mesh, params: MaterialParams, B: sp.csr_matrix,
     at[by] = np.arange(len(by))
     blocks = np.empty((len(by), 6, 6))
     diag = np.zeros((nn, 6, 6))
-    for m in np.unique(count):
-        of_m = np.flatnonzero(count == m)
-        for sel in np.array_split(of_m, -(-len(of_m) // _K_CHUNK)):
-            ids = order[start[sel, None] + np.arange(m)]
-            X = rows[ids].reshape(len(sel), 3 * m, 12)
-            P = X.transpose(0, 2, 1) \
-                @ (wd[ids].reshape(len(sel), 3 * m, 1) * X)
-            np.add.at(diag, a[sel], P[:, :6, :6])
-            np.add.at(diag, b[sel], P[:, 6:, 6:])
-            upper = P[:, :6, 6:]
-            blocks[at[nn + sel]] = upper
-            blocks[at[nn + len(a) + sel]] = upper.transpose(0, 2, 1)
-    blocks[at[:nn]] = np.triu(diag) + np.triu(diag, 1).transpose(0, 2, 1)
+    # an overflow is refused below, once, as a non-finite entry of K
+    with np.errstate(over="ignore", invalid="ignore"):
+        wd = facet_weights(mesh)[:, None] * params.D
+        for m in np.unique(count):
+            of_m = np.flatnonzero(count == m)
+            for sel in np.array_split(of_m, -(-len(of_m) // _K_CHUNK)):
+                ids = order[start[sel, None] + np.arange(m)]
+                X = rows[ids].reshape(len(sel), 3 * m, 12)
+                P = X.transpose(0, 2, 1) \
+                    @ (wd[ids].reshape(len(sel), 3 * m, 1) * X)
+                np.add.at(diag, a[sel], P[:, :6, :6])
+                np.add.at(diag, b[sel], P[:, 6:, 6:])
+                upper = P[:, :6, 6:]
+                blocks[at[nn + sel]] = upper
+                blocks[at[nn + len(a) + sel]] = upper.transpose(0, 2, 1)
+        blocks[at[:nn]] = np.triu(diag) + np.triu(diag, 1).transpose(0, 2, 1)
     K = sp.bsr_matrix(
         (blocks, col[by], np.concatenate([[0], np.cumsum(
             np.bincount(row, minlength=nn))])),
         shape=(mesh.n_dofs, mesh.n_dofs)).tocsr()
+    # the solvers factor K and multiply by it unchecked
+    if not np.isfinite(K.data).all():
+        raise AssemblyError("elastic stiffness not finite: the moduli or the "
+                            "facets overflow it")
     K.eliminate_zeros()
     return K
 

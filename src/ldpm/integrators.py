@@ -13,6 +13,7 @@ on the `SystemOperators`.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -104,6 +105,18 @@ def check_convergence(residual, dq, q, f_ext, f_int, f_inertia,
     """Disjunctive convergence test: the step passes when ANY selected
     criterion is below its tolerance.  A criterion whose normalizer is zero
     is skipped (flagged in the values) unless its numerator is zero too.
+
+    `residual`, `dq`, `q`, `f_ext` and `f_inertia` are the free DoFs'
+    entries; `f_int` is the internal force on every DoF.  The `residual`
+    criterion divides |residual| by max(|f_ext|, |f_int|, |f_inertia|): on
+    the prescribed DoFs f_int holds the reactions, so the scale sees the
+    load path of a displacement-driven run, where f_int on the free DoFs
+    is the residual itself (Crisfield, Non-linear Finite Element Analysis
+    of Solids and Structures, vol. 1, 1991, ch. 9).  `increment` divides
+    |dq| by |q|, `energy` |dq . residual| by `energy_ref`, and `wrms` is
+    the root mean square of dq weighted by 1 / (r_tol |q| + a_tol), which
+    passes below 1.  The three pass on any state at dq = 0, so a state
+    that no pass produced is judged on `residual` alone.
     """
     values = {}
     passed = False
@@ -278,6 +291,9 @@ class _SolverBase:
         self.f_ext_total = self.reaction_forces + self.f_ext
         self.ledger = diagnostics.EnergyLedger()
         self._held = None
+        # the last step's increment while the static driver may extrapolate
+        # it (`GeneralizedAlphaIntegrator._predict`), else None
+        self._predictor = None
         # m a on the prescribed DoFs and the acceleration it is of (`_commit`)
         self._accel_p = self._inertia_p = None
 
@@ -327,7 +343,9 @@ class _SolverBase:
         """Add a uniform(-eta/2, eta/2) draw to every free DoF, then
         evaluate and commit forces, facet states and reactions there.  Books
         the work over the jump; the out-of-balance force left, inertia
-        included, is held until the next step releases it."""
+        included, is held until the next step releases it.  The next step
+        extrapolates no increment from before the jump."""
+        self._predictor = None
         q0, f_int0 = self.q, self.f_int
         self.q = perturb(self.q, self.program.free, eta, rng)
         self._refresh()
@@ -436,13 +454,21 @@ class ExplicitIntegrator(_SolverBase):
         return StepReport(self.t, 0, True)
 
 
+# the rounding tolerance, in eps, of the parallel test of
+# `GeneralizedAlphaIntegrator._predict`
+PARALLEL = 64
+
+
 class GeneralizedAlphaIntegrator(_SolverBase):
     """Implicit generalized-alpha with modified Newton on the initial
     elastic stiffness; the effective matrix is factorized once.
 
     With `mass` None the driver is quasi-static: the residual is
     f_int - f_ext, the factorized matrix is the elastic stiffness, and
-    velocities and accelerations stay zero.
+    velocities and accelerations stay zero.  A quasi-static step after a
+    certified-linear one may start from the extrapolated state of
+    `_predict`; when that state passes the `residual` criterion it is
+    committed without a solve, with 0 iterations.
     """
 
     def __init__(self, ops, program, mass: np.ndarray | None,
@@ -452,6 +478,14 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         self.conv = conv
         self.dt = dt
         free = program.free
+        # the spec that judges a predicted state (`_predict`); None where the
+        # driver never predicts
+        self._predicted_spec = None
+        if mass is None and "residual" in conv.criteria:
+            self._predicted_spec = dataclasses.replace(
+                conv, criteria=("residual",))
+        # K is finite (`assemble_stiffness`); the band is scattered from
+        # K_eff's entries, and factored unchecked
         K_eff = ops.K
         if mass is not None:
             b_dt2 = ga.beta * dt * dt
@@ -461,9 +495,8 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             c_m = (1.0 - ga.alpha_m) / b_dt2
             with np.errstate(over="ignore", invalid="ignore"):
                 K_eff = (1.0 - ga.alpha_f) * K_eff + sp.diags(c_m * mass)
-        # the band is scattered from these entries, and factored unchecked
-        if not np.isfinite(K_eff.data).all():
-            raise np.linalg.LinAlgError("effective matrix not finite")
+            if not np.isfinite(K_eff.data).all():
+                raise np.linalg.LinAlgError("effective matrix not finite")
         try:
             pairs = ops.pairs
             self._factor = spla.splu(K_eff, spla.node_order(
@@ -493,6 +526,52 @@ class GeneralizedAlphaIntegrator(_SolverBase):
     def energy_ref(self) -> float:
         """Energy-criterion scale: |W_ext| plus the kinetic energy."""
         return abs(self.ledger.w_ext) + self.kinetic_energy()
+
+    def _predict(self, q_new, f_ext) -> bool:
+        """Move the free DoFs of the step's start `q_new` (the committed q,
+        the prescribed DoFs at t1) to q0 + c dq0, Crisfield's extrapolated
+        predictor (vol. 1, 1991, ch. 9), and return True; or leave `q_new`
+        and return False.
+
+        dq0 is the last step's free increment and c = (dp1 . dp0) / (dp0 .
+        dp0), dp the increments of the prescribed DoFs.  The driver predicts
+        only without inertia and with `residual` among the criteria.  The
+        last step must be committed certified linear (`elastic_only`, or a
+        certificate that evaluates no facet), with the external force
+        unchanged over it and no `perturb` before or after it (a step after
+        a jump also relaxes the jump).  Then the force at t1 must still be
+        the committed one, dp0 != 0, dp1 parallel to dp0 to rounding, and
+        the committed certificate must cover the predicted q.  f_int is
+        then K q on both steps, equilibrium is linear in the prescribed
+        displacements, and the prediction is the solution to rounding.
+
+        Parallel to rounding: |dp1 - c dp0|_inf <= `PARALLEL` eps (1 + |c|)
+        P, where P = max(|p0|_inf, |p1|_inf) + |dp0|_inf bounds the
+        prescribed displacements at the three instants; each computed
+        increment misses its exact value by a few eps of the two
+        displacements it is the difference of.
+        """
+        dq0 = self._predictor
+        if dq0 is None or not np.array_equal(f_ext, self.f_ext):
+            return False
+        p = self.program
+        p0, p1, dp0 = self.q[p.prescribed], q_new[p.prescribed], \
+            dq0[p.prescribed]
+        dp1 = p1 - p0
+        dd = float(dp0.dot(dp0))
+        if dd == 0.0:
+            return False
+        c = float(dp1.dot(dp0)) / dd
+        size = max(np.abs(p0).max(), np.abs(p1).max()) + np.abs(dp0).max()
+        if not np.abs(dp1 - c * dp0).max() \
+                <= PARALLEL * np.finfo(float).eps * (1.0 + abs(c)) * size:
+            return False
+        free = p.free
+        q_new[free] += c * dq0[free]
+        if self.ops.elastic_only or self.states.certificate.covers(q_new):
+            return True
+        q_new[free] = self.q[free]
+        return False
 
     def step(self) -> StepReport:
         p, ga, dt, mass = self.program, self.ga, self.dt, self.mass
@@ -526,9 +605,14 @@ class GeneralizedAlphaIntegrator(_SolverBase):
                 raise DivergenceError(self.step_index, "non-finite residual")
             return r, f_inertia, out
 
+        predicted = self._predict(q_new, f_ext)
         r_full, f_inertia, last = residual(q_new, a_new)
         iterations, converged, values = 0, False, {}
-        while iterations < self.conv.max_iter:
+        if predicted:
+            converged, values = check_convergence(
+                r_full[free], zeros[free], q_new[free], f_ext_mid[free],
+                last[0], f_inertia[free], energy_ref, self._predicted_spec)
+        while not converged and iterations < self.conv.max_iter:
             dq = np.zeros_like(q_new)
             dq[free] = self._factor.solve(-r_full[free])
             q_new += dq
@@ -542,9 +626,7 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             r_full, f_inertia, last = residual(q_new, a_new)
             converged, values = check_convergence(
                 r_full[free], dq[free], q_new[free], f_ext_mid[free],
-                last[0][free], f_inertia[free], e_ref, self.conv)
-            if converged:
-                break
+                last[0], f_inertia[free], e_ref, self.conv)
         if not converged and self.conv.on_fail == "abort":
             raise NonConvergenceError(self.step_index, iterations)
 
@@ -555,8 +637,15 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             del last
             last = internal_forces(q_new, self.ops, self.states)
         self.q, self.v, self.a, self.t = q_new, v_new, a_new, t1
+        # the next step extrapolates a certified-linear step that neither
+        # relaxed the jump of a perturbation nor moved the external force
+        linear = self._predicted_spec is not None and self._held is None \
+            and np.array_equal(f_ext, self.f_ext) and (
+                self.ops.elastic_only or not len(last[1].certificate.rows))
         self._commit(*last, f_ext)
-        self._book_step(q0, f_int0, f_ext0)
+        dq = np.empty_like(q0)
+        self._book_step(q0, f_int0, f_ext0, dq)
+        self._predictor = dq if linear else None
         self.step_index += 1
         return StepReport(self.t, iterations, converged, values)
 
