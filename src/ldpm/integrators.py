@@ -5,10 +5,11 @@ from the solved system and driven directly by the load program; reactions
 are recovered on the eliminated rows.  The implicit solver is the
 generalized-alpha family (HHT and Newmark as special cases) with modified
 Newton iterations on the initial elastic stiffness, factorized once per
-simulation.  The static solver is the same driver without inertia.  A
-solver sees the facets only through `internal_forces(q, ops, states) ->
-(f_int, trial)` and commits the trial states it accepts; the law mode lives
-on the `SystemOperators`.
+simulation.  The static solver is the same driver without inertia, which
+skips the solve on the steps it proves linear.  A solver sees the facets
+only through `internal_forces(q, ops, states) -> (f_int, trial)` and
+commits the trial states it accepts; the law mode lives on the
+`SystemOperators`.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def check_convergence(residual, dq, q, f_ext, f_int, f_inertia,
     of Solids and Structures, vol. 1, 1991, ch. 9).  `increment` divides
     |dq| by |q|, `energy` |dq . residual| by `energy_ref`, and `wrms` is
     the root mean square of dq weighted by 1 / (r_tol |q| + a_tol), which
-    passes below 1.  The three pass on any state at dq = 0, so a state
+    passes below 1.  These three pass on any state at dq = 0, so a state
     that no pass produced is judged on `residual` alone.
     """
     values = {}
