@@ -566,9 +566,10 @@ class Certificate:
 def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     """Nodal internal forces at q from the committed facet `states`.
 
-    Returns (f_int, trial); the trial states are not committed here.  The
+    Returns (f_int, trial); the trial states are not committed here, and
+    they are `states` itself exactly when no facet was evaluated.  The
     elastic law is linear, so on `elastic_only` operators f_int is the one
-    product K q (K = B^T W D B) and the trial states are `states`.
+    product K q (K = B^T W D B).
 
     Otherwise f_int = K q + B_E^T W_E (t_E - D e_E) over the facets E that
     the certificate memoized on `states` does not prove linear (see
@@ -609,16 +610,13 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
 
 def facet_tractions(q, ops: SystemOperators, states: FacetStateArray,
                     strains=None) -> np.ndarray:
-    """(nf, 3) tractions of the committed `states` at their q: those of
-    the law on the facets their certificate evaluated, and the elastic law
-    of the strains at q on the facets it certified and on elastic
-    operators.  `strains`, when given, are those at q (`ops.strains(q)`),
-    which are then not formed again."""
-    cert = None if ops.elastic_only else states.certificate
-    if not ops.elastic_only and cert is None:
-        return states.traction
+    """(nf, 3) tractions of the committed `states` at their q: the elastic
+    law of the strains at q, but on the facets that the certificate of
+    `states` evaluated, those of the law.  `strains`, when given, are those
+    at q (`ops.strains(q)`), which are then not formed again."""
     t = elastic_tractions(ops.strains(q) if strains is None else strains,
                           ops.params)
+    cert = states.certificate
     if cert is not None and len(cert.rows):
         t[cert.rows] = states.split(cert.rows)[1].traction
     return t

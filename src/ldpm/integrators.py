@@ -8,13 +8,13 @@ Newton iterations on the initial elastic stiffness, factorized once per
 simulation.  The static solver is the same driver without inertia, which
 skips the solve on the steps it proves linear.  A solver sees the facets
 only through `internal_forces(q, ops, states) -> (f_int, trial)` and
-commits the trial states it accepts; the law mode lives on the
+commits the trial states it accepts; the trial states are `states` itself
+exactly when no facet was evaluated.  The law mode lives on the
 `SystemOperators`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -116,8 +116,9 @@ def check_convergence(residual, dq, q, f_ext, f_int, f_inertia,
     of Solids and Structures, vol. 1, 1991, ch. 9).  `increment` divides
     |dq| by |q|, `energy` |dq . residual| by `energy_ref`, and `wrms` is
     the root mean square of dq weighted by 1 / (r_tol |q| + a_tol), which
-    passes below 1.  These three pass on any state at dq = 0, so a state
-    that no pass produced is judged on `residual` alone.
+    passes below 1.  These three would pass on any state at dq = 0, so a
+    state that no pass produced is given as `dq` None and judged on
+    `residual` alone.
     """
     values = {}
     passed = False
@@ -141,6 +142,8 @@ def check_convergence(residual, dq, q, f_ext, f_int, f_inertia,
     if "residual" in spec.criteria:
         judge("residual", norm(residual),
               max(norm(f_ext), norm(f_int), norm(f_inertia)), spec.tolerance)
+    if dq is None:
+        return passed, values
     if "increment" in spec.criteria:
         judge("increment", norm(dq), norm(q), spec.tolerance)
     if "energy" in spec.criteria:
@@ -467,9 +470,10 @@ class GeneralizedAlphaIntegrator(_SolverBase):
     With `mass` None the driver is quasi-static: the residual is
     f_int - f_ext, the factorized matrix is the elastic stiffness, and
     velocities and accelerations stay zero.  A quasi-static step after a
-    certified-linear one may start from the extrapolated state of
-    `_predict`; when that state passes the `residual` criterion it is
-    committed without a solve, with 0 iterations.
+    linear one may start from the extrapolated state of `_predict`; when
+    the evaluation there runs the law on no facet and passes the
+    `residual` criterion, the state is committed without a solve, with 0
+    iterations.
     """
 
     def __init__(self, ops, program, mass: np.ndarray | None,
@@ -479,12 +483,8 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         self.conv = conv
         self.dt = dt
         free = program.free
-        # the spec that judges a predicted state (`_predict`); None where the
-        # driver never predicts
-        self._predicted_spec = None
-        if mass is None and "residual" in conv.criteria:
-            self._predicted_spec = dataclasses.replace(
-                conv, criteria=("residual",))
+        # whether the driver predicts (`_predict`)
+        self._predicts = mass is None and "residual" in conv.criteria
         # K is finite (`assemble_stiffness`); the band is scattered from
         # K_eff's entries, and factored unchecked
         K_eff = ops.K
@@ -537,14 +537,15 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         dq0 is the last step's free increment and c = (dp1 . dp0) / (dp0 .
         dp0), dp the increments of the prescribed DoFs.  The driver predicts
         only without inertia and with `residual` among the criteria.  The
-        last step must be committed certified linear (`elastic_only`, or a
-        certificate that evaluates no facet), with the external force
-        unchanged over it and no `perturb` before or after it (a step after
-        a jump also relaxes the jump).  Then the force at t1 must still be
-        the committed one, dp0 != 0, dp1 parallel to dp0 to rounding, and
-        the committed certificate must cover the predicted q.  f_int is
-        then K q on both steps, equilibrium is linear in the prescribed
-        displacements, and the prediction is the solution to rounding.
+        last step must have evaluated no facet at its end, with the
+        external force unchanged over it and no `perturb` before or after
+        it (a step after a jump also relaxes the jump).  Then the force at
+        t1 must still be the committed one, dp0 != 0 and dp1 parallel to
+        dp0 to rounding.  `step` judges the prediction by its one
+        evaluation: where that evaluated no facet, its certificate proves
+        every facet virgin and linear there, f_int = K q, equilibrium is
+        linear in the prescribed displacements, and the prediction is the
+        solution to rounding.
 
         Parallel to rounding: |dp1 - c dp0|_inf <= `PARALLEL` eps (1 + |c|)
         P, where P = max(|p0|_inf, |p1|_inf) + |dp0|_inf bounds the
@@ -569,10 +570,7 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             return False
         free = p.free
         q_new[free] += c * dq0[free]
-        if self.ops.elastic_only or self.states.certificate.covers(q_new):
-            return True
-        q_new[free] = self.q[free]
-        return False
+        return True
 
     def step(self) -> StepReport:
         p, ga, dt, mass = self.program, self.ga, self.dt, self.mass
@@ -609,10 +607,11 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         predicted = self._predict(q_new, f_ext)
         r_full, f_inertia, last = residual(q_new, a_new)
         iterations, converged, values = 0, False, {}
-        if predicted:
+        # a predicted state at which no facet was evaluated is linear
+        if predicted and last[1] is self.states:
             converged, values = check_convergence(
-                r_full[free], zeros[free], q_new[free], f_ext_mid[free],
-                last[0], f_inertia[free], energy_ref, self._predicted_spec)
+                r_full[free], None, q_new[free], f_ext_mid[free], last[0],
+                f_inertia[free], energy_ref, self.conv)
         while not converged and iterations < self.conv.max_iter:
             dq = np.zeros_like(q_new)
             dq[free] = self._factor.solve(-r_full[free])
@@ -638,11 +637,11 @@ class GeneralizedAlphaIntegrator(_SolverBase):
             del last
             last = internal_forces(q_new, self.ops, self.states)
         self.q, self.v, self.a, self.t = q_new, v_new, a_new, t1
-        # the next step extrapolates a certified-linear step that neither
-        # relaxed the jump of a perturbation nor moved the external force
-        linear = self._predicted_spec is not None and self._held is None \
-            and np.array_equal(f_ext, self.f_ext) and (
-                self.ops.elastic_only or not len(last[1].certificate.rows))
+        # the next step extrapolates a step that evaluated no facet at its
+        # end and neither relaxed the jump of a perturbation nor moved the
+        # external force
+        linear = self._predicts and self._held is None \
+            and np.array_equal(f_ext, self.f_ext) and last[1] is self.states
         self._commit(*last, f_ext)
         dq = np.empty_like(q0)
         self._book_step(q0, f_int0, f_ext0, dq)

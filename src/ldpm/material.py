@@ -113,8 +113,9 @@ class FacetStateArray:
                 a certificate holds, `assembly.facet_tractions` gives the
                 committed one
     certificate the `ldpm.assembly` certificate memoized on these states
-                (None until one is built): which facets it proves linear,
-                and the displacement budgets of that proof
+                (None until one is built), which only `ldpm.assembly`
+                reads: which facets it proves linear, and the displacement
+                budgets of that proof
 
     States may be compact (`with_rows`): the states of the facets `rows`
     alone, on the full states of every other facet, which they share.  The

@@ -3,7 +3,7 @@ import copy
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.testing import assert_allclose
 
 from ldpm.assembly import (
@@ -815,6 +815,25 @@ class TestGeneralizedAlpha:
         assert solver.q[6] == pytest.approx(want, rel=1e-12)
 
 
+def linear_pull(params, kind, velocity):
+    """A static run, on steps of 2e-5 s, of the two-particle chain (60 mm
+    facets; node 2 driven in u_x at `velocity` mm/s) or of the single tet
+    (base fixed; apex driven in u_z).  At 1 mm/s, 240 steps pull the chain
+    to a strain of 4e-5 and the tet's most strained facet to 3.9e-5."""
+    if kind == "chain":
+        mesh = build_fixture("two-particle-chain", n=2, length=60.0,
+                             area=100.0)
+        kinematic = {**{dof: (0.0, 0.0) for dof in CHAIN_FIXED},
+                     12: (velocity, 0.0)}
+    else:
+        mesh = build_fixture("single-tet")
+        kinematic = {dof: (0.0, 0.0) for dof in range(18)}
+        kinematic[20] = (velocity, 0.0)
+    ops = SystemOperators(mesh, params)
+    return StaticSolver(ops, LoadProgram(mesh.n_dofs, kinematic), 2e-5,
+                        ConvergenceSpec())
+
+
 class TestStatic:
     def test_elastic_exact_in_one_iteration(self, params):
         mesh, ops, program, mass, k, m = single_dof_setup(
@@ -874,8 +893,8 @@ class TestStatic:
     def test_a_step_without_a_pass_is_certified_linear(self, params):
         # the chain is pulled through the certified share of its facets'
         # linear range to cracking: a step committed from the prediction
-        # alone evaluated no facet, so a prediction that the committed
-        # certificate does not cover is never taken
+        # alone evaluated no facet, so a prediction at which the law ran is
+        # never taken
         mesh = build_fixture("two-particle-chain", n=2, length=60.0,
                              area=100.0)
         ops = SystemOperators(mesh, params)
@@ -891,6 +910,44 @@ class TestStatic:
                 predicted += 1
             evaluated += rows > 0
         assert predicted and evaluated
+
+    @pytest.mark.parametrize("kind", ["chain", "tet"])
+    def test_a_linear_pull_solves_once(self, params, kind):
+        # pulled to a strain of 4e-5, inside the facets' linear range (the
+        # tension floor is 5.7e-5) but past the budgets of the certificate
+        # built at q = 0: every step after the first is taken on the
+        # prediction alone, those that rebuild the certificate too
+        solver = linear_pull(params, kind, 1.0)
+        certs = set()
+        for k in range(240):
+            rep = solver.step()
+            assert rep.converged and (rep.iterations > 0) == (k == 0), k
+            certs.add(id(solver.states.certificate))
+        assert len(certs) >= 3
+
+    def test_a_prediction_is_judged_by_its_evaluation(self, params):
+        # the tet pulled past the certified share of its facets' linear
+        # range: an evaluation returns the committed states themselves
+        # exactly when it runs the law on no facet, also where it rebuilds
+        # the certificate, and only then is a prediction taken without a
+        # pass
+        solver = linear_pull(params, "tet", 1.2)
+        rebuilt = evaluated = 0
+        for k in range(240):
+            committed = solver.states
+            cert = committed.certificate
+            rep = solver.step()
+            kept = solver.states is committed
+            if k:
+                assert (rep.iterations == 0) == kept, k
+            f, trial = internal_forces(solver.q, solver.ops, committed)
+            assert (trial is committed) == kept
+            assert np.array_equal(f, solver.f_int)
+            assert kept == (not len(solver.states.certificate.rows))
+            rebuilt += kept and k > 0 \
+                and solver.states.certificate is not cert
+            evaluated += not kept
+        assert rebuilt >= 3 and evaluated >= 10
 
     def test_force_control_past_peak_fails(self, params):
         mesh, ops, program, mass, k, m = single_dof_setup(
@@ -914,6 +971,27 @@ class TestStatic:
         assert solver.q[6] == pytest.approx(want, rel=1e-12)
 
 
+def fixed_base(mesh):
+    """The base (lowest z) of `mesh` fixed: its kinematic map, the top
+    nodes' u_z DoFs, the first top node's u_x and the height."""
+    z = mesh.positions[:, 2]
+    kinematic = {6 * node + c: (0.0, 0.0) for c in range(6)
+                 for node in np.flatnonzero(z == z.min())}
+    top = np.flatnonzero(z == z.max())
+    return kinematic, list(6 * top + 2), 6 * top[0], z.max() - z.min()
+
+
+def rebuild_case():
+    """A case of `predictor_cases`: the 1 x 1 x 2 block (seed 0) with the
+    facet law, pulled to 1e-5 in three steps, whose certificate is rebuilt
+    at the third step inside the facets' linear range."""
+    mesh = build_block_specimen((40.0, 40.0, 40.0), (1, 1, 2), seed=0)
+    kinematic, driven, _, length = fixed_base(mesh)
+    kinematic.update({dof: (1e-5 * length, 0.0) for dof in driven})
+    return SystemOperators(mesh, MaterialParams()), kinematic, [], 1.0 / 3, \
+        3, None
+
+
 @st.composite
 def predictor_cases(draw):
     """A linear static run: a chain, a tet or a block (div up to 2 x 2 x 4),
@@ -934,12 +1012,7 @@ def predictor_cases(draw):
             build_block_specimen((40.0, 40.0, 40.0), (
                 draw(st.integers(1, 2)), draw(st.integers(1, 2)),
                 draw(st.integers(1, 4))), seed=draw(st.integers(0, 3)))
-        z = mesh.positions[:, 2]
-        kinematic = {6 * node + c: (0.0, 0.0) for c in range(6)
-                     for node in np.flatnonzero(z == z.min())}
-        top = np.flatnonzero(z == z.max())
-        driven, pushed = list(6 * top + 2), 6 * top[0]
-        length = z.max() - z.min()
+        kinematic, driven, pushed, length = fixed_base(mesh)
     steps = draw(st.integers(3, 8))
     dt = 1.0 / steps
     ramp = draw(st.sampled_from([0.0, 0.5 * dt, 2.0 * dt, 1.0]))
@@ -972,16 +1045,18 @@ PREDICTOR_EPS = 1e4
 
 
 @given(predictor_cases())
+@example(rebuild_case())
 def test_predictor_is_the_linear_solution(case):
     """A certified-linear static step accepted on the prediction alone is
     the solution a pass finds: with the default criteria, and with
     `increment,energy`, which never predicts, the final q, reactions and
-    W_int agree to rounding.  On elastic runs every step from the second
-    on is taken without a pass, but for the one after a perturbation, the
-    two after a step over which the external force changes and, when the
-    force is out of balance at q = 0, the second step: these start from
-    an increment that extrapolates no equilibrium, and the first of each
-    takes at least one pass."""
+    W_int agree to rounding.  On runs that evaluate no facet (every
+    elastic run, and inelastic ones across rebuilds of the certificate)
+    every step from the second on is taken without a pass, but for the
+    one after a perturbation, the two after a step over which the external
+    force changes and, when the force is out of balance at q = 0, the
+    second step: these start from an increment that extrapolates no
+    equilibrium, and the first of each takes at least one pass."""
     ops, kinematic, forces, dt, steps, jump = case
     runs = []
     for criteria in (("residual", "increment", "energy"),
@@ -989,18 +1064,21 @@ def test_predictor_is_the_linear_solution(case):
         program = LoadProgram(ops.mesh.n_dofs, kinematic, forces)
         solver = StaticSolver(ops, program, dt,
                               ConvergenceSpec(criteria=criteria))
-        reports = []
+        reports, linear = [], True
         for k in range(steps):
+            committed = solver.states
             if jump is not None and k == jump[0]:
                 solver.perturb(jump[1], np.random.default_rng(7))
             reports.append(solver.step())
-        runs.append((solver, reports))
-    (a, reports), (b, _) = runs
+            # no facet evaluated: the trial states are the committed ones
+            linear = linear and solver.states is committed
+        runs.append((solver, reports, linear))
+    (a, reports, linear), (b, _, _) = runs
     tol = PREDICTOR_EPS * np.finfo(float).eps
     for x, y in ((a.q, b.q), (a.reaction_forces, b.reaction_forces),
                  (a.ledger.w_int, b.ledger.w_int)):
         assert np.abs(x - y).max() <= tol * np.abs(y).max()
-    if not ops.elastic_only:
+    if not linear:
         return
     f_ext = [a.program.external_force(t)
              for t in [0.0] + [rep.time for rep in reports]]
