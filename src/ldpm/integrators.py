@@ -290,9 +290,7 @@ class _SolverBase:
         self.a = np.zeros(n)
         self.states = FacetStateArray.virgin(ops.mesh.n_facets)
         self.f_int = np.zeros(n)
-        self.f_ext = program.external_force(self.t)
         self.reaction_forces = np.zeros(n)
-        self.f_ext_total = self.reaction_forces + self.f_ext
         self.ledger = diagnostics.EnergyLedger()
         self._held = None
         # the last step's increment while the static driver may extrapolate
@@ -300,6 +298,9 @@ class _SolverBase:
         self._predictor = None
         # m a on the prescribed DoFs and the acceleration it is of (`_commit`)
         self._accel_p = self._inertia_p = None
+        # commit t = 0, its reactions included; f_int is 0 at q = 0 on
+        # virgin states, so no facet is evaluated
+        self._commit(self.f_int, self.states, program.external_force(self.t))
 
     @property
     def strains(self) -> np.ndarray:

@@ -159,6 +159,35 @@ class TestSolverLedger:
             assert solver.energy_ref == abs(rec.w_ext[-1]) + rec.w_kin[-1] \
                 > 0.0
 
+    def test_every_solver_commits_its_start(self):
+        # the reactions at t = 0 are committed before the first step: on
+        # unconfined-free they are the prescribed nodes' m a_p(0), and row
+        # 0 is the same for every dynamic solver
+        rows = set()
+        for kind in ("explicit", "genalpha", "hht", "newmark"):
+            cfg = preset_config("unconfined-free", solver=kind)
+            cfg.total_time, cfg.stride = 2e-4, 1
+            rec = run(cfg, write_outputs=False)
+            rows.add(np.array([
+                rec.times[0], rec.iterations[0], rec.converged[0],
+                *rec.reactions[0], rec.w_kin[0], rec.w_int[0], rec.w_ext[0],
+                rec.balance_err[0], rec.monitor_disp[0]]).tobytes())
+            assert rec.reactions[0, 2] != 0.0
+        assert len(rows) == 1
+
+    def test_a_force_at_t0_enters_the_first_step(self):
+        # a force on the driven face from t = 0 is balanced there by the
+        # reactions at t = 0; when the first step's W_ext missed them, its
+        # balance error read 94 %
+        cfg = preset_config("dog-bone", solver="static")
+        cfg.constraints = (*(c for c in cfg.constraints
+                             if not c.startswith("velocity")),
+                           "velocity zmax uz 1", "force zmax uz 0:5,1:5")
+        cfg.total_time, cfg.stride = 2e-4, 1
+        rec = run(cfg, write_outputs=False)
+        assert rec.reactions[0, 2] == -125.0
+        assert rec.balance_err[1] <= 1e-9
+
     def test_explicit_kinetic_energy_once_per_recorded_row(
             self, monkeypatch):
         calls = []
