@@ -929,8 +929,8 @@ class TestStatic:
         # the tet pulled past the certified share of its facets' linear
         # range: an evaluation returns the committed states themselves
         # exactly when it runs the law on no facet, also where it rebuilds
-        # the certificate, and only then is a prediction taken without a
-        # pass
+        # the certificate; only then is a prediction taken without a pass,
+        # and only a step whose last evaluation did so is extrapolated
         solver = linear_pull(params, "tet", 1.2)
         rebuilt = evaluated = 0
         for k in range(240):
@@ -940,6 +940,7 @@ class TestStatic:
             kept = solver.states is committed
             if k:
                 assert (rep.iterations == 0) == kept, k
+            assert (solver._predictor is not None) == kept, k
             f, trial = internal_forces(solver.q, solver.ops, committed)
             assert (trial is committed) == kept
             assert np.array_equal(f, solver.f_int)
