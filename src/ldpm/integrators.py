@@ -8,8 +8,7 @@ Newton iterations on the initial elastic stiffness, factorized once per
 simulation.  The static solver is the same driver without inertia, which
 skips the solve on the steps it proves linear.  A solver sees the facets
 only through `internal_forces(q, ops, states) -> (f_int, trial)` and
-commits the trial states it accepts; the trial states are `states` itself
-exactly when no facet was evaluated.  The law mode lives on the
+commits the trial states it accepts; the law mode lives on the
 `SystemOperators`.
 """
 
@@ -484,7 +483,6 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         self.conv = conv
         self.dt = dt
         free = program.free
-        # whether the driver predicts (`_predict`)
         self._predicts = mass is None and "residual" in conv.criteria
         # K is finite (`assemble_stiffness`); the band is scattered from
         # K_eff's entries, and factored unchecked
@@ -543,10 +541,10 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         it (a step after a jump also relaxes the jump).  Then the force at
         t1 must still be the committed one, dp0 != 0 and dp1 parallel to
         dp0 to rounding.  `step` judges the prediction by its one
-        evaluation: where that evaluated no facet, its certificate proves
-        every facet virgin and linear there, f_int = K q, equilibrium is
-        linear in the prescribed displacements, and the prediction is the
-        solution to rounding.
+        evaluation: one that evaluated no facet has proven every facet
+        virgin and linear there (`internal_forces`), so f_int = K q,
+        equilibrium is linear in the prescribed displacements, and the
+        prediction is the solution to rounding.
 
         Parallel to rounding: |dp1 - c dp0|_inf <= `PARALLEL` eps (1 + |c|)
         P, where P = max(|p0|_inf, |p1|_inf) + |dp0|_inf bounds the

@@ -815,6 +815,16 @@ class TestGeneralizedAlpha:
         assert solver.q[6] == pytest.approx(want, rel=1e-12)
 
 
+def fixed_base(mesh):
+    """The base (lowest z) of `mesh` fixed: its kinematic map, the top
+    nodes' u_z DoFs, the first top node's u_x and the height."""
+    z = mesh.positions[:, 2]
+    kinematic = {6 * node + c: (0.0, 0.0) for c in range(6)
+                 for node in np.flatnonzero(z == z.min())}
+    top = np.flatnonzero(z == z.max())
+    return kinematic, list(6 * top + 2), 6 * top[0], z.max() - z.min()
+
+
 def linear_pull(params, kind, velocity):
     """A static run, on steps of 2e-5 s, of the two-particle chain (60 mm
     facets; node 2 driven in u_x at `velocity` mm/s) or of the single tet
@@ -827,8 +837,8 @@ def linear_pull(params, kind, velocity):
                      12: (velocity, 0.0)}
     else:
         mesh = build_fixture("single-tet")
-        kinematic = {dof: (0.0, 0.0) for dof in range(18)}
-        kinematic[20] = (velocity, 0.0)
+        kinematic, driven, _, _ = fixed_base(mesh)
+        kinematic.update({dof: (velocity, 0.0) for dof in driven})
     ops = SystemOperators(mesh, params)
     return StaticSolver(ops, LoadProgram(mesh.n_dofs, kinematic), 2e-5,
                         ConvergenceSpec())
@@ -970,16 +980,6 @@ class TestStatic:
             solver.step()
         want = -4.0 * (solver.t - 1e-4)
         assert solver.q[6] == pytest.approx(want, rel=1e-12)
-
-
-def fixed_base(mesh):
-    """The base (lowest z) of `mesh` fixed: its kinematic map, the top
-    nodes' u_z DoFs, the first top node's u_x and the height."""
-    z = mesh.positions[:, 2]
-    kinematic = {6 * node + c: (0.0, 0.0) for c in range(6)
-                 for node in np.flatnonzero(z == z.min())}
-    top = np.flatnonzero(z == z.max())
-    return kinematic, list(6 * top + 2), 6 * top[0], z.max() - z.min()
 
 
 def rebuild_case():
