@@ -12,7 +12,8 @@ Sections and keys::
     fixture = single-facet | two-particle-chain n=<k> | single-tet
     specimen = prism|dogbone|notched <lx>x<ly>x<lz> div=<nx>x<ny>x<nz>
                [seed=<s>] [jitter=<j>] [dp=<mm>] [waist=<f>]
-               [notch_depth=<f>] [notch_width=<mm>]   # div entries >= 1
+               [notch_depth=<f>] [notch_width=<mm>]   # div entries >= 1,
+                                    # waist > 0, a notch leaves a cell
     density = 2380                  # kg/m^3, the only density setting
 
     [material]
@@ -49,7 +50,7 @@ Sections and keys::
     [perturbation]
     eta = 0
     interval = 0.002                 # > 0 when eta > 0
-    seed = 0
+    seed = 0                         # >= 0
 
     [output]
     directory = out
@@ -141,6 +142,8 @@ class RunConfig:
         if self.eta > 0 and self.interval <= 0:
             raise ConfigError("perturbation.interval must be positive "
                               "when eta > 0")
+        if self.seed < 0:
+            raise ConfigError("perturbation.seed must be non-negative")
         if sum(x is not None for x in
                (self.mesh_path, self.fixture, self.specimen)) != 1:
             raise ConfigError("mesh: exactly one of path/fixture/specimen")
@@ -227,45 +230,21 @@ def build_specimen_from_spec(spec: str, density: float) -> Mesh:
     seed = kw.pop("seed", 0)
     jitter = kw.pop("jitter", 0.15)
     d_p = kw.pop("dp", None)
-
-    import numpy as np
     if shape == "prism":
-        if kw:
-            raise ConfigError(f"prism takes no options {sorted(kw)}")
-        return build_block_specimen(size, div, d_p=d_p, jitter=jitter,
-                                    seed=seed, density=density)
-    if shape == "dogbone":
-        waist = kw.pop("waist", 0.7)
-        if kw:
-            raise ConfigError(f"dogbone takes no options {sorted(kw)}")
-        lz = size[2]
-        cx, cy = size[0] / 2.0, size[1] / 2.0
-
-        def map_fn(x):
-            s = 1.0 - (1.0 - waist) * np.sin(np.pi * x[2] / lz) ** 2
-            return np.array([cx + (x[0] - cx) * s, cy + (x[1] - cy) * s, x[2]])
-
-        return build_block_specimen(size, div, d_p=d_p, jitter=jitter,
-                                    seed=seed, map_fn=map_fn, density=density)
-    if shape == "notched":
-        # the notch drops the cells whose x-extent overlaps the open band
-        # x_mid +- width / 2 and whose centre lies below depth x the height
-        depth = kw.pop("notch_depth", 0.5)    # fraction of height (z)
-        width = kw.pop("notch_width", None)   # mm, along x
-        if kw:
-            raise ConfigError(f"notched takes no options {sorted(kw)}")
-        cell = size[0] / div[0]
-        if width is None:
-            width = cell
-        x_mid = size[0] / 2.0
-
-        def keep(center):
-            return not (abs(center[0] - x_mid) < (cell + width) / 2.0
-                        and center[2] < depth * size[2])
-
-        return build_block_specimen(size, div, d_p=d_p, jitter=jitter,
-                                    seed=seed, keep=keep, density=density)
-    raise ConfigError(f"unknown specimen shape {shape!r}")
+        shape_kw = {}
+    elif shape == "dogbone":
+        shape_kw = {"waist": kw.pop("waist", 0.7)}
+    elif shape == "notched":
+        # depth as a fraction of the height (z); width in mm along x, by
+        # default one cell's
+        shape_kw = {"notch": (kw.pop("notch_depth", 0.5),
+                              kw.pop("notch_width", size[0] / div[0]))}
+    else:
+        raise ConfigError(f"unknown specimen shape {shape!r}")
+    if kw:
+        raise ConfigError(f"{shape} takes no options {sorted(kw)}")
+    return build_block_specimen(size, div, d_p=d_p, jitter=jitter, seed=seed,
+                                density=density, **shape_kw)
 
 
 # ---------------------------------------------------------------------------

@@ -637,17 +637,25 @@ _KUHN_OFFSETS = np.array([
 
 
 def build_block_specimen(size, divisions, d_p=None, jitter=0.15, seed=0,
-                         keep=None, map_fn=None,
+                         waist=None, notch=None,
                          density: float = DEFAULT_DENSITY) -> Mesh:
     """Desk-scale specimen: a structured grid of hexahedral cells, each split
     into six tetrahedra, with 12 facets per tet.  Interior grid nodes are
     jittered deterministically to break symmetry (mimicking material
-    heterogeneity).  `keep(center) -> bool` drops cells (notches); `map_fn`
-    remaps node coordinates after jitter (waisted shapes).
+    heterogeneity).
+
+    `waist` > 0 makes a dog-bone: after jitter, each node's x and y
+    distances from the axis scale by 1 - (1 - waist) sin^2(pi z / lz), so
+    the section at mid-height is `waist` times the ends'.  `notch` =
+    (depth, width) drops the cells whose x-extent overlaps the open band
+    x_mid +- width / 2 and whose centre lies below depth x the height; a
+    notch that drops every cell is refused.
     """
     size = np.asarray(size, float)
     dims = np.array(divisions, dtype=int)
     spacing = size / dims
+    if waist is not None and not waist > 0:
+        raise ValueError(f"waist must be positive, got {waist!r}")
     rng = np.random.default_rng(seed)
 
     # grid nodes numbered i-major, then j, then k
@@ -660,11 +668,20 @@ def build_block_specimen(size, divisions, d_p=None, jitter=0.15, seed=0,
     coords[interior] += delta[interior]
 
     cells = np.indices(dims).reshape(3, -1).T
-    if keep is not None:
-        cells = cells[[bool(keep(c)) for c in (cells + 0.5) * spacing]]
+    if notch is not None:
+        depth, width = notch
+        centre = (cells + 0.5) * spacing
+        cells = cells[~((np.abs(centre[:, 0] - size[0] / 2.0)
+                         < (spacing[0] + width) / 2.0)
+                        & (centre[:, 2] < depth * size[2]))]
+        if not len(cells):
+            raise ValueError(f"notch (depth {depth!r}, width {width!r} mm) "
+                             "leaves no cell of the specimen")
 
-    if map_fn is not None:
-        coords = np.array([map_fn(c) for c in coords])
+    if waist is not None:
+        s = 1.0 - (1.0 - waist) * np.sin(np.pi * coords[:, 2] / size[2]) ** 2
+        axis = size[:2] / 2.0
+        coords[:, :2] = axis + (coords[:, :2] - axis) * s[:, None]
 
     corners = cells[:, None, None, :] + _KUHN_OFFSETS      # (nc, 6, 4, 3)
     grid = (corners[..., 0] * (dims[1] + 1) + corners[..., 1]) \

@@ -292,9 +292,6 @@ class _SolverBase:
         self.reaction_forces = np.zeros(n)
         self.ledger = diagnostics.EnergyLedger()
         self._held = None
-        # the last step's increment while the static driver may extrapolate
-        # it (`GeneralizedAlphaIntegrator._predict`), else None
-        self._predictor = None
         # m a on the prescribed DoFs and the acceleration it is of (`_commit`)
         self._accel_p = self._inertia_p = None
         # commit t = 0, its reactions included; f_int is 0 at q = 0 on
@@ -349,7 +346,6 @@ class _SolverBase:
         the work over the jump; the out-of-balance force left, inertia
         included, is held until the next step releases it.  The next step
         extrapolates no increment from before the jump."""
-        self._predictor = None
         q0, f_int0 = self.q, self.f_int
         self.q = perturb(self.q, self.program.free, eta, rng)
         self._refresh()
@@ -484,6 +480,9 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         self.dt = dt
         free = program.free
         self._predicts = mass is None and "residual" in conv.criteria
+        # the last step's increment while `_predict` may extrapolate it,
+        # else None
+        self._predictor = None
         # K is finite (`assemble_stiffness`); the band is scattered from
         # K_eff's entries, and factored unchecked
         K_eff = ops.K
@@ -553,7 +552,8 @@ class GeneralizedAlphaIntegrator(_SolverBase):
         displacements it is the difference of.
         """
         dq0 = self._predictor
-        if dq0 is None or not np.array_equal(f_ext, self.f_ext):
+        if dq0 is None or self._held is not None \
+                or not np.array_equal(f_ext, self.f_ext):
             return False
         p = self.program
         p0, p1, dp0 = self.q[p.prescribed], q_new[p.prescribed], \

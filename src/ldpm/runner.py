@@ -19,6 +19,7 @@ and stdout only, never into the files.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -68,6 +69,7 @@ class RunRecord:
     config: RunConfig
     mesh: Mesh
     dt: float
+    n_steps: int                  # round(total_time / dt)
     times: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
@@ -169,7 +171,11 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunRecord:
     program = resolve_constraints(mesh, cfg.constraints)
     monitor = _monitor_dofs(cfg, mesh)
     solver, dt = build_solver(cfg, mesh, ops, program)
-    n_steps = int(round(cfg.total_time / dt))
+    count = cfg.total_time / dt
+    if not math.isfinite(count):
+        raise RunError(f"solver: total_time / dt is not a finite step count "
+                       f"({cfg.total_time!r} s / {dt!r} s)")
+    n_steps = round(count)
     if n_steps < 1:
         raise RunError("total_time shorter than one step")
 
@@ -215,7 +221,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunRecord:
     vol = volumetric_strain(solver.q, mesh)
 
     rec = RunRecord(
-        config=cfg, mesh=mesh, dt=dt,
+        config=cfg, mesh=mesh, dt=dt, n_steps=n_steps,
         times=np.array(times), iterations=np.array(iters, dtype=int),
         converged=np.array(conv_flags, dtype=bool),
         reactions=np.array(reactions), w_kin=np.array(w_kin),
@@ -282,7 +288,7 @@ def write_run_outputs(rec: RunRecord) -> Path:
         fh.write(f"facets: {rec.mesh.n_facets}\n")
         fh.write(f"dofs: {rec.mesh.n_dofs}\n")
         fh.write(f"dt: {_r(rec.dt)}\n")
-        fh.write(f"steps: {int(round(rec.config.total_time / rec.dt))}\n")
+        fh.write(f"steps: {rec.n_steps}\n")
         fh.write(f"final_time: {_r(rec.times[-1])}\n")
         fh.write(f"steps_not_converged: {rec.n_not_converged}\n")
         fh.write(f"final_W_kin: {_r(rec.w_kin[-1])}\n")

@@ -654,6 +654,23 @@ constraints =
                      id="velocity-ramp-token"),
         pytest.param(MINIMAL + "\n[perturbation]\neta = -1e-5\n",
                      id="eta"),
+        pytest.param(MINIMAL + "\n[perturbation]\nseed = -1\n",
+                     id="seed-negative"),
+        # total_time / dt overflows to inf
+        pytest.param(MINIMAL.replace("dt = 0.0005", "dt = 1e-320"),
+                     id="steps-inf-dt"),
+        pytest.param(MINIMAL.replace("dt = 0.0005\ntotal_time = 0.005",
+                                     "dt = 1e-10\ntotal_time = 1e308"),
+                     id="steps-inf-total_time"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = notched 120x30x30 div=2x1x1 "
+                                     "notch_depth=1 notch_width=1000"),
+                     id="notch-every-cell"),
+        # the section folds through the axis
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = dogbone 10x10x20 div=2x2x2 "
+                                     "waist=-1"),
+                     id="waist-negative"),
     ])
     def test_config_mistake_exit_2(self, tmp_path, capsys, text):
         broken_single_tet(tmp_path / "broken.mesh")

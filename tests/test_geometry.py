@@ -368,13 +368,33 @@ class TestBlockSpecimen:
         assert_allclose(lo, [0, 0, 0], atol=1e-12)
         assert_allclose(hi, [40, 40, 80], atol=1e-12)
 
-    def test_keep_predicate_removes_cells(self):
+    def test_notch_removes_cells(self):
+        # a notch of any positive width on two cells across takes the bottom
+        # cells of both columns at midspan: half of the cube
         full = build_block_specimen((40, 40, 40), (2, 2, 2), seed=0)
-        notched = build_block_specimen(
-            (40, 40, 40), (2, 2, 2), seed=0,
-            keep=lambda c: c[2] > 20 or abs(c[0] - 20) > 10)
-        assert len(notched.tets) < len(full.tets)
+        notched = build_block_specimen((40, 40, 40), (2, 2, 2), seed=0,
+                                       notch=(0.5, 1e-3))
+        assert len(notched.tets) == len(full.tets) // 2
         assert validate_mesh(notched).ok
+
+    def test_waist_is_the_per_node_map(self):
+        # the dog-bone is the prism of its seed with each node's x and y
+        # distances from the axis scaled by 1 - (1 - waist) sin^2(pi z / lz)
+        size, waist = (30.0, 30.0, 90.0), 0.6
+        prism = build_block_specimen(size, (4, 4, 8), seed=7)
+        bone = build_block_specimen(size, (4, 4, 8), seed=7, waist=waist)
+        ref = []
+        for x, y, z in prism.positions:
+            s = 1.0 - (1.0 - waist) * np.sin(np.pi * z / size[2]) ** 2
+            ref.append([15.0 + (x - 15.0) * s, 15.0 + (y - 15.0) * s, z])
+        assert_allclose(bone.positions, ref, rtol=0,
+                        atol=4 * np.finfo(float).eps * size[2])
+
+    def test_waist_that_collapses_the_section_is_degenerate(self):
+        # 1 - waist rounds to 1: the mid-plane's face nodes, at z = 10
+        # exactly, meet on the axis
+        with pytest.raises(MeshError, match="degenerate tetrahedron"):
+            build_block_specimen((10, 10, 20), (2, 2, 2), waist=1e-300)
 
     @pytest.mark.parametrize("options", [
         "notch_depth=0.45 notch_width=7.5", ""], ids=["preset", "default"])

@@ -178,7 +178,7 @@ def test_writer_text_is_that_of_r(tmp_path):
                      -2.5e17, 1.0, 1.0 / 3.0, 0.0], 2500)
     n = len(odd)
     rec = RunRecord(
-        config=cfg, mesh=mesh, dt=1e-4, times=odd,
+        config=cfg, mesh=mesh, dt=1e-4, n_steps=n, times=odd,
         iterations=np.arange(n) * 7, converged=np.arange(n) % 3 == 0,
         reactions=np.column_stack([np.roll(odd, k) for k in (1, 2, 3)]),
         w_kin=np.roll(odd, 4), w_int=np.roll(odd, 5), w_ext=np.roll(odd, 6),
