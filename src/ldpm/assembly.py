@@ -608,14 +608,12 @@ def internal_forces(q, ops: SystemOperators, states: FacetStateArray):
     return f_int, trial
 
 
-def facet_tractions(q, ops: SystemOperators, states: FacetStateArray,
-                    strains=None) -> np.ndarray:
-    """(nf, 3) tractions of the committed `states` at their q: the elastic
-    law of the strains at q, but on the facets that the certificate of
-    `states` evaluated, those of the law.  `strains`, when given, are those
-    at q (`ops.strains(q)`), which are then not formed again."""
-    t = elastic_tractions(ops.strains(q) if strains is None else strains,
-                          ops.params)
+def facet_tractions(strains, ops: SystemOperators,
+                    states: FacetStateArray) -> np.ndarray:
+    """(nf, 3) tractions of the committed `states` at the (nf, 3) `strains`
+    of their q (`ops.strains(q)`): the elastic law of the strains, but on
+    the facets that the certificate of `states` evaluated, those of the law."""
+    t = elastic_tractions(strains, ops.params)
     cert = states.certificate
     if cert is not None and len(cert.rows):
         t[cert.rows] = states.split(cert.rows)[1].traction

@@ -60,13 +60,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="check a mesh file")
     p_val.add_argument("mesh")
 
-    p_fix = sub.add_parser("fixture", help="write a fixture mesh")
+    p_fix = sub.add_parser("fixture", help="write a fixture mesh",
+                           argument_default=argparse.SUPPRESS)
     p_fix.add_argument("kind")
     p_fix.add_argument("-o", "--output", required=True)
-    p_fix.add_argument("--n", type=int, default=1)
-    p_fix.add_argument("--length", type=float, default=100.0)
-    p_fix.add_argument("--area", type=float, default=100.0)
-    p_fix.add_argument("--dp", type=float, default=20.0)
+    p_fix.add_argument("--n", type=int)
+    p_fix.add_argument("--length", type=float)
+    p_fix.add_argument("--area", type=float)
+    p_fix.add_argument("--dp", type=float, dest="d_p")
     return p
 
 
@@ -145,10 +146,11 @@ def cmd_validate(args) -> int:
 
 def cmd_fixture(args) -> int:
     try:
-        mesh = build_fixture(args.kind, n=args.n, length=args.length,
-                             area=args.area, d_p=args.dp)
+        sizes = {k: getattr(args, k) for k in ("n", "length", "area", "d_p")
+                 if hasattr(args, k)}
+        mesh = build_fixture(args.kind, **sizes)
         write_mesh(mesh, args.output)
-    except (MeshError, ValueError, OSError) as exc:
+    except (MeshError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(f"wrote {args.output} ({mesh.n_nodes} nodes, "

@@ -187,7 +187,7 @@ class RunConfig:
                                        "d_p": num})
                 return build_fixture(kind, density=self.density, **kw)
             return build_specimen_from_spec(self.specimen, self.density)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, FloatingPointError) as exc:
             raise ConfigError(f"mesh: {exc}") from None
 
 
@@ -227,24 +227,22 @@ def build_specimen_from_spec(spec: str, density: float) -> Mesh:
     if min(div) < 1:
         raise ConfigError(f"specimen div entries must be at least 1, got "
                           f"{'x'.join(map(str, div))}")
-    seed = kw.pop("seed", 0)
-    jitter = kw.pop("jitter", 0.15)
-    d_p = kw.pop("dp", None)
-    if shape == "prism":
-        shape_kw = {}
-    elif shape == "dogbone":
-        shape_kw = {"waist": kw.pop("waist", 0.7)}
+    # the options not given take the builder's defaults
+    build_kw = {name: kw.pop(key) for key, name in
+                (("seed", "seed"), ("jitter", "jitter"), ("dp", "d_p"))
+                if key in kw}
+    if shape == "dogbone":
+        build_kw["waist"] = kw.pop("waist", 0.7)
     elif shape == "notched":
         # depth as a fraction of the height (z); width in mm along x, by
         # default one cell's
-        shape_kw = {"notch": (kw.pop("notch_depth", 0.5),
-                              kw.pop("notch_width", size[0] / div[0]))}
-    else:
+        build_kw["notch"] = (kw.pop("notch_depth", 0.5),
+                             kw.pop("notch_width", size[0] / div[0]))
+    elif shape != "prism":
         raise ConfigError(f"unknown specimen shape {shape!r}")
     if kw:
         raise ConfigError(f"{shape} takes no options {sorted(kw)}")
-    return build_block_specimen(size, div, d_p=d_p, jitter=jitter, seed=seed,
-                                density=density, **shape_kw)
+    return build_block_specimen(size, div, density=density, **build_kw)
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,8 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
     data, not raised, facet by facet and then tet by tet.  Each check
     holds only for a valid value, so that a NaN fails it, quietly; an
     infinity in a float column is a violation of its own, as it can pass
-    a tolerance that scales with it."""
+    a tolerance that scales with it.  A raw area <= 0 is one too (a NaN
+    area fails the projected-area check alone)."""
     rep = ValidationReport()
     f = mesh.facets
     nn = mesh.n_nodes
@@ -320,9 +321,11 @@ def validate_mesh(mesh: Mesh) -> ValidationReport:
         ("edge-length", ~(length_gap
                           <= TOL_EDGE_LENGTH * np.maximum(1.0, length)),
          lambda k: f"stored {float(f.edge_length[k])!r} vs "
-                   f"|x_J - x_I| = {length[k]!r}"),
+                   f"|x_J - x_I| = {float(length[k])!r}"),
         ("normal-align", has_length & ~(align <= TOL_NORMAL_ALIGN),
          lambda k: f"normal off edge direction by {align[k]:.3e}"),
+        ("raw-area", f.raw_area <= 0,
+         lambda k: f"raw area {float(f.raw_area[k])!r} <= 0"),
         ("projected-area", ~(area_gap <= TOL_PROJECTED_AREA
                              * np.maximum(1.0, f.raw_area)),
          lambda k: f"stored {float(f.projected_area[k])!r}, "
@@ -579,6 +582,7 @@ def write_mesh(mesh: Mesh, path) -> None:
 # Fixtures and synthetic specimens
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="raise", invalid="raise")
 def build_fixture(kind: str, n: int = 1, length: float = 100.0,
                   area: float = 100.0, d_p: float = 20.0,
                   density: float = DEFAULT_DENSITY) -> Mesh:
@@ -590,11 +594,12 @@ def build_fixture(kind: str, n: int = 1, length: float = 100.0,
       two-particle-chain  n collinear facets, n + 1 nodes
       single-tet          one regular tetrahedron tessellated into 12 facets
     """
+    if not (n >= 1 and length > 0 and area > 0):
+        raise ValueError(f"fixture needs n >= 1, length > 0 and area > 0, "
+                         f"got n={n!r}, length={length!r}, area={area!r}")
     if kind == "single-facet":
         kind, n = "two-particle-chain", 1
     if kind == "two-particle-chain":
-        if n < 1:
-            raise ValueError("chain needs at least one facet")
         pos = np.zeros((n + 1, 3))
         pos[:, 0] = np.arange(n + 1) * length
         left, right = np.arange(n), np.arange(1, n + 1)
@@ -636,6 +641,7 @@ _KUHN_OFFSETS = np.array([
     for perm in itertools.permutations(range(3))])     # (6, 4, 3)
 
 
+@np.errstate(over="raise", invalid="raise")
 def build_block_specimen(size, divisions, d_p=None, jitter=0.15, seed=0,
                          waist=None, notch=None,
                          density: float = DEFAULT_DENSITY) -> Mesh:

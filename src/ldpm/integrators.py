@@ -150,11 +150,8 @@ def check_convergence(residual, dq, q, f_ext, f_int, f_inertia,
               spec.tolerance)
     if "wrms" in spec.criteria:
         w = 1.0 / (spec.r_tol * np.abs(q) + spec.a_tol)
-        val = float(np.sqrt(np.mean((np.asarray(dq) * w) ** 2))) if len(q) \
-            else 0.0
-        values["wrms"] = val
-        if val < 1.0:
-            passed = True
+        judge("wrms", float(np.sqrt(np.mean((np.asarray(dq) * w) ** 2)))
+              if len(q) else 0.0, 1.0, 1.0)
     return passed, values
 
 
@@ -309,7 +306,7 @@ class _SolverBase:
         those of the committed states on the facets the last evaluation
         ran the law on, the elastic law of `strains` on the facets it
         proved linear, and on elastic operators everywhere."""
-        return facet_tractions(self.q, self.ops, self.states)
+        return facet_tractions(self.strains, self.ops, self.states)
 
     def _commit(self, f_int, trial, f_ext) -> None:
         """Commit one evaluation at the current (t, q, a) and f_ext = the
@@ -328,11 +325,11 @@ class _SolverBase:
         self.reaction_forces[pres] = f - f_ext[pres]
         self.f_ext_total = self.reaction_forces + f_ext
 
-    def _book_step(self, q0, f_int0, f_ext0, dq=None, out=None) -> None:
+    def _book_step(self, q0, f_int0, f_ext0, dq, out=None) -> None:
         """Book the work from a step's start arrays q0, f_int0, f_ext0 (the
         step binds new ones) to its commit, then release a held force.
-        `dq` and `out`, when given, are n-arrays that take the step's
-        increment and the force sums of the work."""
+        `dq` is an n-array that takes the step's increment, and `out`, when
+        given, one that takes the force sums of the work."""
         dq = np.subtract(self.q, q0, out=dq)
         diagnostics.accumulate_work(self.ledger, f_ext0, self.f_ext_total,
                                     f_int0, self.f_int, dq, out=out)

@@ -124,11 +124,9 @@ class FacetStateArray:
     share arrays stay independent.
     """
 
-    def __init__(self, e_max, e_p_m, e_p_l, e_n_res, traction,
-                 certificate=None):
+    def __init__(self, e_max, e_p_m, e_p_l, e_n_res, traction):
         self._arrays = (e_max, e_p_m, e_p_l, e_n_res, traction)
-        self._base = self.rows = self.evaluated = None
-        self.certificate = certificate
+        self._base = self.rows = self.evaluated = self.certificate = None
 
     @classmethod
     def with_rows(cls, base: "FacetStateArray", rows,
@@ -172,10 +170,6 @@ class FacetStateArray:
             self.rows = rows
             self.evaluated = FacetStateArray(*(a[rows] for a in arrays))
         return (self if self._base is None else self._base), self.evaluated
-
-    def copy(self) -> "FacetStateArray":
-        return FacetStateArray(*(a.copy() for a in self._merged()),
-                               certificate=self.certificate)
 
 
 def sigma0(omega, params: MaterialParams):

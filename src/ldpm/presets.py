@@ -13,7 +13,7 @@ from __future__ import annotations
 from .config import ConfigError, RunConfig
 
 # the fields every preset shares unless its row sets them
-_DEFAULTS = dict(solver="explicit", dt_crit_factor=0.9, stride=20)
+_DEFAULTS = dict(dt_crit_factor=0.9, stride=20)
 
 # 40 x 40 x 80 prisms driven downward at the top face, recorded as nominal
 # compressive strain and stress

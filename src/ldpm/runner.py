@@ -47,9 +47,7 @@ def resolve_constraints(mesh: Mesh, directives) -> LoadProgram:
     `velocity` even at v = 0.  Forces keep directive order."""
     kinematic: dict[int, tuple] = {}   # dof -> (action, velocity, t_ramp)
     forces = []
-    for d in directives:
-        if isinstance(d, str):
-            d = parse_directive(d)
+    for d in map(parse_directive, directives):
         for node in select_nodes(mesh, d.selector):
             for comp in d.dofs:
                 dof = 6 * node + comp
@@ -217,7 +215,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunRecord:
 
     strains = solver.strains
     cracks = crack_openings(mesh, strains, facet_tractions(
-        solver.q, ops, solver.states, strains), params)
+        strains, ops, solver.states), params)
     vol = volumetric_strain(solver.q, mesh)
 
     rec = RunRecord(

@@ -671,6 +671,22 @@ constraints =
                                      "specimen = dogbone 10x10x20 div=2x2x2 "
                                      "waist=-1"),
                      id="waist-negative"),
+        # cells of negative volume
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "fixture = single-facet area=-5"),
+                     id="fixture-area-negative"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "fixture = single-facet length=-100"),
+                     id="fixture-length-negative"),
+        # finite values whose geometry overflows float64
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = prism 1e300x10x20 "
+                                     "div=2x2x2"),
+                     id="specimen-size-huge"),
+        pytest.param(MINIMAL.replace("fixture = single-facet",
+                                     "specimen = dogbone 10x10x20 div=2x2x2 "
+                                     "waist=1e200"),
+                     id="waist-huge"),
     ])
     def test_config_mistake_exit_2(self, tmp_path, capsys, text):
         broken_single_tet(tmp_path / "broken.mesh")
@@ -828,6 +844,41 @@ class TestCliFixtureValidate:
     def test_unknown_fixture_kind(self, tmp_path, capsys):
         assert main(["fixture", "moebius", "-o",
                      str(tmp_path / "x.mesh")]) == EXIT_VALIDATION
+
+    def test_nonpositive_fixture_size_not_written(self, tmp_path, capsys):
+        out = tmp_path / "x.mesh"
+        assert main(["fixture", "single-facet", "--area", "-5",
+                     "-o", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: fixture needs ") \
+            and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_negative_facet_area_refused(self, tmp_path, capsys):
+        # passed validation, and a static run on it exited 0 with a facet
+        # of negative stiffness in K
+        path = tmp_path / "tet.mesh"
+        write_mesh(build_fixture("single-tet"), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        at = 4 + next(i for i, l in enumerate(lines)
+                      if l.startswith("FACETS"))
+        tok = lines[at].split()
+        tok[3] = repr(-float(tok[3]))
+        lines[at] = " ".join(tok)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith(f"invalid: {path}: invalid mesh, 1 "
+                                 "violation, first [raw-area] facet 3: ")
+        assert err[1:] == [err[0].partition("first ")[2]]
+        config = write_text(tmp_path / "c.ini", MINIMAL.replace(
+            "fixture = single-facet", f"path = {path}"))
+        out = tmp_path / "out"
+        assert main(["run", config, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid mesh, ") \
+            and err.count("\n") == 1, err
+        assert not out.exists()
 
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate",

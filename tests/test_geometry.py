@@ -52,6 +52,22 @@ class TestFixtures:
         with pytest.raises(ValueError):
             build_fixture("two-particle-chain", n=0)
 
+    # a length or area <= 0 gave cells of negative volume
+    @pytest.mark.parametrize("kind,size", [
+        ("single-facet", dict(length=-100.0)),
+        ("single-facet", dict(area=-5.0)),
+        ("single-facet", dict(area=0.0)),
+        ("single-facet", dict(length=np.nan)),
+        ("single-tet", dict(length=-100.0))])
+    def test_nonpositive_size_refused(self, kind, size):
+        with pytest.raises(ValueError, match="fixture needs"):
+            build_fixture(kind, **size)
+
+    def test_size_beyond_float64_raises(self):
+        # refused where numpy warned of the overflow of the squared length
+        with pytest.raises(FloatingPointError, match="overflow"):
+            build_fixture("single-facet", length=1e300, area=1e300)
+
     def test_single_tet_layout(self, single_tet):
         assert single_tet.n_nodes == 4
         assert single_tet.n_facets == 12
@@ -93,6 +109,12 @@ class TestValidation:
         rep = validate_mesh(single_facet)
         assert not rep.ok
         assert any(v.kind == "edge-length" for v in rep.violations)
+
+    def test_edge_length_message_reads_plain_floats(self, single_facet):
+        # numpy 2 gave the computed length as "np.float64(100.0)"
+        single_facet.facets.edge_length[0] = 90.0
+        (v,) = validate_mesh(single_facet).violations
+        assert v.message == "stored 90.0 vs |x_J - x_I| = 100.0"
 
     def test_rotated_frame_reported(self, single_facet):
         f = single_facet.facets
@@ -164,6 +186,16 @@ class TestValidation:
         m.tet_volumes[0] *= 1.0 + 1e-6
         kinds = [(v.kind, v.entity) for v in validate_mesh(m).violations]
         assert kinds == [("tet-volume", "tet 0"), ("volume-sum", "mesh")]
+
+    # a consistent facet of zero or negative area passed every other check
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_nonpositive_raw_area_reported(self, single_tet, scale):
+        f = single_tet.facets
+        f.raw_area[3] *= scale
+        f.projected_area[3] *= scale
+        (v,) = validate_mesh(single_tet).violations
+        assert (v.entity, v.kind) == ("facet 3", "raw-area")
+        assert v.message == f"raw area {float(f.raw_area[3])!r} <= 0"
 
     @pytest.mark.parametrize("field", ["tet_volumes", "cell_volumes"])
     def test_nan_volume_reported(self, single_tet, field):
@@ -395,6 +427,15 @@ class TestBlockSpecimen:
         # exactly, meet on the axis
         with pytest.raises(MeshError, match="degenerate tetrahedron"):
             build_block_specimen((10, 10, 20), (2, 2, 2), waist=1e-300)
+
+    # refused where numpy warned of the overflow: of the squared edge
+    # lengths (size) and of the determinant of the tet volumes (waist)
+    @pytest.mark.parametrize("size,waist", [((1e300, 10.0, 20.0), None),
+                                            ((10.0, 10.0, 20.0), 1e200)],
+                             ids=["size", "waist"])
+    def test_geometry_beyond_float64_raises(self, size, waist):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            build_block_specimen(size, (2, 2, 2), waist=waist)
 
     @pytest.mark.parametrize("options", [
         "notch_depth=0.45 notch_width=7.5", ""], ids=["preset", "default"])

@@ -314,8 +314,8 @@ class TestSolverPerturb:
         assert np.array_equal(solver.q[pres], q_old[pres])
         f, trial = internal_forces(solver.q, ops, states_old)
         assert np.array_equal(solver.f_int, f)
-        assert np.array_equal(solver.tractions,
-                              facet_tractions(solver.q, ops, trial))
+        assert np.array_equal(solver.tractions, facet_tractions(
+            ops.strains(solver.q), ops, trial))
         assert np.array_equal(solver.strains, ops.strains(solver.q))
         for name in ("e_max", "e_p_m", "e_p_l", "e_n_res", "traction"):
             assert np.array_equal(getattr(solver.states, name),
@@ -602,7 +602,7 @@ class TestCommittedTractions:
         ops, solvers = block_solvers(params, elastic_only=elastic_only)
         for solver in solvers.values():
             e = solver.strains
-            assert facet_tractions(solver.q, ops, solver.states, e)\
+            assert facet_tractions(e, ops, solver.states)\
                 .tobytes() == solver.tractions.tobytes()
 
 

@@ -10,6 +10,7 @@ formed from the strains' own sine and cosine stays within 8 eps of
 sigma0(arctan2(e_N, sqrt(shear2))), and where e_eff overflows the law keeps
 the tractions and states it gave with sigma0 of that angle."""
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -180,7 +181,7 @@ def assert_matches_oracle(state, e, e_v, lengths, p):
 @given(cases())
 def test_matches_oracle_on_random_states(case):
     state, e, e_v, lengths, p = case
-    before = state.copy()
+    before = copy.deepcopy(state)
     assert_matches_oracle(state, e, e_v, lengths, p)
     for f in FIELDS:
         assert np.array_equal(getattr(state, f), getattr(before, f))
@@ -287,7 +288,7 @@ def test_split_law_matches_oracle(kind, data):
     # array, a scalar and a function, which is called once at most, with
     # the facets that reach the compressive boundary
     state, e, e_v, lengths, p = data.draw(split_cases(kind))
-    before = state.copy()
+    before = copy.deepcopy(state)
     function = EvRecorder(e_v)
     for form in (e_v, data.draw(strain_values(p)), function):
         t, new = assert_matches_oracle(state, e, form, lengths, p)
@@ -436,7 +437,7 @@ def test_trials_share_unchanged_history_and_leave_it_alone():
     committed.e_p_l[:] = 2e-5
     committed.e_n_res[:] = -np.linspace(0.0, 1e-3, n)
     committed.traction[:, 0] = -np.linspace(0.0, 1.5 * p.sigma_c0, n)
-    before = committed.copy()
+    before = copy.deepcopy(committed)
     quiet = np.column_stack([np.full(n, 1e-6), committed.e_p_m,
                              committed.e_p_l])
     slips = np.column_stack([np.full(n, -1e-6), committed.e_p_m + 1e-3,
@@ -446,7 +447,7 @@ def test_trials_share_unchanged_history_and_leave_it_alone():
     chain, states = [], committed
     for e in (quiet, slips, quiet, collapses, quiet):
         _, trial = assert_matches_oracle(states, e, -0.01, 50.0, p)
-        chain.append((states, states.copy(), trial))
+        chain.append((states, copy.deepcopy(states), trial))
         states = trial
     _, first = assert_matches_oracle(committed, quiet, 0.0, 50.0, p)
     assert all(getattr(first, f) is getattr(committed, f)
